@@ -93,12 +93,12 @@ def _cmd_audit(args) -> int:
     try:
         config = _load_config(args.config)
         concept_class = class_from_config(config.class_spec)
+        distribution = build_distribution(config)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         validate_capabilities(config, concept_class)
-        distribution = build_distribution(config)
         gen = RandomStream(config.seed).child(0).generator()
         sample = distribution.draw(gen, config.n)
         params = config.weak_spec().learner_params()

@@ -17,7 +17,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO
+from typing import IO, Callable
 
 from .brute import exact_transductive_audit
 from .classes import class_from_config, parse_points
@@ -52,31 +52,113 @@ from .pipelines import (
 )
 from .weak import paper_default_params, transductive_error
 
-PIPELINES = (
-    "realizable_partial",
-    "agnostic_partial",
-    "multiclass_realizable",
-    "multiclass_agnostic",
-    "reg_realizable",
-    "reg_agnostic",
-    "weak_transductive",
-    "audit",
-)
-
-_NEEDED_CAPABILITIES = {
-    "realizable_partial": {CONSISTENCY},
-    "agnostic_partial": {CONSISTENCY, ERM_VALUE},
-    "multiclass_realizable": {CONSISTENCY},
-    "multiclass_agnostic": {CONSISTENCY, ERM_VALUE},
-    "reg_realizable": {RANGE_CONSISTENCY},
-    "reg_agnostic": {ERM_VALUE},
-    "weak_transductive": {CONSISTENCY},
-    "audit": {CONSISTENCY},
-}
-
 
 class ConfigError(ValueError):
     """The experiment configuration could not be parsed or validated."""
+
+
+# A pipeline's trial body returns (train_err, test_err).  It looks up fit_*,
+# transductive_error, exact_transductive_audit and empirical_error in this
+# module's globals at run time, so rebinding one (as a tracer does) reaches it.
+
+
+def _boosting(config):
+    return config.weak_spec(), config.eta, config.delta
+
+
+def _errors(predict, sample, distribution, loss):
+    return empirical_error(sample, predict, loss), distribution.expected_loss(predict, loss)
+
+
+def _clamped(predict):
+    # the vote sum can exceed 1; losses are reported against the clamped value
+    return lambda x: min(max(predict(x), Fraction(0)), Fraction(1))
+
+
+def _realizable_partial(config, concept_class, distribution, sample, ledger, rng):
+    con = ConsistencyOracle(concept_class, ledger)
+    fitted = fit_realizable_partial(sample, *_boosting(config), con, rng)
+    return _errors(fitted.predict, sample, distribution, loss_bin)
+
+
+def _agnostic_partial(config, concept_class, distribution, sample, ledger, rng):
+    con = ConsistencyOracle(concept_class, ledger)
+    erm = ErmValueOracle(concept_class, loss_bin, ledger)
+    fitted = fit_agnostic_partial(sample, *_boosting(config), erm, con, rng)
+    return _errors(fitted.predict, sample, distribution, loss_bin)
+
+
+def _multiclass_realizable(config, concept_class, distribution, sample, ledger, rng):
+    con = ConsistencyOracle(concept_class, ledger)
+    fitted = fit_multiclass_realizable(sample, config.num_classes, *_boosting(config), con, rng)
+    return _errors(fitted.predict, sample, distribution, loss_mc)
+
+
+def _multiclass_agnostic(config, concept_class, distribution, sample, ledger, rng):
+    con = ConsistencyOracle(concept_class, ledger)
+    erm = ErmValueOracle(concept_class, loss_mc, ledger)
+    fitted = fit_multiclass_agnostic(sample, config.num_classes, *_boosting(config), erm, con, rng)
+    return _errors(fitted.predict, sample, distribution, loss_mc)
+
+
+def _reg_realizable(config, concept_class, distribution, sample, ledger, rng):
+    beta = config.beta if config.beta is not None else config.gamma
+    range_query = RangeConsistencyOracle(concept_class, ledger)
+    fitted = fit_reg_realizable(sample, *_boosting(config), config.gamma, beta, range_query, rng)
+    return _errors(_clamped(fitted.predict), sample, distribution, loss_abs)
+
+
+def _reg_agnostic(config, concept_class, distribution, sample, ledger, rng):
+    erm = ErmValueOracle(concept_class, loss_abs, ledger)
+    fitted = fit_reg_agnostic(sample, *_boosting(config), config.gamma, erm, rng)
+    return _errors(_clamped(fitted.predict), sample, distribution, loss_abs)
+
+
+def _weak_transductive(config, concept_class, distribution, sample, ledger, rng):
+    # leave-one-out contexts have size n-1, so the walk parameters come
+    # from the sample size rather than the boosting weak-sample size
+    params = paper_default_params(config.n, config.c1, config.lam)
+    con = ConsistencyOracle(concept_class, ledger)
+    measured = transductive_error(sample, params, con, config.reps, rng, memoize=config.memoize)
+    audit = exact_transductive_audit(concept_class, sample, params.gamma, config.lam, walk="flip")
+    return measured, audit.loo_error
+
+
+def _audit(config, concept_class, distribution, sample, ledger, rng):
+    params = paper_default_params(config.n, config.c1, config.lam)
+    ConsistencyOracle(concept_class, ledger)  # surfaces capability mismatch early
+    audit = exact_transductive_audit(concept_class, sample, params.gamma, config.lam, walk="lazy")
+    return audit.loo_error, audit.slack
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """The oracles a pipeline needs, the config fields it requires, its label
+    kind ("binary", "multiclass" or "real": how support labels parse and which
+    label noise applies) and its trial body."""
+
+    capabilities: tuple
+    required: tuple
+    labels: str
+    run: Callable
+
+
+PIPELINES = {
+    "realizable_partial": Pipeline((CONSISTENCY,), (), "binary", _realizable_partial),
+    "agnostic_partial": Pipeline((CONSISTENCY, ERM_VALUE), (), "binary", _agnostic_partial),
+    "multiclass_realizable": Pipeline(
+        (CONSISTENCY,), ("num_classes",), "multiclass", _multiclass_realizable
+    ),
+    "multiclass_agnostic": Pipeline(
+        (CONSISTENCY, ERM_VALUE), ("num_classes",), "multiclass", _multiclass_agnostic
+    ),
+    "reg_realizable": Pipeline((RANGE_CONSISTENCY,), ("gamma",), "real", _reg_realizable),
+    "reg_agnostic": Pipeline((ERM_VALUE,), ("gamma",), "real", _reg_agnostic),
+    # diagnostics: train_err/test_err are the Monte-Carlo and the exact flip-walk
+    # leave-one-out error, or the exact lazy-walk leave-one-out error and the bound slack
+    "weak_transductive": Pipeline((CONSISTENCY,), (), "binary", _weak_transductive),
+    "audit": Pipeline((CONSISTENCY,), (), "binary", _audit),
+}
 
 
 @dataclass(frozen=True)
@@ -106,10 +188,13 @@ class ExperimentConfig:
             pipeline = raw["pipeline"]
             if pipeline not in PIPELINES:
                 raise ConfigError(f"unknown pipeline {pipeline!r}")
+            entry = PIPELINES[pipeline]
+            missing = [name for name in entry.required if raw.get(name) is None]
+            if missing:
+                raise ConfigError(f"pipeline {pipeline} needs {', '.join(missing)}")
             dist = raw["distribution"]
-            support = tuple(
-                (_parse_point(x), _parse_label(y, pipeline)) for x, y in dist["support"]
-            )
+            parse_label = as_fraction if entry.labels == "real" else int
+            support = tuple((_parse_point(x), parse_label(y)) for x, y in dist["support"])
             weights = dist.get("weights")
             if weights is not None:
                 weights = tuple(as_fraction(w) for w in weights)
@@ -120,7 +205,8 @@ class ExperimentConfig:
             eta = float(eta) if eta is not None else 1.0 / (m * math.log(m))
             gamma = raw.get("gamma")
             beta = raw.get("beta")
-            return cls(
+            num_classes = raw.get("num_classes")
+            config = cls(
                 class_spec=raw["class"],
                 support=support,
                 weights=weights,
@@ -134,7 +220,7 @@ class ExperimentConfig:
                 delta=float(raw.get("delta", 0.2)),
                 gamma=as_fraction(gamma) if gamma is not None else None,
                 beta=as_fraction(beta) if beta is not None else None,
-                num_classes=raw.get("num_classes"),
+                num_classes=int(num_classes) if num_classes is not None else None,
                 trials=int(raw.get("trials", 1)),
                 seed=int(raw["seed"]),
                 reps=int(raw.get("reps", 50)),
@@ -144,6 +230,10 @@ class ExperimentConfig:
             raise
         except (KeyError, TypeError, ValueError, ContractViolation) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
+        for name, low in (("n", 1), ("reps", 1), ("trials", 0)):
+            if getattr(config, name) < low:
+                raise ConfigError(f"{name} must be at least {low}")
+        return config
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -165,12 +255,6 @@ def _parse_point(x):
     return parse_points([x])[0]
 
 
-def _parse_label(y, pipeline):
-    if pipeline.startswith("reg"):
-        return as_fraction(y)
-    return int(y)
-
-
 @dataclass(frozen=True)
 class TrialReport:
     trial: int
@@ -188,9 +272,7 @@ def build_distribution(config: ExperimentConfig) -> FiniteDistribution:
     else:
         dist = FiniteDistribution(config.support, config.weights)
     if config.label_noise != 0:
-        if config.pipeline.startswith("multiclass"):
-            if config.num_classes is None:
-                raise ConfigError("label noise for multiclass needs num_classes")
+        if PIPELINES[config.pipeline].labels == "multiclass":
             dist = dist.with_multiclass_label_noise(config.label_noise, config.num_classes)
         else:
             dist = dist.with_binary_label_noise(config.label_noise)
@@ -198,7 +280,7 @@ def build_distribution(config: ExperimentConfig) -> FiniteDistribution:
 
 
 def validate_capabilities(config: ExperimentConfig, concept_class) -> None:
-    missing = _NEEDED_CAPABILITIES[config.pipeline] - set(concept_class.capabilities)
+    missing = set(PIPELINES[config.pipeline].capabilities) - set(concept_class.capabilities)
     if missing:
         raise OracleCapabilityError(
             f"pipeline {config.pipeline} needs oracle(s) {sorted(missing)} "
@@ -213,10 +295,8 @@ def run_trial(config: ExperimentConfig, concept_class, distribution, trial: int,
     started = time.perf_counter() if measure_wall else 0.0
     gen = stream.child(0).generator()
     sample = distribution.draw(gen, config.n)
-    fit_stream = stream.child(1)
-    weak = config.weak_spec()
-    train_err, test_err = _dispatch(
-        config, concept_class, distribution, sample, weak, ledger, fit_stream
+    train_err, test_err = PIPELINES[config.pipeline].run(
+        config, concept_class, distribution, sample, ledger, stream.child(1)
     )
     wall_ms = int(round((time.perf_counter() - started) * 1000)) if measure_wall else 0
     cost, calls = ledger.snapshot()
@@ -231,105 +311,14 @@ def run_trial(config: ExperimentConfig, concept_class, distribution, trial: int,
     )
 
 
-def _dispatch(config, concept_class, distribution, sample, weak, ledger, rng):
-    pipeline = config.pipeline
-    if pipeline == "realizable_partial":
-        con = ConsistencyOracle(concept_class, ledger)
-        predictor = fit_realizable_partial(sample, weak, config.eta, config.delta, con, rng)
-        return _binary_errors(predictor, sample, distribution)
-    if pipeline == "agnostic_partial":
-        con = ConsistencyOracle(concept_class, ledger)
-        erm = ErmValueOracle(concept_class, loss_bin, ledger)
-        predictor = fit_agnostic_partial(sample, weak, config.eta, config.delta, erm, con, rng)
-        return _binary_errors(predictor, sample, distribution)
-    if pipeline == "multiclass_realizable":
-        k = _need_classes(config)
-        con = ConsistencyOracle(concept_class, ledger)
-        predictor = fit_multiclass_realizable(sample, k, weak, config.eta, config.delta, con, rng)
-        return _point_errors(predictor, sample, distribution, loss_mc)
-    if pipeline == "multiclass_agnostic":
-        k = _need_classes(config)
-        con = ConsistencyOracle(concept_class, ledger)
-        erm = ErmValueOracle(concept_class, loss_mc, ledger)
-        predictor = fit_multiclass_agnostic(
-            sample, k, weak, config.eta, config.delta, erm, con, rng
-        )
-        return _point_errors(predictor, sample, distribution, loss_mc)
-    if pipeline == "reg_realizable":
-        gamma = _need_gamma(config)
-        beta = config.beta if config.beta is not None else gamma
-        range_query = RangeConsistencyOracle(concept_class, ledger)
-        predictor = fit_reg_realizable(
-            sample, weak, config.eta, config.delta, gamma, beta, range_query, rng
-        )
-        return _regression_errors(predictor, sample, distribution)
-    if pipeline == "reg_agnostic":
-        gamma = _need_gamma(config)
-        erm = ErmValueOracle(concept_class, loss_abs, ledger)
-        predictor = fit_reg_agnostic(sample, weak, config.eta, config.delta, gamma, erm, rng)
-        return _regression_errors(predictor, sample, distribution)
-    if pipeline == "weak_transductive":
-        # leave-one-out contexts have size n-1, so the walk parameters come
-        # from the sample size rather than the boosting weak-sample size
-        params = paper_default_params(config.n, config.c1, config.lam)
-        con = ConsistencyOracle(concept_class, ledger)
-        measured = transductive_error(
-            sample, params, con, config.reps, rng, memoize=config.memoize
-        )
-        audit = exact_transductive_audit(
-            concept_class, sample, params.gamma, config.lam, walk="flip"
-        )
-        return measured, audit.loo_error
-    if pipeline == "audit":
-        params = paper_default_params(config.n, config.c1, config.lam)
-        con = ConsistencyOracle(concept_class, ledger)  # surfaces capability mismatch early
-        audit = exact_transductive_audit(
-            concept_class, sample, params.gamma, config.lam, walk="lazy"
-        )
-        return audit.loo_error, audit.slack
-    raise ConfigError(f"unknown pipeline {pipeline!r}")
-
-
-def _need_classes(config) -> int:
-    if config.num_classes is None:
-        raise ConfigError("multiclass pipelines need num_classes")
-    return int(config.num_classes)
-
-
-def _need_gamma(config) -> Fraction:
-    if config.gamma is None:
-        raise ConfigError("regression pipelines need gamma")
-    return config.gamma
-
-
-def _binary_errors(predictor, sample, distribution):
-    train = empirical_error(sample, predictor.predict, loss_bin)
-    test = distribution.expected_loss(predictor.predict, loss_bin)
-    return train, test
-
-
-def _point_errors(predictor, sample, distribution, loss):
-    train = empirical_error(sample, predictor.predict, loss)
-    test = distribution.expected_loss(predictor.predict, loss)
-    return train, test
-
-
-def _regression_errors(predictor, sample, distribution):
-    # the vote sum can exceed 1; losses are reported against the clamped value
-    def clamped(x):
-        value = predictor.predict(x)
-        return min(max(value, Fraction(0)), Fraction(1))
-
-    train = empirical_error(sample, clamped, loss_abs)
-    test = distribution.expected_loss(clamped, loss_abs)
-    return train, test
-
-
 def run_experiment(config: ExperimentConfig, jobs: int = 1,
                    measure_wall: bool = True) -> list[TrialReport]:
-    concept_class = class_from_config(config.class_spec)
-    validate_capabilities(config, concept_class)
-    distribution = build_distribution(config)
+    try:
+        concept_class = class_from_config(config.class_spec)
+        validate_capabilities(config, concept_class)
+        distribution = build_distribution(config)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad experiment config: {exc}") from exc
     trials = range(config.trials)
     if jobs <= 1:
         return [

@@ -30,18 +30,13 @@ Vertex = tuple  # of 0/1 ints
 # batch rollouts through numpy once this many trials are requested
 _VECTOR_TRIALS = 512
 
+# exact solves of at most this many patterns use rational elimination
+_RATIONAL_CUTOFF = 64
+
 
 def flip(v: Vertex, i: int) -> Vertex:
     """v with coordinate i flipped (0-indexed)."""
     return v[:i] + (1 - v[i],) + v[i + 1 :]
-
-
-def random_flip_step(v: Vertex, gen: np.random.Generator) -> Vertex:
-    """One walk step: flip a uniformly chosen coordinate."""
-    m = len(v)
-    if m < 1:
-        raise ContractViolation("vertices need at least one coordinate")
-    return flip(v, int(gen.integers(0, m)))
 
 
 def pack(v: Vertex) -> int:
@@ -73,12 +68,6 @@ class WalkParams:
             raise ContractViolation("discount must lie in (0,1)")
         if self.horizon < 0 or self.trials < 1:
             raise ContractViolation("horizon must be >= 0 and trials >= 1")
-
-
-@dataclass(frozen=True)
-class PotentialEstimate:
-    value: float
-    trials: int
 
 
 def default_horizon(gamma: float) -> int:
@@ -138,21 +127,6 @@ class MembershipPredicate:
         return vals[inverse]
 
 
-def rollout_hitting_time(y: Vertex, membership: MembershipPredicate, horizon: int, gen) -> int:
-    """min(t : Y^t leaves the set, truncated at `horizon`), one membership
-    evaluation per step taken."""
-    m = len(y)
-    code = pack(y)
-    t = 0
-    while True:
-        if not membership.query_packed(code):
-            return t
-        if t == horizon:
-            return horizon
-        code ^= 1 << int(gen.integers(0, m))
-        t += 1
-
-
 def estimate_potential(
     points: tuple,
     y: Vertex,
@@ -161,7 +135,7 @@ def estimate_potential(
     gen: np.random.Generator,
     memoize: bool = True,
     membership: MembershipPredicate | None = None,
-) -> PotentialEstimate:
+) -> float:
     """Monte-Carlo estimate of E[gamma^(horizon ∧ exit time)] from vertex y.
 
     Runs `params.trials` independent truncated rollouts of the coordinate-flip
@@ -174,10 +148,8 @@ def estimate_potential(
     if len(y) != membership.m:
         raise ContractViolation("vertex length must match the point sequence")
     if params.trials >= _VECTOR_TRIALS:
-        value = _rollouts_vectorized(y, membership, params, gen)
-    else:
-        value = _rollouts_sequential(y, membership, params, gen)
-    return PotentialEstimate(value, params.trials)
+        return _rollouts_vectorized(y, membership, params, gen)
+    return _rollouts_sequential(y, membership, params, gen)
 
 
 def _rollouts_sequential(y, membership, params, gen) -> float:
@@ -260,7 +232,6 @@ def exact_generating_function(
     gamma,
     m: int | None = None,
     method: str = "auto",
-    rational_cutoff: int = 64,
 ) -> PotentialTable:
     """Solve the lazy-walk recursion M(v) = g/((2-g)m) * sum_i M(v^flip i) exactly.
 
@@ -280,41 +251,34 @@ def exact_generating_function(
         raise ContractViolation("exact solve is limited to m <= 30 and 4096 patterns")
     index = {v: i for i, v in enumerate(vertices)}
     size = len(vertices)
+    # per vertex: the indices of its neighbours inside the set, and how many lie outside
+    links = []
+    for v in vertices:
+        inner = [index[w] for w in neighbors(v) if w in index]
+        links.append((inner, m - len(inner)))
     if method == "auto":
-        method = "rational" if size <= rational_cutoff else "float"
+        method = "rational" if size <= _RATIONAL_CUTOFF else "float"
     if method == "rational":
         g = as_fraction(gamma)
         diag = (2 - g) * m / g
         rows = []
-        rhs = []
-        for v in vertices:
+        for i, (inner, _) in enumerate(links):
             row = [Fraction(0)] * size
-            row[index[v]] = diag
-            outside = 0
-            for w in neighbors(v):
-                j = index.get(w)
-                if j is None:
-                    outside += 1
-                else:
-                    row[j] -= 1
+            row[i] = diag
+            for j in inner:
+                row[j] -= 1
             rows.append(row)
-            rhs.append(Fraction(outside))
-        solution = _solve_rational(rows, rhs)
-        return PotentialTable({v: solution[index[v]] for v in vertices}, m)
-    g = float(gamma)
-    a = np.zeros((size, size))
-    b = np.zeros(size)
-    for v in vertices:
-        i = index[v]
-        a[i, i] = (2 - g) * m / g
-        for w in neighbors(v):
-            j = index.get(w)
-            if j is None:
-                b[i] += 1.0
-            else:
-                a[i, j] -= 1.0
-    solution = np.linalg.solve(a, b)
-    return PotentialTable({v: float(solution[index[v]]) for v in vertices}, m)
+        solution = _solve_rational(rows, [Fraction(outside) for _, outside in links])
+    else:
+        g = float(gamma)
+        a = np.zeros((size, size))
+        b = np.zeros(size)
+        for i, (inner, outside) in enumerate(links):
+            a[i, i] = (2 - g) * m / g
+            a[i, inner] -= 1.0
+            b[i] = outside
+        solution = np.linalg.solve(a, b).tolist()
+    return PotentialTable(dict(zip(vertices, solution)), m)
 
 
 def _solve_rational(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:

@@ -97,10 +97,6 @@ def fit_realizable_partial(
     return BinaryPredictor(model, learner)
 
 
-def realizable_partial(sample, x, weak, eta, delta, con_oracle, rng) -> int:
-    return fit_realizable_partial(sample, weak, eta, delta, con_oracle, rng).predict(x)
-
-
 def fit_agnostic_partial(
     sample: Sample, weak: WeakSpec, eta: float, delta: float,
     erm_oracle: ErmValueOracle, con_oracle, rng: RandomStream,
@@ -112,10 +108,6 @@ def fit_agnostic_partial(
     rounds = boosting_rounds(len(sample), delta, eta, 6)
     model = adaboost_train(realizable, learner, weak.m, rounds, rng, weak_params=_params_dict(weak))
     return BinaryPredictor(model, learner)
-
-
-def agnostic_partial(sample, x, weak, eta, delta, erm_oracle, con_oracle, rng) -> int:
-    return fit_agnostic_partial(sample, weak, eta, delta, erm_oracle, con_oracle, rng).predict(x)
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +237,6 @@ def fit_multiclass_realizable(
     return MulticlassPredictor(model, learner, num_classes)
 
 
-def multiclass_realizable(sample, x, num_classes, weak, eta, delta, con_oracle, rng) -> int:
-    return fit_multiclass_realizable(
-        sample, num_classes, weak, eta, delta, con_oracle, rng
-    ).predict(x)
-
-
 def fit_multiclass_agnostic(
     sample: Sample, num_classes: int, weak: WeakSpec, eta: float, delta: float,
     erm_oracle: ErmValueOracle, con_oracle, rng: RandomStream,
@@ -258,12 +244,6 @@ def fit_multiclass_agnostic(
     removal = sample_erm_binary(sample, erm_oracle)
     kept = sample.subset([i for i, z in enumerate(removal) if z == 0])
     return fit_multiclass_realizable(kept, num_classes, weak, eta, delta, con_oracle, rng)
-
-
-def multiclass_agnostic(sample, x, num_classes, weak, eta, delta, erm_oracle, con_oracle, rng) -> int:
-    return fit_multiclass_agnostic(
-        sample, num_classes, weak, eta, delta, erm_oracle, con_oracle, rng
-    ).predict(x)
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +350,6 @@ def fit_reg_realizable(
     return RegressionPredictor(model, learner, gamma)
 
 
-def reg_realizable(sample, x, weak, eta, delta, gamma, beta, range_oracle, rng) -> Fraction:
-    return fit_reg_realizable(
-        sample, weak, eta, delta, gamma, beta, range_oracle, rng
-    ).predict(x)
-
-
 def fit_reg_agnostic(
     sample: Sample, weak: WeakSpec, eta: float, delta: float, gamma,
     erm_oracle: ErmValueOracle, rng: RandomStream,
@@ -389,10 +363,6 @@ def fit_reg_agnostic(
         snapped, weak, eta, delta, gamma, 2 * gamma,
         synthesized_range_query(erm_oracle), rng,
     )
-
-
-def reg_agnostic(sample, x, weak, eta, delta, gamma, erm_oracle, rng) -> Fraction:
-    return fit_reg_agnostic(sample, weak, eta, delta, gamma, erm_oracle, rng).predict(x)
 
 
 def _params_dict(weak: WeakSpec) -> dict:

@@ -96,7 +96,6 @@ def weak_realizable(
     points = sample.xs + (x,)
     y0 = base + (0,)
     y1 = base + (1,)
-    gen = rng.child_for(x).generator()
     feasible0 = con_oracle.on_labels(points, y0)
     feasible1 = con_oracle.on_labels(points, y1)
     if not feasible0 and not feasible1:
@@ -109,13 +108,14 @@ def weak_realizable(
         return WeakPrediction(1, 1.0)
     if not feasible1:
         return WeakPrediction(0, 0.0)
+    gen = rng.child_for(x).generator()
     if potential is not None:
         f0 = float(potential(points, y0))
         f1 = float(potential(points, y1))
     else:
         walk = params.walk_params()
-        f0 = estimate_potential(points, y0, walk, con_oracle, gen, memoize=memoize).value
-        f1 = estimate_potential(points, y1, walk, con_oracle, gen, memoize=memoize).value
+        f0 = estimate_potential(points, y0, walk, con_oracle, gen, memoize=memoize)
+        f1 = estimate_potential(points, y1, walk, con_oracle, gen, memoize=memoize)
     sigma_hat = (1 + params.lam * (f0 - f1)) / 2
     sigma_hat = min(max(sigma_hat, 0.0), 1.0)
     bit = 1 if gen.random() < sigma_hat else 0

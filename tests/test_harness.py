@@ -45,6 +45,14 @@ def test_config_parsing_and_defaults():
     assert defaulted.eta == pytest.approx(1 / (2 * math.log(2)))
 
 
+# configs that parse but describe no concept class or no distribution
+_BAD_SETUPS = (
+    {"class": {"kind": "no_such_kind"}},
+    {"class": {"kind": "finite_table", "domain": [0, 1, 2], "table": [[1, 0]]}},  # short row
+    {"distribution": {"support": [[0, 1], [1, 0]], "weights": [1]}},
+)
+
+
 def test_config_errors():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(_singleton_config(pipeline="nope"))
@@ -52,6 +60,14 @@ def test_config_errors():
         ExperimentConfig.from_dict({"pipeline": "realizable_partial"})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(_singleton_config(m=1))
+    for bad in ({"n": 0}, {"reps": 0}, {"trials": -2},
+                {"pipeline": "reg_agnostic"}, {"pipeline": "multiclass_realizable"}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(_singleton_config(**bad))
+    for bad_setup in _BAD_SETUPS:
+        config = ExperimentConfig.from_dict(_singleton_config(**bad_setup))
+        with pytest.raises(ConfigError):
+            run_experiment(config, measure_wall=False)
 
 
 def test_capability_validation():
@@ -160,6 +176,18 @@ def test_cli_run_and_exit_codes(tmp_path):
     missing = tmp_path / "missing.json"
     assert _run_cli(["run", "--config", str(missing)]).returncode == 3
 
+    bad_configs = [_singleton_config(**bad) for bad in _BAD_SETUPS] + [
+        _singleton_config(n=0),
+        _singleton_config(pipeline="weak_transductive", reps=0),
+        _singleton_config(trials=-2),
+    ]
+    for k, raw in enumerate(bad_configs):
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(json.dumps(raw))
+        proc = _run_cli(["run", "--config", str(path)])
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+
     cap = tmp_path / "cap.json"
     cap.write_text(
         json.dumps(
@@ -193,6 +221,11 @@ def test_cli_audit_runs(tmp_path):
     proc = _run_cli(["audit", "--config", str(config_path)])
     assert proc.returncode == 0, proc.stderr
     assert "walk=lazy" in proc.stdout and "walk=flip" in proc.stdout
+    for k, bad in enumerate(_BAD_SETUPS):
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(json.dumps(_singleton_config(n=4, trials=1, **bad)))
+        proc = _run_cli(["audit", "--config", str(path)])
+        assert proc.returncode == 3, proc.stderr
 
 
 def test_cli_selftest_passes():

@@ -18,9 +18,7 @@ from oiglearn.oig import (
     orientation_probability,
     out_degree,
     pack,
-    random_flip_step,
     recursion_residual,
-    rollout_hitting_time,
     unpack,
 )
 from oiglearn.oracle import ConsistencyOracle, QueryCostLedger
@@ -33,39 +31,11 @@ def test_flip_and_packing():
         assert pack(unpack(code, 4)) == code
 
 
-def test_random_flip_step_m1_deterministic():
-    gen = RandomStream(1).generator()
-    assert random_flip_step((0,), gen) == (1,)
-
-
-def test_random_flip_step_uniform_over_neighbors():
-    gen = RandomStream(2).generator()
-    m, steps = 5, 10_000
-    v = (0,) * m
-    counts = np.zeros(m)
-    for _ in range(steps):
-        w = random_flip_step(v, gen)
-        counts[[i for i in range(m) if w[i] != v[i]][0]] += 1
-    sigma = math.sqrt((1 / m) * (1 - 1 / m) / steps)
-    assert np.all(np.abs(counts / steps - 1 / m) < 5 * sigma)
-
-
-def test_rollout_hitting_time_examples():
-    gen = RandomStream(3).generator()
-    outside = MembershipPredicate.from_set([(1, 1)], 2)
-    assert rollout_hitting_time((0, 0), outside, 10, gen) == 0
-    full = MembershipPredicate.from_set([unpack(c, 2) for c in range(4)], 2)
-    assert rollout_hitting_time((0, 0), full, 7, gen) == 7
-    single = MembershipPredicate.from_set([(0,)], 1)
-    assert rollout_hitting_time((0,), single, 10, gen) == 1
-
-
 def test_estimate_potential_outside_is_exactly_one():
     gen = RandomStream(4).generator()
     pred = MembershipPredicate.from_set([(1, 1)], 2)
     est = estimate_potential(None, (0, 0), WalkParams(0.5, 8, 100), None, gen, membership=pred)
-    assert est.value == 1.0
-    assert est.trials == 100
+    assert est == 1.0
 
 
 def test_estimate_potential_full_cube_truncates():
@@ -73,7 +43,7 @@ def test_estimate_potential_full_cube_truncates():
     m, L = 3, 6
     pred = MembershipPredicate.from_set([unpack(c, m) for c in range(8)], m)
     est = estimate_potential(None, (0, 0, 0), WalkParams(0.5, L, 200), None, gen, membership=pred)
-    assert est.value == pytest.approx(0.5**L, abs=0)
+    assert est == pytest.approx(0.5**L, abs=0)
 
 
 def test_estimate_potential_m1_limit():
@@ -81,7 +51,7 @@ def test_estimate_potential_m1_limit():
     gen = RandomStream(6).generator()
     pred = MembershipPredicate.from_set([(0,)], 1)
     est = estimate_potential(None, (0,), WalkParams(0.5, 10, 20_000), None, gen, membership=pred)
-    assert est.value == pytest.approx(0.5, abs=0)  # tau == 1 deterministically
+    assert est == pytest.approx(0.5, abs=0)  # tau == 1 deterministically
 
 
 def test_estimate_potential_paths_agree_statistically():
@@ -98,8 +68,8 @@ def test_estimate_potential_paths_agree_statistically():
         None, (0, 0, 0, 0), params_big, None, RandomStream(8).generator(), membership=pred
     )
     exact = exact_truncated_flip_expectation(inside, (0, 0, 0, 0), 0.7, 20)
-    assert abs(small.value - exact) < 4 * math.sqrt(1 / (4 * 400))
-    assert abs(big.value - exact) < 4 * math.sqrt(1 / (4 * 4000))
+    assert abs(small - exact) < 4 * math.sqrt(1 / (4 * 400))
+    assert abs(big - exact) < 4 * math.sqrt(1 / (4 * 4000))
 
 
 def test_estimate_potential_charges_oracle_per_distinct_vertex():
