@@ -124,16 +124,21 @@ class FiniteTableClass(ConceptClass):
     def consistent_on(self, xs, ys) -> bool:
         return tuple(ys) in self._patterns_on(tuple(xs))
 
-    def erm_value_on(self, xs, ys, loss) -> Fraction:
+    def _least_loss_row(self, xs, ys, loss) -> tuple[int, Any]:
+        """The lowest-index row with the least loss sum, and that sum.  Losses
+        are nonnegative, so the scan stops at the first zero-loss row."""
         cols = [self._column(x) for x in xs]
-        best = None
-        for row in self.table:
+        best_idx, best = 0, None
+        for i, row in enumerate(self.table):
             total = sum(loss(y, row[c]) for y, c in zip(ys, cols))
             if best is None or total < best:
-                best = total
+                best_idx, best = i, total
                 if best == 0:
                     break
-        return Fraction(best) / len(xs)
+        return best_idx, best
+
+    def erm_value_on(self, xs, ys, loss) -> Fraction:
+        return Fraction(self._least_loss_row(xs, ys, loss)[1]) / len(xs)
 
     def range_consistent_on(self, xs, lower, upper) -> bool:
         if self.kind != "real":
@@ -145,13 +150,7 @@ class FiniteTableClass(ConceptClass):
         return False
 
     def erm_hypothesis(self, sample: Sample, loss) -> TableHypothesis:
-        cols = [self._column(x) for x in sample.xs]
-        best_idx, best_total = 0, None
-        for i, row in enumerate(self.table):
-            total = sum(loss(y, row[c]) for y, c in zip(sample.ys, cols))
-            if best_total is None or total < best_total:
-                best_idx, best_total = i, total
-        return TableHypothesis(self, best_idx)
+        return TableHypothesis(self, self._least_loss_row(sample.xs, sample.ys, loss)[0])
 
     def project_onto(self, xs) -> frozenset:
         """The star-free label patterns the class realizes on the point sequence."""

@@ -15,7 +15,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import IO, Callable
 
@@ -233,6 +233,13 @@ class ExperimentConfig:
         for name, low in (("n", 1), ("reps", 1), ("trials", 0)):
             if getattr(config, name) < low:
                 raise ConfigError(f"{name} must be at least {low}")
+        # the regression pipelines' own checks, so a bad grid fails before any trial
+        if "gamma" in entry.required and not (0 < config.gamma < 1):
+            raise ConfigError("gamma must lie strictly between 0 and 1")
+        if pipeline == "reg_agnostic" and config.gamma.numerator != 1:
+            raise ConfigError("reg_agnostic needs gamma = 1/G for an integer G")
+        if pipeline == "reg_realizable" and config.beta is not None and config.beta < config.gamma:
+            raise ConfigError("beta must be at least gamma")
         return config
 
     @classmethod
@@ -333,7 +340,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
     return sorted(reports, key=lambda r: r.trial)
 
 
-CSV_HEADER = "trial,train_err,test_err,oracle_calls,query_cost,wall_ms,seed"
+_REPORT_FIELDS = tuple(field.name for field in fields(TrialReport))
+CSV_HEADER = ",".join(_REPORT_FIELDS)
 
 
 def _fmt(value) -> str:
@@ -345,39 +353,14 @@ def _fmt(value) -> str:
 
 
 def emit_report(reports: list[TrialReport], fmt: str, sink: IO[str]) -> None:
-    """Write one line per trial; field order and number formatting are fixed."""
+    """Write one line per trial with the fields of TrialReport in order; floats
+    are written to 17 significant digits in CSV and round-trip exactly in JSONL."""
     if fmt == "csv":
         sink.write(CSV_HEADER + "\n")
         for r in reports:
-            sink.write(
-                ",".join(
-                    (
-                        str(r.trial),
-                        _fmt(r.train_err),
-                        _fmt(r.test_err),
-                        str(r.oracle_calls),
-                        str(r.query_cost),
-                        str(r.wall_ms),
-                        str(r.seed),
-                    )
-                )
-                + "\n"
-            )
+            sink.write(",".join(_fmt(getattr(r, name)) for name in _REPORT_FIELDS) + "\n")
     elif fmt == "jsonl":
         for r in reports:
-            sink.write(
-                json.dumps(
-                    {
-                        "trial": r.trial,
-                        "train_err": float(_fmt(r.train_err)),
-                        "test_err": float(_fmt(r.test_err)),
-                        "oracle_calls": r.oracle_calls,
-                        "query_cost": r.query_cost,
-                        "wall_ms": r.wall_ms,
-                        "seed": r.seed,
-                    }
-                )
-                + "\n"
-            )
+            sink.write(json.dumps({name: getattr(r, name) for name in _REPORT_FIELDS}) + "\n")
     else:
         raise ConfigError(f"unknown report format {fmt!r}")

@@ -97,7 +97,7 @@ class MembershipPredicate:
         m = len(points)
 
         def evaluate(code: int) -> bool:
-            return oracle.on_labels(points, unpack(code, m))
+            return oracle(points, unpack(code, m))
 
         return cls(m, evaluate, memoize)
 
@@ -128,23 +128,18 @@ class MembershipPredicate:
 
 
 def estimate_potential(
-    points: tuple,
+    membership: MembershipPredicate,
     y: Vertex,
     params: WalkParams,
-    con_oracle,
     gen: np.random.Generator,
-    memoize: bool = True,
-    membership: MembershipPredicate | None = None,
 ) -> float:
     """Monte-Carlo estimate of E[gamma^(horizon ∧ exit time)] from vertex y.
 
     Runs `params.trials` independent truncated rollouts of the coordinate-flip
-    walk, probing membership of the current vertex through the consistency
-    oracle at every step.  Returns the mean discounted (truncated) hitting
-    time; the value is exactly 1 iff y itself is not realizable.
+    walk, probing membership of the current vertex at every step.  Returns the
+    mean discounted (truncated) hitting time; the value is exactly 1 iff y
+    itself is not realizable.
     """
-    if membership is None:
-        membership = MembershipPredicate.from_oracle(points, con_oracle, memoize=memoize)
     if len(y) != membership.m:
         raise ContractViolation("vertex length must match the point sequence")
     if params.trials >= _VECTOR_TRIALS:

@@ -76,56 +76,6 @@ class ConceptClass:
         raise OracleCapabilityError(f"{type(self).__name__}: no strong ERM oracle")
 
 
-def _split_pairs(sample) -> tuple[tuple, tuple]:
-    pairs = sample.pairs if isinstance(sample, Sample) else tuple(sample)
-    xs = tuple(x for x, _ in pairs)
-    ys = tuple(y for _, y in pairs)
-    return xs, ys
-
-
-def _check_binary_labels(ys):
-    for y in ys:
-        if y is STAR:
-            raise ContractViolation("consistency queries must not contain * labels")
-        if y not in BINARY_LABELS and not isinstance(y, int):
-            raise ContractViolation(f"unexpected query label {y!r}")
-
-
-def query_consistency(concept_class: ConceptClass, sample, ledger: QueryCostLedger) -> bool:
-    """Single-bit oracle: is the sample realizable by the class?"""
-    concept_class.require(CONSISTENCY)
-    xs, ys = _split_pairs(sample)
-    _check_binary_labels(ys)
-    ledger.charge(len(xs))
-    return concept_class.consistent_on(xs, ys)
-
-
-def query_erm_value(concept_class: ConceptClass, sample, loss, ledger: QueryCostLedger) -> Fraction:
-    """Value-only oracle: the minimum empirical loss over the class, exact."""
-    concept_class.require(ERM_VALUE)
-    xs, ys = _split_pairs(sample)
-    if len(xs) == 0:
-        raise ContractViolation("ERM value of an empty sample is undefined")
-    ledger.charge(len(xs))
-    return concept_class.erm_value_on(xs, ys, loss)
-
-
-def query_range_consistency(concept_class: ConceptClass, triples, ledger: QueryCostLedger) -> bool:
-    """Is there a hypothesis with lower_i <= h(x_i) <= upper_i for all i?"""
-    concept_class.require(RANGE_CONSISTENCY)
-    triples = tuple(triples)
-    xs = tuple(t[0] for t in triples)
-    lower = tuple(Fraction(t[1]) for t in triples)
-    upper = tuple(Fraction(t[2]) for t in triples)
-    for lo, hi in zip(lower, upper):
-        if lo > hi:
-            raise ContractViolation(f"empty range [{lo}, {hi}] in range query")
-        if lo < 0 or hi > 1:
-            raise ContractViolation("range endpoints must lie in [0,1]")
-    ledger.charge(len(xs))
-    return concept_class.range_consistent_on(xs, lower, upper)
-
-
 def query_strong_erm(concept_class: ConceptClass, sample, loss, ledger: QueryCostLedger):
     """Return an evaluable empirical risk minimizer (lowest table index on ties)."""
     concept_class.require(STRONG_ERM)
@@ -137,24 +87,27 @@ def query_strong_erm(concept_class: ConceptClass, sample, loss, ledger: QueryCos
 
 
 class ConsistencyOracle:
-    """Callable handle binding a class's consistency oracle to a ledger."""
+    """Callable handle binding a class's consistency oracle to a ledger:
+    `oracle(xs, ys)` asks whether some hypothesis labels each point xs[i] ys[i]."""
 
     def __init__(self, concept_class: ConceptClass, ledger: QueryCostLedger):
         concept_class.require(CONSISTENCY)
         self.concept_class = concept_class
         self.ledger = ledger
 
-    def __call__(self, sample) -> bool:
-        return query_consistency(self.concept_class, sample, self.ledger)
-
-    def on_labels(self, xs: tuple, ys: tuple) -> bool:
-        """Fast path for a fixed point sequence with varying labels."""
+    def __call__(self, xs: tuple, ys: tuple) -> bool:
+        for y in ys:
+            if y is STAR:
+                raise ContractViolation("consistency queries must not contain * labels")
+            if y not in BINARY_LABELS and not isinstance(y, int):
+                raise ContractViolation(f"unexpected query label {y!r}")
         self.ledger.charge(len(xs))
         return self.concept_class.consistent_on(xs, ys)
 
 
 class ErmValueOracle:
-    """Callable handle for the value-only ERM oracle under a fixed loss."""
+    """Callable handle for the value-only ERM oracle under a fixed loss: the
+    minimum empirical loss over the class, exact."""
 
     def __init__(self, concept_class: ConceptClass, loss, ledger: QueryCostLedger):
         concept_class.require(ERM_VALUE)
@@ -163,7 +116,13 @@ class ErmValueOracle:
         self.ledger = ledger
 
     def __call__(self, sample) -> Fraction:
-        return query_erm_value(self.concept_class, sample, self.loss, self.ledger)
+        pairs = sample.pairs if isinstance(sample, Sample) else tuple(sample)
+        xs = tuple(x for x, _ in pairs)
+        ys = tuple(y for _, y in pairs)
+        if not xs:
+            raise ContractViolation("ERM value of an empty sample is undefined")
+        self.ledger.charge(len(xs))
+        return self.concept_class.erm_value_on(xs, ys, self.loss)
 
     def unnormalized(self, sample) -> Fraction:
         """Minimum loss *sum* over the class, reconstructed exactly from the mean."""
@@ -172,10 +131,23 @@ class ErmValueOracle:
 
 
 class RangeConsistencyOracle:
+    """Callable handle for range consistency: is there a hypothesis with
+    lower_i <= h(x_i) <= upper_i for every triple (x_i, lower_i, upper_i)?"""
+
     def __init__(self, concept_class: ConceptClass, ledger: QueryCostLedger):
         concept_class.require(RANGE_CONSISTENCY)
         self.concept_class = concept_class
         self.ledger = ledger
 
     def __call__(self, triples) -> bool:
-        return query_range_consistency(self.concept_class, triples, self.ledger)
+        triples = tuple(triples)
+        xs = tuple(t[0] for t in triples)
+        lower = tuple(Fraction(t[1]) for t in triples)
+        upper = tuple(Fraction(t[2]) for t in triples)
+        for lo, hi in zip(lower, upper):
+            if lo > hi:
+                raise ContractViolation(f"empty range [{lo}, {hi}] in range query")
+            if lo < 0 or hi > 1:
+                raise ContractViolation("range endpoints must lie in [0,1]")
+        self.ledger.charge(len(xs))
+        return self.concept_class.range_consistent_on(xs, lower, upper)

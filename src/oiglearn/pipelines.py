@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .boost import BoostedModel, adaboost_predict, adaboost_train
-from .classes import FiniteTableClass
+from .classes import FiniteTableClass, _star_sort_key
 from .core import STAR, ContractViolation, RandomStream, Sample, as_fraction
 from .ermred import sample_con_real, sample_erm_binary, sample_erm_real
 from .oracle import ErmValueOracle
@@ -54,24 +54,6 @@ def make_weak_learner(params: WeakLearnerParams, con_oracle, memoize: bool = Tru
         ).bit
 
     return learner
-
-
-class DerivedConsistencyOracle:
-    """Consistency handle computed from another oracle handle.
-
-    Cost accounting stays with the underlying handle: one derived query incurs
-    exactly one underlying query, which is where the ledger charge happens.
-    """
-
-    def __init__(self, on_labels_fn):
-        self._on_labels = on_labels_fn
-
-    def on_labels(self, xs: tuple, ys: tuple) -> bool:
-        return self._on_labels(xs, ys)
-
-    def __call__(self, sample) -> bool:
-        pairs = sample.pairs if isinstance(sample, Sample) else tuple(sample)
-        return self._on_labels(tuple(x for x, _ in pairs), tuple(y for _, y in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -127,23 +109,19 @@ def menu_project(label: int, menu: tuple[int, int]):
     return STAR
 
 
-def menu_consistency_oracle(base_con_oracle) -> DerivedConsistencyOracle:
+def menu_consistency_oracle(base_con_oracle):
     """Consistency for menu examples through the base multiclass oracle: bit b
-    on (x, (first, second)) demands h(x) be the b-th menu entry."""
+    on (x, (first, second)) demands h(x) be the b-th menu entry.  One menu
+    query is one base query, which is where the ledger charge happens."""
 
-    def on_labels(xs, ys):
+    def menu_query(xs, ys):
         base_xs, base_ys = [], []
         for (x, menu), b in zip(xs, ys):
             base_xs.append(x)
             base_ys.append(menu[b])
-        return base_con_oracle.on_labels(tuple(base_xs), tuple(base_ys))
+        return base_con_oracle(tuple(base_xs), tuple(base_ys))
 
-    return DerivedConsistencyOracle(on_labels)
-
-
-def menu_consistency(base_con_oracle, menu_sample) -> bool:
-    """One base consistency call answering a menu-example sample."""
-    return menu_consistency_oracle(base_con_oracle)(menu_sample)
+    return menu_query
 
 
 def build_menu_sample(sample: Sample, num_classes: int) -> Sample:
@@ -177,7 +155,7 @@ def materialize_menu_class(base: FiniteTableClass) -> FiniteTableClass:
         tuple(menu_project(row[base._column(x)], mu) for (x, mu) in points)
         for row in base.table
     }
-    return FiniteTableClass(points, sorted(rows, key=_row_key), "binary")
+    return FiniteTableClass(points, sorted(rows, key=_star_sort_key), "binary")
 
 
 def materialize_threshold_class(base: FiniteTableClass, gamma) -> FiniteTableClass:
@@ -189,11 +167,7 @@ def materialize_threshold_class(base: FiniteTableClass, gamma) -> FiniteTableCla
         tuple(threshold_project(row[base._column(x)], tau, gamma) for (x, tau) in points)
         for row in base.table
     }
-    return FiniteTableClass(points, sorted(rows, key=_row_key), "binary")
-
-
-def _row_key(row):
-    return tuple(2 if v is STAR else v for v in row)
+    return FiniteTableClass(points, sorted(rows, key=_star_sort_key), "binary")
 
 
 def decode_multiclass(j_eval, x, num_classes: int) -> int:
@@ -269,13 +243,13 @@ def threshold_project(value, tau, gamma):
     return STAR
 
 
-def threshold_consistency_oracle(range_query, gamma) -> DerivedConsistencyOracle:
+def threshold_consistency_oracle(range_query, gamma):
     """Consistency for threshold examples via one range query: bit 1 at
     (x, tau) demands h(x) in [tau+gamma, 1], bit 0 demands [0, tau-gamma].
     Bands outside [0,1] are unsatisfiable outright."""
     gamma = as_fraction(gamma)
 
-    def on_labels(xs, ys):
+    def threshold_query(xs, ys):
         triples = []
         for (x, tau), b in zip(xs, ys):
             tau = as_fraction(tau)
@@ -291,17 +265,7 @@ def threshold_consistency_oracle(range_query, gamma) -> DerivedConsistencyOracle
                 triples.append((x, Fraction(0), hi))
         return range_query(triples)
 
-    return DerivedConsistencyOracle(on_labels)
-
-
-def synthesized_range_query(erm_oracle: ErmValueOracle):
-    """A range-consistency answer computed from one weak-ERM call on the
-    doubled sample (twice the examples of the range query)."""
-
-    def query(triples) -> bool:
-        return sample_con_real(triples, erm_oracle)
-
-    return query
+    return threshold_query
 
 
 def build_threshold_sample(sample: Sample, gamma, beta) -> Sample:
@@ -359,9 +323,10 @@ def fit_reg_agnostic(
         raise ContractViolation("agnostic regression needs gamma = 1/G")
     pinned = sample_erm_real(sample, gamma / 2, erm_oracle)
     snapped = Sample(list(zip(sample.xs, pinned)))
+    # each range query becomes one weak-ERM call on the doubled sample
     return fit_reg_realizable(
         snapped, weak, eta, delta, gamma, 2 * gamma,
-        synthesized_range_query(erm_oracle), rng,
+        lambda triples: sample_con_real(triples, erm_oracle), rng,
     )
 
 

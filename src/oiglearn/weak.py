@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .core import ContractViolation, RandomStream, Sample, loss_bin
-from .oig import WalkParams, default_horizon, estimate_potential
+from .oig import MembershipPredicate, WalkParams, default_horizon, estimate_potential
 
 
 class RealizabilityViolation(RuntimeError):
@@ -96,8 +96,8 @@ def weak_realizable(
     points = sample.xs + (x,)
     y0 = base + (0,)
     y1 = base + (1,)
-    feasible0 = con_oracle.on_labels(points, y0)
-    feasible1 = con_oracle.on_labels(points, y1)
+    feasible0 = con_oracle(points, y0)
+    feasible1 = con_oracle(points, y1)
     if not feasible0 and not feasible1:
         if total:
             return WeakPrediction(1, 1.0)
@@ -114,8 +114,11 @@ def weak_realizable(
         f1 = float(potential(points, y1))
     else:
         walk = params.walk_params()
-        f0 = estimate_potential(points, y0, walk, con_oracle, gen, memoize=memoize)
-        f1 = estimate_potential(points, y1, walk, con_oracle, gen, memoize=memoize)
+        # one predicate per completion, so a vertex both walks visit is charged twice
+        membership0 = MembershipPredicate.from_oracle(points, con_oracle, memoize)
+        f0 = estimate_potential(membership0, y0, walk, gen)
+        membership1 = MembershipPredicate.from_oracle(points, con_oracle, memoize)
+        f1 = estimate_potential(membership1, y1, walk, gen)
     sigma_hat = (1 + params.lam * (f0 - f1)) / 2
     sigma_hat = min(max(sigma_hat, 0.0), 1.0)
     bit = 1 if gen.random() < sigma_hat else 0
@@ -165,7 +168,7 @@ def exact_transductive_sigma(sample: Sample, con_oracle, potential, lam: float) 
     total = 0.0
     for i in range(m):
         other = truth[:i] + (1 - truth[i],) + truth[i + 1 :]
-        if not con_oracle.on_labels(points, other):
+        if not con_oracle(points, other):
             continue  # forced prediction, zero loss
         f_true = float(potential(points, truth))
         f_other = float(potential(points, other))

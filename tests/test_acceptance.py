@@ -128,8 +128,8 @@ def test_criterion_02_monte_carlo_fidelity():
         horizon = min(default_horizon(gamma), 400)
         membership = MembershipPredicate.from_set(inside, m)
         estimate = estimate_potential(
-            None, start, WalkParams(gamma, horizon, 100_000), None,
-            RandomStream(SEED + 1).child(k).generator(), membership=membership,
+            membership, start, WalkParams(gamma, horizon, 100_000),
+            RandomStream(SEED + 1).child(k).generator(),
         )
         exact = exact_truncated_flip_expectation(inside, start, gamma, horizon)
         worst = max(worst, abs(estimate - exact))

@@ -53,6 +53,31 @@ _BAD_SETUPS = (
 )
 
 
+# regression settings that every trial would reject; the config parser must
+# reject them first, so `oig run` exits 3 rather than failing inside a trial
+_REAL_CLASS = {
+    "kind": "finite_real",
+    "domain": [0, 1],
+    "table": [["1/8", "3/4"], ["1/2", "1/4"]],
+}
+_BAD_REGRESSION = (
+    {"pipeline": "reg_agnostic", "gamma": "2/5"},
+    {"pipeline": "reg_agnostic", "gamma": "1"},
+    {"pipeline": "reg_agnostic", "gamma": "0"},
+    {"pipeline": "reg_realizable", "gamma": "1"},
+    {"pipeline": "reg_realizable", "gamma": "1/4", "beta": "1/8"},
+)
+
+
+def _regression_config(**overrides):
+    raw = _singleton_config(
+        **{"class": _REAL_CLASS, "distribution": {"support": [[0, "1/8"], [1, "3/4"]]}},
+        n=3, trials=1,
+    )
+    raw.update(overrides)
+    return raw
+
+
 def test_config_errors():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(_singleton_config(pipeline="nope"))
@@ -64,6 +89,12 @@ def test_config_errors():
                 {"pipeline": "reg_agnostic"}, {"pipeline": "multiclass_realizable"}):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(_singleton_config(**bad))
+    for bad in _BAD_REGRESSION:
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(_regression_config(**bad))
+    for good in ({"pipeline": "reg_agnostic", "gamma": "1/4"},
+                 {"pipeline": "reg_realizable", "gamma": "2/5", "beta": "1/2"}):
+        ExperimentConfig.from_dict(_regression_config(**good))
     for bad_setup in _BAD_SETUPS:
         config = ExperimentConfig.from_dict(_singleton_config(**bad_setup))
         with pytest.raises(ConfigError):
@@ -180,7 +211,7 @@ def test_cli_run_and_exit_codes(tmp_path):
         _singleton_config(n=0),
         _singleton_config(pipeline="weak_transductive", reps=0),
         _singleton_config(trials=-2),
-    ]
+    ] + [_regression_config(**bad) for bad in _BAD_REGRESSION]
     for k, raw in enumerate(bad_configs):
         path = tmp_path / f"bad{k}.json"
         path.write_text(json.dumps(raw))

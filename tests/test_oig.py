@@ -34,7 +34,7 @@ def test_flip_and_packing():
 def test_estimate_potential_outside_is_exactly_one():
     gen = RandomStream(4).generator()
     pred = MembershipPredicate.from_set([(1, 1)], 2)
-    est = estimate_potential(None, (0, 0), WalkParams(0.5, 8, 100), None, gen, membership=pred)
+    est = estimate_potential(pred, (0, 0), WalkParams(0.5, 8, 100), gen)
     assert est == 1.0
 
 
@@ -42,7 +42,7 @@ def test_estimate_potential_full_cube_truncates():
     gen = RandomStream(5).generator()
     m, L = 3, 6
     pred = MembershipPredicate.from_set([unpack(c, m) for c in range(8)], m)
-    est = estimate_potential(None, (0, 0, 0), WalkParams(0.5, L, 200), None, gen, membership=pred)
+    est = estimate_potential(pred, (0, 0, 0), WalkParams(0.5, L, 200), gen)
     assert est == pytest.approx(0.5**L, abs=0)
 
 
@@ -50,7 +50,7 @@ def test_estimate_potential_m1_limit():
     # exit after exactly one flip, so the estimate converges to gamma
     gen = RandomStream(6).generator()
     pred = MembershipPredicate.from_set([(0,)], 1)
-    est = estimate_potential(None, (0,), WalkParams(0.5, 10, 20_000), None, gen, membership=pred)
+    est = estimate_potential(pred, (0,), WalkParams(0.5, 10, 20_000), gen)
     assert est == pytest.approx(0.5, abs=0)  # tau == 1 deterministically
 
 
@@ -61,12 +61,8 @@ def test_estimate_potential_paths_agree_statistically():
     pred = MembershipPredicate.from_set(inside, m)
     params_small = WalkParams(0.7, 20, 400)
     params_big = WalkParams(0.7, 20, 4000)
-    small = estimate_potential(
-        None, (0, 0, 0, 0), params_small, None, RandomStream(7).generator(), membership=pred
-    )
-    big = estimate_potential(
-        None, (0, 0, 0, 0), params_big, None, RandomStream(8).generator(), membership=pred
-    )
+    small = estimate_potential(pred, (0, 0, 0, 0), params_small, RandomStream(7).generator())
+    big = estimate_potential(pred, (0, 0, 0, 0), params_big, RandomStream(8).generator())
     exact = exact_truncated_flip_expectation(inside, (0, 0, 0, 0), 0.7, 20)
     assert abs(small - exact) < 4 * math.sqrt(1 / (4 * 400))
     assert abs(big - exact) < 4 * math.sqrt(1 / (4 * 4000))
@@ -77,7 +73,8 @@ def test_estimate_potential_charges_oracle_per_distinct_vertex():
     ledger = QueryCostLedger()
     oracle = ConsistencyOracle(cls, ledger)
     gen = RandomStream(9).generator()
-    estimate_potential((0, 1), (0, 0), WalkParams(0.5, 6, 50), oracle, gen, memoize=True)
+    memoized = MembershipPredicate.from_oracle((0, 1), oracle, memoize=True)
+    estimate_potential(memoized, (0, 0), WalkParams(0.5, 6, 50), gen)
     # at most all 4 patterns of the 2-cube can be probed
     assert ledger.call_count <= 4
     assert ledger.total_cost == 2 * ledger.call_count
@@ -85,7 +82,8 @@ def test_estimate_potential_charges_oracle_per_distinct_vertex():
     unmemo = QueryCostLedger()
     oracle2 = ConsistencyOracle(cls, unmemo)
     gen2 = RandomStream(9).generator()
-    estimate_potential((0, 1), (0, 0), WalkParams(0.5, 6, 50), oracle2, gen2, memoize=False)
+    unmemoized = MembershipPredicate.from_oracle((0, 1), oracle2, memoize=False)
+    estimate_potential(unmemoized, (0, 0), WalkParams(0.5, 6, 50), gen2)
     assert unmemo.call_count > 50  # one call per probe, every trial probes at least once
     assert unmemo.call_count <= 50 * 7
 
@@ -192,11 +190,9 @@ def test_estimate_potential_double_run_determinism():
     pred = MembershipPredicate.from_set(inside, m)
     for trials in (100, 600):  # both execution paths
         a = estimate_potential(
-            None, (0,) * m, WalkParams(0.8, 15, trials), None,
-            RandomStream(11).child(5).generator(), membership=pred,
+            pred, (0,) * m, WalkParams(0.8, 15, trials), RandomStream(11).child(5).generator()
         )
         b = estimate_potential(
-            None, (0,) * m, WalkParams(0.8, 15, trials), None,
-            RandomStream(11).child(5).generator(), membership=pred,
+            pred, (0,) * m, WalkParams(0.8, 15, trials), RandomStream(11).child(5).generator()
         )
         assert a == b

@@ -11,9 +11,7 @@ from oiglearn.oracle import (
     ErmValueOracle,
     OracleCapabilityError,
     QueryCostLedger,
-    query_consistency,
-    query_erm_value,
-    query_range_consistency,
+    RangeConsistencyOracle,
     query_strong_erm,
 )
 
@@ -30,27 +28,28 @@ def _random_class(gen, points=4, hyps=6):
 
 
 def test_consistency_examples():
-    ledger = QueryCostLedger()
-    cls = _zero_class()
-    assert query_consistency(cls, Sample([]), ledger) is True
-    assert query_consistency(cls, Sample([("a", 0)]), ledger) is True
-    assert query_consistency(cls, Sample([("a", 0), ("a", 1)]), ledger) is False
+    con = ConsistencyOracle(_zero_class(), QueryCostLedger())
+    assert con((), ()) is True
+    assert con(("a",), (0,)) is True
+    assert con(("a", "a"), (0, 1)) is False
 
 
 def test_consistency_rejects_star_queries():
     ledger = QueryCostLedger()
+    con = ConsistencyOracle(_zero_class(), ledger)
     with pytest.raises(ContractViolation):
-        query_consistency(_zero_class(), Sample([("a", STAR)]), ledger)
+        con(("a",), (STAR,))
+    with pytest.raises(ContractViolation):
+        con(("a", "b"), (0, "1"))
+    assert ledger.snapshot() == (0, 0)
 
 
 def test_erm_value_examples():
-    ledger = QueryCostLedger()
-    cls = _zero_class()
-    assert query_erm_value(cls, Sample([("a", 0)]), loss_bin, ledger) == 0
-    s = Sample([("a", 0), ("b", 1), ("a", 0)])
-    assert query_erm_value(cls, s, loss_bin, ledger) == Fraction(1, 3)
+    erm = ErmValueOracle(_zero_class(), loss_bin, QueryCostLedger())
+    assert erm(Sample([("a", 0)])) == 0
+    assert erm([("a", 0), ("b", 1), ("a", 0)]) == Fraction(1, 3)
     with pytest.raises(ContractViolation):
-        query_erm_value(cls, Sample([]), loss_bin, ledger)
+        erm(Sample([]))
 
 
 def test_erm_contradictory_duplicates_cost_half():
@@ -58,17 +57,17 @@ def test_erm_contradictory_duplicates_cost_half():
     for _ in range(20):
         cls = _random_class(gen)
         s = Sample([(0, 0), (0, 1)])
-        assert query_erm_value(cls, s, loss_bin, QueryCostLedger()) >= Fraction(1, 2)
+        assert ErmValueOracle(cls, loss_bin, QueryCostLedger())(s) >= Fraction(1, 2)
 
 
 def test_range_consistency_examples():
-    ledger = QueryCostLedger()
     half = FiniteTableClass(("x",), [(Fraction(1, 2),)], "real")
-    assert query_range_consistency(half, [("x", 0, 1)], ledger) is True
-    assert query_range_consistency(half, [("x", Fraction(3, 5), Fraction(9, 10))], ledger) is False
-    assert query_range_consistency(half, [("x", Fraction(1, 2), Fraction(1, 2))], ledger) is True
+    query = RangeConsistencyOracle(half, QueryCostLedger())
+    assert query([("x", 0, 1)]) is True
+    assert query([("x", Fraction(3, 5), Fraction(9, 10))]) is False
+    assert query([("x", Fraction(1, 2), Fraction(1, 2))]) is True
     with pytest.raises(ContractViolation):
-        query_range_consistency(half, [("x", Fraction(2, 3), Fraction(1, 3))], ledger)
+        query([("x", Fraction(2, 3), Fraction(1, 3))])
 
 
 def test_strong_erm_examples():
@@ -91,17 +90,17 @@ def test_capability_errors():
     with pytest.raises(OracleCapabilityError):
         query_strong_erm(hp, Sample([(6, 1)]), loss_bin, ledger)
     with pytest.raises(OracleCapabilityError):
-        query_erm_value(hp, Sample([(6, 1)]), loss_bin, ledger)
-    with pytest.raises(OracleCapabilityError):
         ErmValueOracle(hp, loss_bin, ledger)
+    with pytest.raises(OracleCapabilityError):
+        RangeConsistencyOracle(hp, ledger)
 
 
 def test_ledger_additivity():
     ledger = QueryCostLedger()
-    cls = _zero_class()
+    con = ConsistencyOracle(_zero_class(), ledger)
     sizes = [1, 3, 2, 5, 1]
     for k in sizes:
-        query_consistency(cls, Sample([("a", 0)] * k), ledger)
+        con(("a",) * k, (0,) * k)
     assert ledger.total_cost == sum(sizes)
     assert ledger.call_count == len(sizes)
     assert ledger.total_cost >= ledger.call_count
@@ -116,8 +115,8 @@ def test_consistency_equals_zero_erm():
             (int(gen.integers(0, 4)), int(gen.integers(0, 2))) for _ in range(n)
         )
         ledger = QueryCostLedger()
-        con = query_consistency(cls, sample, ledger)
-        erm = query_erm_value(cls, sample, loss_bin, ledger)
+        con = ConsistencyOracle(cls, ledger)(sample.xs, sample.ys)
+        erm = ErmValueOracle(cls, loss_bin, ledger)(sample)
         assert con == (erm == 0)
 
 
@@ -127,19 +126,25 @@ def test_consistency_monotone_under_extension():
         cls = _random_class(gen)
         n = int(gen.integers(1, 6))
         pairs = [(int(gen.integers(0, 4)), int(gen.integers(0, 2))) for _ in range(n)]
-        ledger = QueryCostLedger()
-        before = query_consistency(cls, Sample(pairs), ledger)
-        extended = pairs + [(int(gen.integers(0, 4)), int(gen.integers(0, 2)))]
-        after = query_consistency(cls, Sample(extended), ledger)
+        con = ConsistencyOracle(cls, QueryCostLedger())
+        base = Sample(pairs)
+        before = con(base.xs, base.ys)
+        extended = Sample(pairs + [(int(gen.integers(0, 4)), int(gen.integers(0, 2)))])
+        after = con(extended.xs, extended.ys)
         assert not (after and not before)
 
 
 def test_oracle_handles_charge_ledger():
     ledger = QueryCostLedger()
     con = ConsistencyOracle(_zero_class(), ledger)
-    con.on_labels(("a", "b"), (0, 0))
-    con(Sample([("a", 0)]))
+    con(("a", "b"), (0, 0))
+    con(("a",), (0,))
     assert ledger.snapshot() == (3, 2)
+    erm = ErmValueOracle(_zero_class(), loss_bin, ledger)
+    erm(Sample([("a", 0), ("b", 1), ("b", 0)]))
+    assert ledger.snapshot() == (6, 3)
+    assert erm.unnormalized(Sample([("a", 0), ("b", 1), ("b", 0)])) == 1
+    assert ledger.snapshot() == (9, 4)
 
 
 def test_strong_erm_matches_brute_minimizer():

@@ -12,6 +12,7 @@ from oiglearn.oracle import (
     RangeConsistencyOracle,
 )
 from oiglearn.core import loss_bin, loss_mc
+from oiglearn.ermred import sample_con_real
 from oiglearn.pipelines import (
     WeakSpec,
     build_menu_sample,
@@ -23,10 +24,8 @@ from oiglearn.pipelines import (
     fit_realizable_partial,
     fit_reg_agnostic,
     fit_reg_realizable,
-    menu_consistency,
     menu_consistency_oracle,
     menu_project,
-    synthesized_range_query,
     threshold_grid,
     threshold_project,
 )
@@ -43,15 +42,14 @@ def test_menu_project_examples():
 def test_menu_consistency_translation():
     seen = {}
 
-    class Spy:
-        def on_labels(self, xs, ys):
-            seen["xs"], seen["ys"] = xs, ys
-            return True
+    def spy(xs, ys):
+        seen["xs"], seen["ys"] = xs, ys
+        return True
 
-    oracle = menu_consistency_oracle(Spy())
-    oracle.on_labels((("p", (4, 7)),), (0,))
+    oracle = menu_consistency_oracle(spy)
+    oracle((("p", (4, 7)),), (0,))
     assert seen == {"xs": ("p",), "ys": (4,)}
-    oracle.on_labels((("p", (4, 7)),), (1,))
+    oracle((("p", (4, 7)),), (1,))
     assert seen == {"xs": ("p",), "ys": (7,)}
 
 
@@ -59,7 +57,7 @@ def test_menu_consistency_contradiction():
     cls = FiniteTableClass(("p",), [(1,), (2,)], "multiclass", num_classes=2)
     base = ConsistencyOracle(cls, QueryCostLedger())
     sample = Sample([(("p", (1, 2)), 0), (("p", (1, 2)), 1)])
-    assert menu_consistency(base, sample) is False
+    assert menu_consistency_oracle(base)(sample.xs, sample.ys) is False
 
 
 def test_build_menu_sample_shape():
@@ -235,14 +233,13 @@ def test_reg_agnostic_constant_class():
         assert abs(predictor.predict(x) - c) <= 6 * gamma
 
 
-def test_synthesized_range_query_matches_direct():
+def test_sample_con_real_matches_range_consistency():
     gen = np.random.default_rng(97)
     rows = set()
     while len(rows) < 4:
         rows.add(tuple(Fraction(int(v), 8) for v in gen.integers(0, 9, size=3)))
     cls = FiniteTableClass((0, 1, 2), sorted(rows), "real")
     erm = ErmValueOracle(cls, loss_abs, QueryCostLedger())
-    query = synthesized_range_query(erm)
     for _ in range(50):
         triples = []
         for _ in range(int(gen.integers(1, 4))):
@@ -253,4 +250,4 @@ def test_synthesized_range_query_matches_direct():
             tuple(t[1] for t in triples),
             tuple(t[2] for t in triples),
         )
-        assert query(triples) == direct
+        assert sample_con_real(triples, erm) == direct
