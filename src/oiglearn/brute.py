@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .classes import FiniteTableClass, MarginThresholdClass
-from .core import ContractViolation, FiniteDistribution, Sample, as_fraction
+from .core import STAR, ContractViolation, FiniteDistribution, Sample, as_fraction
 from .oig import PotentialTable, exact_generating_function, lazy_discount
 
 _MAX_DOMAIN = 32
@@ -24,6 +24,18 @@ _MAX_TABLE = 2**16
 def project(concept_class, points) -> frozenset:
     """The star-free label patterns realized on the point sequence."""
     return concept_class.project_onto(tuple(points))
+
+
+def table_patterns(concept_class: FiniteTableClass, xs) -> frozenset:
+    """Reference projection of a finite table by a scan of every row: the
+    star-free patterns the rows give on the point sequence."""
+    cols = [concept_class._column(x) for x in xs]
+    out = set()
+    for row in concept_class.table:
+        pattern = tuple(row[c] for c in cols)
+        if STAR not in pattern:
+            out.add(pattern)
+    return frozenset(out)
 
 
 def _check_size(concept_class: FiniteTableClass):

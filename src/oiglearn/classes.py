@@ -27,6 +27,8 @@ from .oracle import (
     OracleCapabilityError,
 )
 
+_BINARY_ENTRIES = frozenset({0, 1, STAR})
+
 
 class TableHypothesis:
     """An evaluable row of a finite table class."""
@@ -55,8 +57,11 @@ class FiniteTableClass(ConceptClass):
     """A concept class given by an explicit (hypothesis x domain point) table.
 
     kind is one of 'binary' (labels 0/1/STAR), 'multiclass' (labels 1..K) or
-    'real' (rational labels in [0,1]).  All four oracles are implemented by
-    enumeration and answer exactly.
+    'real' (rational labels in [0,1]).  All four oracles answer exactly.
+    Consistency and projection work on one bitset of rows per (column,
+    label), so they cost one AND or split per query point; the ERM and range
+    oracles scan the rows.  The bitsets of a column hold one bit per row for
+    each distinct label in it.
     """
 
     capabilities = frozenset({CONSISTENCY, ERM_VALUE, RANGE_CONSISTENCY, STRONG_ERM})
@@ -75,7 +80,7 @@ class FiniteTableClass(ConceptClass):
             if len(row) != len(self.domain):
                 raise ContractViolation("table row length must match the domain")
             if kind == "binary":
-                if any(v not in (0, 1) and v is not STAR for v in row):
+                if not set(row) <= _BINARY_ENTRIES:
                     raise ContractViolation("binary table entries must be 0, 1 or STAR")
             elif kind == "multiclass":
                 if num_classes is None:
@@ -95,7 +100,8 @@ class FiniteTableClass(ConceptClass):
         self._col = {x: i for i, x in enumerate(self.domain)}
         if len(self._col) != len(self.domain):
             raise ContractViolation("domain points must be distinct")
-        self._patterns_on = lru_cache(maxsize=4096)(self._patterns_on_impl)
+        self._all_rows = (1 << len(rows)) - 1
+        self._label_rows: list[dict | None] = [None] * len(self.domain)
 
     def value_at(self, row: int, x):
         return self.table[row][self._column(x)]
@@ -112,17 +118,35 @@ class FiniteTableClass(ConceptClass):
         except KeyError:
             raise ContractViolation(f"point {x!r} is outside the class domain") from None
 
-    def _patterns_on_impl(self, xs: tuple) -> frozenset:
-        cols = tuple(self._column(x) for x in xs)
-        out = set()
-        for row in self.table:
-            pattern = tuple(row[c] for c in cols)
-            if STAR not in pattern:
-                out.add(pattern)
-        return frozenset(out)
+    def _rows_by_label(self, col: int) -> dict:
+        """Label -> bitset of the rows carrying it in column col (bit i for
+        row i; STAR rows are in none).  Built on first use of the column, so
+        a class costs nothing for columns no query touches; a concurrent
+        first use builds the same dict twice and keeps one."""
+        by_label = self._label_rows[col]
+        if by_label is None:
+            size = (len(self.table) + 7) >> 3
+            buffers: dict = {}
+            for i, row in enumerate(self.table):
+                v = row[col]
+                if v is not STAR:
+                    buf = buffers.get(v)
+                    if buf is None:
+                        buf = buffers[v] = bytearray(size)
+                    buf[i >> 3] |= 1 << (i & 7)
+            by_label = {v: int.from_bytes(buf, "little") for v, buf in buffers.items()}
+            self._label_rows[col] = by_label
+        return by_label
 
     def consistent_on(self, xs, ys) -> bool:
-        return tuple(ys) in self._patterns_on(tuple(xs))
+        if len(xs) != len(ys):
+            raise ContractViolation("a consistency query needs one label per point")
+        alive = self._all_rows
+        for col, y in zip([self._column(x) for x in xs], ys):
+            alive &= self._rows_by_label(col).get(y, 0)
+            if not alive:
+                return False
+        return True
 
     def _least_loss_row(self, xs, ys, loss) -> tuple[int, Any]:
         """The lowest-index row with the least loss sum, and that sum.  Losses
@@ -153,8 +177,21 @@ class FiniteTableClass(ConceptClass):
         return TableHypothesis(self, self._least_loss_row(sample.xs, sample.ys, loss)[0])
 
     def project_onto(self, xs) -> frozenset:
-        """The star-free label patterns the class realizes on the point sequence."""
-        return self._patterns_on(tuple(xs))
+        """The star-free label patterns the class realizes on the point sequence.
+
+        The row set is split point by point into the rows agreeing on each
+        label prefix; the prefixes whose part stays nonempty are the patterns.
+        """
+        parts = {(): self._all_rows}
+        for col in [self._column(x) for x in xs]:
+            by_label = self._rows_by_label(col)
+            parts = {
+                prefix + (y,): both
+                for prefix, rows in parts.items()
+                for y, bits in by_label.items()
+                if (both := rows & bits)
+            }
+        return frozenset(parts)
 
 
 class MarginThresholdClass(ConceptClass):

@@ -96,6 +96,8 @@ class ConsistencyOracle:
         self.ledger = ledger
 
     def __call__(self, xs: tuple, ys: tuple) -> bool:
+        if len(xs) != len(ys):
+            raise ContractViolation(f"consistency query has {len(xs)} points but {len(ys)} labels")
         for y in ys:
             if y is STAR:
                 raise ContractViolation("consistency queries must not contain * labels")

@@ -49,6 +49,43 @@ def _check_finite_oracles(gen) -> bool:
     return True
 
 
+_TABLE_LABELS = {
+    "binary": (0, 1, STAR),
+    "multiclass": (1, 2, 3, 4),
+    "real": tuple(Fraction(k, 4) for k in range(5)),
+}
+
+
+def _check_table_kernel(gen) -> bool:
+    """consistent_on and project_onto against brute.table_patterns' row scan,
+    on random binary (with STAR), multiclass and real tables.  Queries repeat
+    points, so some duplicates carry conflicting labels; they include the
+    empty query and labels that no row of a column carries."""
+    for kind, labels in _TABLE_LABELS.items():
+        query_labels = [v for v in labels if v is not STAR]
+        for _ in range(60):
+            points = int(gen.integers(1, 6))
+            rows = {
+                tuple(labels[int(i)] for i in gen.integers(0, len(labels), size=points))
+                for _ in range(int(gen.integers(1, 9)))
+            }
+            if kind == "multiclass":
+                rows = {tuple(min(v, 3) for v in row) for row in rows}  # label 4 is in no row
+            cls = FiniteTableClass(tuple(range(points)), sorted(rows, key=str), kind, num_classes=4)
+            for _ in range(10):
+                n = int(gen.integers(0, 7))
+                xs = tuple(int(v) for v in gen.integers(0, points, size=n))
+                ys = tuple(query_labels[int(i)] for i in gen.integers(0, len(query_labels), size=n))
+                patterns = brute.table_patterns(cls, xs)
+                if cls.project_onto(xs) != patterns:
+                    return False
+                if cls.consistent_on(xs, ys) != (ys in patterns):
+                    return False
+            if cls.consistent_on((0, 0), tuple(query_labels[:2])):
+                return False
+    return True
+
+
 def _check_margin_threshold(gen) -> bool:
     cls = MarginThresholdClass.regular(0, Fraction(1, 20), 21, Fraction(1, 10))
     table = cls.materialize([Fraction(k, 16) for k in range(17)])
@@ -117,6 +154,7 @@ CHECKS = (
     ("hprime consistency vs materialized window", _check_hprime),
     ("generating-function recursion residuals", _check_recursion),
     ("weak-ERM minimizer extraction vs enumeration", _check_erm_reduction),
+    ("finite-table kernel vs row scan", _check_table_kernel),
 )
 
 

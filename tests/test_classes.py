@@ -1,9 +1,10 @@
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oiglearn.brute import vc_dimension
+from oiglearn.brute import table_patterns, vc_dimension
 from oiglearn.classes import (
     FiniteTableClass,
     HPrimeClass,
@@ -43,6 +44,76 @@ def test_finite_table_validation():
         FiniteTableClass(("a",), [(2,)], "binary")
     with pytest.raises(ContractViolation):
         FiniteTableClass(("a", "a"), [(0, 0)], "binary")  # duplicate points
+
+
+def _interval_class(domain_size):
+    """Every interval [a, b) of the points 0..domain_size-1, the empty one first."""
+    rows = [(0,) * domain_size] + [
+        tuple(1 if a <= x < b else 0 for x in range(domain_size))
+        for a in range(domain_size)
+        for b in range(a + 1, domain_size + 1)
+    ]
+    return FiniteTableClass(tuple(range(domain_size)), rows, "binary")
+
+
+def test_finite_table_kernel_matches_row_scan_on_intervals():
+    cls = _interval_class(128)
+    assert len(cls.table) == 8257
+    gen = np.random.default_rng(41)
+    answers = set()
+    for _ in range(500):
+        n = int(gen.integers(1, 9))
+        xs = tuple(int(v) for v in gen.integers(0, 128, size=n))
+        if gen.random() < 0.5:  # labels of a random interval: a realizable query
+            row = cls.table[int(gen.integers(0, len(cls.table)))]
+            ys = tuple(row[x] for x in xs)
+        else:
+            ys = tuple(int(v) for v in gen.integers(0, 2, size=n))
+        answer = cls.consistent_on(xs, ys)
+        assert answer == (tuple(ys) in table_patterns(cls, xs)), (xs, ys)
+        answers.add(answer)
+    assert answers == {True, False}
+
+
+def test_finite_table_kernel_edge_cases():
+    cls = _interval_class(8)
+    assert cls.consistent_on((3, 3), (1, 0)) is False
+    assert cls.consistent_on((3, 5, 3), (1, 1, 1)) is True
+    assert cls.project_onto((2, 2)) == frozenset({(0, 0), (1, 1)})
+    assert cls.consistent_on((), ()) is True
+    assert cls.project_onto(()) == frozenset({()})
+    with pytest.raises(ContractViolation):
+        cls.consistent_on((8,), (0,))
+    with pytest.raises(ContractViolation):
+        cls.consistent_on((0, 0, 8), (1, 0, 0))  # the duplicate already rules out every row
+    with pytest.raises(ContractViolation):
+        cls.project_onto((8,))
+    with pytest.raises(ContractViolation):
+        cls.consistent_on((1, 2), (1,))
+    multi = FiniteTableClass((0, 1), [(1, 2), (2, 2)], "multiclass", num_classes=3)
+    assert multi.consistent_on((1,), (3,)) is False  # label 3 is in no row of column 1
+    assert multi.project_onto((1, 0)) == frozenset({(2, 1), (2, 2)})
+
+
+def test_finite_table_pickles():
+    classes = [
+        _interval_class(6),
+        FiniteTableClass(("a", "b"), [(STAR, 1), (0, 0), (1, STAR)], "binary"),
+        FiniteTableClass((0, 1, 2), [(1, 2, 3), (3, 1, 1)], "multiclass", num_classes=3),
+        FiniteTableClass((0, 1), [(Fraction(1, 4), Fraction(3, 4)), (1, 0)], "real"),
+    ]
+    for cls in classes:
+        cls.project_onto(cls.domain[:1])  # one column's bitsets built before pickling, the rest after
+        copy = pickle.loads(pickle.dumps(cls))
+        gen = np.random.default_rng(43)
+        labels = sorted({v for row in cls.table for v in row if v is not STAR})
+        for _ in range(100):
+            n = int(gen.integers(1, 4))
+            xs = tuple(cls.domain[int(i)] for i in gen.integers(0, len(cls.domain), size=n))
+            ys = tuple(labels[int(i)] for i in gen.integers(0, len(labels), size=n))
+            assert copy.consistent_on(xs, ys) == cls.consistent_on(xs, ys)
+            assert copy.project_onto(xs) == cls.project_onto(xs)
+            assert copy.erm_value_on(xs, ys, loss_bin) == cls.erm_value_on(xs, ys, loss_bin)
 
 
 def test_margin_threshold_examples():

@@ -44,6 +44,16 @@ def test_consistency_rejects_star_queries():
     assert ledger.snapshot() == (0, 0)
 
 
+def test_consistency_rejects_length_mismatch():
+    ledger = QueryCostLedger()
+    con = ConsistencyOracle(_zero_class(), ledger)
+    with pytest.raises(ContractViolation):
+        con(("a", "b"), (0,))
+    with pytest.raises(ContractViolation):
+        con(("a",), (0, 0))
+    assert ledger.snapshot() == (0, 0)
+
+
 def test_erm_value_examples():
     erm = ErmValueOracle(_zero_class(), loss_bin, QueryCostLedger())
     assert erm(Sample([("a", 0)])) == 0
