@@ -9,7 +9,6 @@ prediction is a fixed function of the model and the query point.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -67,7 +66,6 @@ class BoostedModel:
     early_stop: bool = False
     train_error: Fraction | None = None
     z_product: float | None = None
-    weak_params: dict | None = None
     _caches: list[dict] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
@@ -87,7 +85,6 @@ def adaboost_train(
     weak_sample_size: int,
     rounds: int,
     rng: RandomStream,
-    weak_params: dict | None = None,
 ) -> BoostedModel:
     """Run `rounds` boosting rounds of the weak learner on the sample.
 
@@ -98,7 +95,7 @@ def adaboost_train(
     """
     n = len(sample)
     if n == 0:
-        return BoostedModel(sample, (), rng, weak_sample_size, weak_params=weak_params)
+        return BoostedModel(sample, (), rng, weak_sample_size)
     y = np.array([1 if lab == 1 else 0 for lab in sample.ys], dtype=np.int8)
     if any(lab not in (0, 1) for lab in sample.ys):
         raise ContractViolation("boosting requires binary 0/1 labels")
@@ -147,7 +144,6 @@ def adaboost_train(
         rng,
         weak_sample_size,
         early_stop=early,
-        weak_params=weak_params,
         _caches=caches,
     )
     votes = _vote_bits(model.rounds, eval_rows, n)
@@ -186,52 +182,3 @@ def adaboost_predict(model: BoostedModel, x, weak: WeakLearner) -> int:
             return b if round_.alpha > 0 else 1 - b
         score += round_.alpha * (2 * b - 1)
     return 1 if score >= 0 else 0
-
-
-def model_to_json(model: BoostedModel) -> str:
-    """Serialize everything needed to replay predictions against the original
-    training sample: weak-learner parameters, per-round sample indices, alphas
-    at full precision, and stream labels."""
-    payload = {
-        "format": "boosted-model/1",
-        "stream": {"seed": model.stream.seed, "path": list(model.stream.path)},
-        "weak_sample_size": model.weak_sample_size,
-        "weak_params": model.weak_params,
-        "early_stop": model.early_stop,
-        "rounds": [
-            {
-                "indices": list(r.indices),
-                "alpha": _format_alpha(r.alpha),
-                "label": r.label,
-            }
-            for r in model.rounds
-        ],
-    }
-    return json.dumps(payload, indent=2)
-
-
-def model_from_json(text: str, sample: Sample) -> BoostedModel:
-    payload = json.loads(text)
-    if payload.get("format") != "boosted-model/1":
-        raise ContractViolation("not a serialized boosted model")
-    stream = RandomStream(payload["stream"]["seed"], tuple(payload["stream"]["path"]))
-    rounds = tuple(
-        BoostRound(tuple(r["indices"]), float(r["alpha"]), r["label"])
-        for r in payload["rounds"]
-    )
-    return BoostedModel(
-        sample,
-        rounds,
-        stream,
-        payload["weak_sample_size"],
-        early_stop=payload["early_stop"],
-        weak_params=payload.get("weak_params"),
-    )
-
-
-def _format_alpha(alpha: float) -> str:
-    if alpha == math.inf:
-        return "inf"
-    if alpha == -math.inf:
-        return "-inf"
-    return format(alpha, ".17g")

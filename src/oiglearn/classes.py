@@ -106,9 +106,6 @@ class FiniteTableClass(ConceptClass):
     def value_at(self, row: int, x):
         return self.table[row][self._column(x)]
 
-    def hypothesis(self, row: int) -> TableHypothesis:
-        return TableHypothesis(self, row)
-
     def hypotheses(self):
         return [TableHypothesis(self, i) for i in range(len(self.table))]
 
@@ -121,8 +118,7 @@ class FiniteTableClass(ConceptClass):
     def _rows_by_label(self, col: int) -> dict:
         """Label -> bitset of the rows carrying it in column col (bit i for
         row i; STAR rows are in none).  Built on first use of the column, so
-        a class costs nothing for columns no query touches; a concurrent
-        first use builds the same dict twice and keeps one."""
+        a class costs nothing for columns no query touches."""
         by_label = self._label_rows[col]
         if by_label is None:
             size = (len(self.table) + 7) >> 3
@@ -138,9 +134,7 @@ class FiniteTableClass(ConceptClass):
             self._label_rows[col] = by_label
         return by_label
 
-    def consistent_on(self, xs, ys) -> bool:
-        if len(xs) != len(ys):
-            raise ContractViolation("a consistency query needs one label per point")
+    def _consistent(self, xs, ys) -> bool:
         alive = self._all_rows
         for col, y in zip([self._column(x) for x in xs], ys):
             alive &= self._rows_by_label(col).get(y, 0)
@@ -225,7 +219,7 @@ class MarginThresholdClass(ConceptClass):
             return 0
         return STAR
 
-    def consistent_on(self, xs, ys) -> bool:
+    def _consistent(self, xs, ys) -> bool:
         lo, hi = None, None
         for x, y in zip(xs, ys):
             x = as_fraction(x)
@@ -370,7 +364,7 @@ class HPrimeClass(ConceptClass):
         if any(y not in (0, 1) for y in ys):
             raise ContractViolation("labels must be 0 or 1")
 
-    def consistent_on(self, xs, ys) -> bool:
+    def _consistent(self, xs, ys) -> bool:
         self._validate(xs, ys)
         assigned: dict[int, int] = {}
         for x, y in zip(xs, ys):

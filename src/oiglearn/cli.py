@@ -30,7 +30,10 @@ def main(argv=None) -> int:
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--out", default="-", help="output path, or - for stdout")
     run_p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    run_p.add_argument("--jobs", type=int, default=1)
+    run_p.add_argument(
+        "--jobs", type=int, default=1,
+        help="run trials in up to this many worker processes (default 1: in-process)",
+    )
     run_p.add_argument(
         "--no-wall",
         action="store_true",

@@ -11,10 +11,10 @@ reproducible.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import IO, Callable
@@ -119,7 +119,7 @@ def _weak_transductive(config, concept_class, distribution, sample, ledger, rng)
     # from the sample size rather than the boosting weak-sample size
     params = paper_default_params(config.n, config.c1, config.lam)
     con = ConsistencyOracle(concept_class, ledger)
-    measured = transductive_error(sample, params, con, config.reps, rng, memoize=config.memoize)
+    measured = transductive_error(sample, params, con, config.reps, rng)
     audit = exact_transductive_audit(concept_class, sample, params.gamma, config.lam, walk="flip")
     return measured, audit.loo_error
 
@@ -180,12 +180,15 @@ class ExperimentConfig:
     trials: int
     seed: int
     reps: int
-    memoize: bool
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         try:
             pipeline = raw["pipeline"]
+            if not raw.get("memoize", True):
+                # the membership memo is always on; running without it would
+                # silently change the config's cost columns
+                raise ConfigError("memoize: false is no longer supported")
             if pipeline not in PIPELINES:
                 raise ConfigError(f"unknown pipeline {pipeline!r}")
             entry = PIPELINES[pipeline]
@@ -224,7 +227,6 @@ class ExperimentConfig:
                 trials=int(raw.get("trials", 1)),
                 seed=int(raw["seed"]),
                 reps=int(raw.get("reps", 50)),
-                memoize=bool(raw.get("memoize", True)),
             )
         except ConfigError:
             raise
@@ -255,7 +257,7 @@ class ExperimentConfig:
         return ExperimentConfig(**{**self.__dict__, "seed": seed})
 
     def weak_spec(self) -> WeakSpec:
-        return WeakSpec(self.m, self.c1, self.lam, self.memoize)
+        return WeakSpec(self.m, self.c1, self.lam)
 
 
 def _parse_point(x):
@@ -326,18 +328,22 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1,
         distribution = build_distribution(config)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc
-    trials = range(config.trials)
-    if jobs <= 1:
-        return [
-            run_trial(config, concept_class, distribution, t, measure_wall) for t in trials
-        ]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(run_trial, config, concept_class, distribution, t, measure_wall)
-            for t in trials
-        ]
-        reports = [f.result() for f in futures]
-    return sorted(reports, key=lambda r: r.trial)
+    trial = functools.partial(
+        run_trial, config, concept_class, distribution, measure_wall=measure_wall
+    )
+    # trials share no state, so each worker process runs whole trials; a
+    # worker beyond the trial count would only cost its start-up.  Workers
+    # are spawned, not forked: a fork copies the locks of numpy's threads.
+    workers = min(jobs, config.trials)
+    if workers <= 1:
+        return [trial(t) for t in range(config.trials)]
+    # imported only here, so a serial run does not load multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        return list(pool.map(trial, range(config.trials)))
 
 
 _REPORT_FIELDS = tuple(field.name for field in fields(TrialReport))

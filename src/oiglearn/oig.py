@@ -5,8 +5,7 @@ estimates, per vertex, the discounted time for a uniform-coordinate-flip walk
 to leave the realizable pattern set W; those potentials induce a random
 orientation of the one-inclusion graph.  This module provides the Monte-Carlo
 estimator, an exact linear-system solver for the walk's generating function,
-the truncated-expectation dynamic program used to validate the estimator, and
-the orientation / out-degree arithmetic.
+and the truncated-expectation dynamic program used to validate the estimator.
 
 Two walk conventions coexist.  Rollouts flip a uniformly random coordinate
 every step; the closed-form recursion solved by `exact_generating_function`
@@ -80,38 +79,31 @@ class MembershipPredicate:
     """Answers 'is this vertex a realizable pattern?' for a fixed point sequence.
 
     Backed either by a consistency-oracle handle (each fresh evaluation is one
-    oracle call of size m) or by an explicit vertex set.  With memoization on,
-    repeated queries for the same vertex hit a per-predicate cache and charge
-    the ledger only once.
+    oracle call of size m) or by an explicit vertex set.  Repeated queries for
+    the same vertex hit a per-predicate memo and charge the ledger only once.
     """
 
-    def __init__(self, m: int, evaluate: Callable[[int], bool], memoize: bool = True):
+    def __init__(self, m: int, evaluate: Callable[[int], bool]):
         self.m = m
         self._evaluate = evaluate
-        self.memoize = memoize
         self._memo: dict[int, bool] = {}
 
     @classmethod
-    def from_oracle(cls, points: tuple, oracle, memoize: bool = True) -> "MembershipPredicate":
+    def from_oracle(cls, points: tuple, oracle) -> "MembershipPredicate":
         points = tuple(points)
         m = len(points)
 
         def evaluate(code: int) -> bool:
             return oracle(points, unpack(code, m))
 
-        return cls(m, evaluate, memoize)
+        return cls(m, evaluate)
 
     @classmethod
     def from_set(cls, inside: Iterable[Vertex], m: int) -> "MembershipPredicate":
         packed = frozenset(pack(v) for v in inside)
-        return cls(m, lambda code: code in packed, memoize=True)
-
-    def query(self, v: Vertex) -> bool:
-        return self.query_packed(pack(v))
+        return cls(m, lambda code: code in packed)
 
     def query_packed(self, code: int) -> bool:
-        if not self.memoize:
-            return self._evaluate(code)
         memo = self._memo
         val = memo.get(code)
         if val is None:
@@ -204,12 +196,6 @@ class PotentialTable:
 
     def __call__(self, v: Vertex):
         return self.values.get(tuple(v), 1)
-
-    def min_inside(self):
-        return min(self.values.values())
-
-    def items(self):
-        return self.values.items()
 
 
 def lazy_discount(flip_gamma) -> Fraction:
@@ -341,30 +327,4 @@ def exact_truncated_flip_expectation(
         total += (g**t) * float(exit_prob @ p)
         p = move @ p
     total += (g**horizon) * float(p.sum())
-    return total
-
-
-def orientation_probability(potential, lam, v: Vertex, v_prime: Vertex):
-    """Mass the induced random orientation of edge (v, v') puts on v_prime,
-    i.e. the probability the edge points away from v."""
-    v, v_prime = tuple(v), tuple(v_prime)
-    if sum(a != b for a, b in zip(v, v_prime)) != 1 or len(v) != len(v_prime):
-        raise ContractViolation("orientation is defined on hypercube edges only")
-    f = potential if callable(potential) else potential.__getitem__
-    value = (1 + lam * (f(v) - f(v_prime))) / 2
-    return min(max(value, 0), 1)
-
-
-def out_degree(inside, potential, lam, v: Vertex):
-    """Total orientation mass directed away from v over its one-inclusion edges."""
-    inside = set(tuple(u) for u in inside)
-    v = tuple(v)
-    if v not in inside:
-        raise ContractViolation("out-degree is defined for vertices of the graph")
-    f = potential if callable(potential) else potential.__getitem__
-    total = 0
-    for w in neighbors(v):
-        if w in inside:
-            # mass on w = probability the edge leaves v
-            total += (1 - lam * (f(w) - f(v))) / 2
     return total

@@ -8,7 +8,6 @@ shared ledger by the number of examples in each query.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 
 from .core import STAR, BINARY_LABELS, ContractViolation, Sample
@@ -27,25 +26,21 @@ class OracleCapabilityError(RuntimeError):
 class QueryCostLedger:
     """Running totals of oracle calls and cumulative query cost.
 
-    Cost is the sum of input sizes (number of examples per call); increments
-    are atomic so concurrent workers may share one ledger.
+    Cost is the sum of input sizes (number of examples per call).
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self.total_cost = 0
         self.call_count = 0
 
     def charge(self, size: int):
         if size < 0:
             raise ContractViolation("query size cannot be negative")
-        with self._lock:
-            self.total_cost += size
-            self.call_count += 1
+        self.total_cost += size
+        self.call_count += 1
 
     def snapshot(self) -> tuple[int, int]:
-        with self._lock:
-            return self.total_cost, self.call_count
+        return self.total_cost, self.call_count
 
     def __repr__(self):
         return f"QueryCostLedger(cost={self.total_cost}, calls={self.call_count})"
@@ -62,8 +57,14 @@ class ConceptClass:
                 f"{type(self).__name__} does not implement the {capability} oracle"
             )
 
-    # raw per-class implementations; only the advertised ones are overridden
     def consistent_on(self, xs: tuple, ys: tuple) -> bool:
+        """Does some hypothesis label each point xs[i] with ys[i]?"""
+        if len(xs) != len(ys):
+            raise ContractViolation("a consistency query needs one label per point")
+        return self._consistent(xs, ys)
+
+    # raw per-class implementations; only the advertised ones are overridden
+    def _consistent(self, xs: tuple, ys: tuple) -> bool:
         raise OracleCapabilityError(f"{type(self).__name__}: no consistency oracle")
 
     def erm_value_on(self, xs: tuple, ys: tuple, loss) -> Fraction:

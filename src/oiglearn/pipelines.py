@@ -29,13 +29,9 @@ class WeakSpec:
     m: int  # weak-learner sample size
     c1: float = 1.0
     lam: float = 1.0
-    memoize: bool = True
 
     def learner_params(self) -> WeakLearnerParams:
         return paper_default_params(self.m, self.c1, self.lam)
-
-    def default_margin(self) -> float:
-        return 1.0 / (self.m * math.log(self.m))
 
 
 def boosting_rounds(n: int, delta: float, eta: float, log_factor: int) -> int:
@@ -46,12 +42,9 @@ def boosting_rounds(n: int, delta: float, eta: float, log_factor: int) -> int:
     return math.ceil(16 * math.log(log_factor * n / delta) / (eta * eta))
 
 
-def make_weak_learner(params: WeakLearnerParams, con_oracle, memoize: bool = True,
-                      total: bool = False):
+def make_weak_learner(params: WeakLearnerParams, con_oracle, total: bool = False):
     def learner(round_sample: Sample, x, stream: RandomStream) -> int:
-        return weak_realizable(
-            round_sample, x, params, con_oracle, stream, memoize=memoize, total=total
-        ).bit
+        return weak_realizable(round_sample, x, params, con_oracle, stream, total=total).bit
 
     return learner
 
@@ -73,9 +66,9 @@ def fit_realizable_partial(
     sample: Sample, weak: WeakSpec, eta: float, delta: float, con_oracle, rng: RandomStream,
 ) -> BinaryPredictor:
     params = weak.learner_params()
-    learner = make_weak_learner(params, con_oracle, weak.memoize)
+    learner = make_weak_learner(params, con_oracle)
     rounds = boosting_rounds(len(sample), delta, eta, 4)
-    model = adaboost_train(sample, learner, weak.m, rounds, rng, weak_params=_params_dict(weak))
+    model = adaboost_train(sample, learner, weak.m, rounds, rng)
     return BinaryPredictor(model, learner)
 
 
@@ -86,9 +79,9 @@ def fit_agnostic_partial(
     removal = sample_erm_binary(sample, erm_oracle)
     realizable = sample.subset([i for i, z in enumerate(removal) if z == 0])
     params = weak.learner_params()
-    learner = make_weak_learner(params, con_oracle, weak.memoize)
+    learner = make_weak_learner(params, con_oracle)
     rounds = boosting_rounds(len(sample), delta, eta, 6)
-    model = adaboost_train(realizable, learner, weak.m, rounds, rng, weak_params=_params_dict(weak))
+    model = adaboost_train(realizable, learner, weak.m, rounds, rng)
     return BinaryPredictor(model, learner)
 
 
@@ -205,9 +198,9 @@ def fit_multiclass_realizable(
     menu_sample = build_menu_sample(sample, num_classes)
     menu_oracle = menu_consistency_oracle(con_oracle)
     params = weak.learner_params()
-    learner = make_weak_learner(params, menu_oracle, weak.memoize, total=True)
+    learner = make_weak_learner(params, menu_oracle, total=True)
     rounds = boosting_rounds(len(sample) * num_classes, delta, eta, 4)
-    model = adaboost_train(menu_sample, learner, weak.m, rounds, rng, weak_params=_params_dict(weak))
+    model = adaboost_train(menu_sample, learner, weak.m, rounds, rng)
     return MulticlassPredictor(model, learner, num_classes)
 
 
@@ -308,9 +301,9 @@ def fit_reg_realizable(
     thr_sample = build_threshold_sample(sample, gamma, beta)
     thr_oracle = threshold_consistency_oracle(range_query, gamma)
     params = weak.learner_params()
-    learner = make_weak_learner(params, thr_oracle, weak.memoize, total=True)
+    learner = make_weak_learner(params, thr_oracle, total=True)
     rounds = boosting_rounds(len(sample), delta, eta, 4)
-    model = adaboost_train(thr_sample, learner, weak.m, rounds, rng, weak_params=_params_dict(weak))
+    model = adaboost_train(thr_sample, learner, weak.m, rounds, rng)
     return RegressionPredictor(model, learner, gamma)
 
 
@@ -328,15 +321,3 @@ def fit_reg_agnostic(
         snapped, weak, eta, delta, gamma, 2 * gamma,
         lambda triples: sample_con_real(triples, erm_oracle), rng,
     )
-
-
-def _params_dict(weak: WeakSpec) -> dict:
-    params = weak.learner_params()
-    return {
-        "m": weak.m,
-        "c1": weak.c1,
-        "lam": weak.lam,
-        "gamma": params.gamma,
-        "trials": params.trials,
-        "horizon": params.horizon,
-    }

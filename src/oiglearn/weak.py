@@ -72,7 +72,6 @@ def weak_realizable(
     params: WeakLearnerParams,
     con_oracle,
     rng: RandomStream,
-    memoize: bool = True,
     potential=None,
     total: bool = False,
 ) -> WeakPrediction:
@@ -115,21 +114,14 @@ def weak_realizable(
     else:
         walk = params.walk_params()
         # one predicate per completion, so a vertex both walks visit is charged twice
-        membership0 = MembershipPredicate.from_oracle(points, con_oracle, memoize)
+        membership0 = MembershipPredicate.from_oracle(points, con_oracle)
         f0 = estimate_potential(membership0, y0, walk, gen)
-        membership1 = MembershipPredicate.from_oracle(points, con_oracle, memoize)
+        membership1 = MembershipPredicate.from_oracle(points, con_oracle)
         f1 = estimate_potential(membership1, y1, walk, gen)
     sigma_hat = (1 + params.lam * (f0 - f1)) / 2
     sigma_hat = min(max(sigma_hat, 0.0), 1.0)
     bit = 1 if gen.random() < sigma_hat else 0
     return WeakPrediction(bit, sigma_hat)
-
-
-def max_oracle_calls(params: WeakLearnerParams) -> int:
-    """Ceiling on consistency queries per prediction in unmemoized mode: the
-    two completion checks plus two potential estimates of at most
-    trials*(horizon+1) probes each."""
-    return 2 + 2 * params.trials * (params.horizon + 1)
 
 
 def transductive_error(
@@ -138,7 +130,6 @@ def transductive_error(
     con_oracle,
     reps: int,
     rng: RandomStream,
-    memoize: bool = True,
     potential=None,
 ) -> float:
     """Monte-Carlo leave-one-out loss: each point predicted from the others."""
@@ -152,29 +143,10 @@ def transductive_error(
             x, y = sample[i]
             pred = weak_realizable(
                 sample.without(i), x, params, con_oracle, rep_stream.child(i),
-                memoize=memoize, potential=potential,
+                potential=potential,
             )
             total += loss_bin(y, pred.bit)
     return total / (reps * m)
-
-
-def exact_transductive_sigma(sample: Sample, con_oracle, potential, lam: float) -> float:
-    """Expected leave-one-out loss when predictions use the given exact
-    potential instead of estimates: the mean of (1 - orientation mass on the
-    true completion) over indices whose flipped completion is feasible."""
-    m = len(sample)
-    points = sample.xs
-    truth = tuple(sample.ys)
-    total = 0.0
-    for i in range(m):
-        other = truth[:i] + (1 - truth[i],) + truth[i + 1 :]
-        if not con_oracle(points, other):
-            continue  # forced prediction, zero loss
-        f_true = float(potential(points, truth))
-        f_other = float(potential(points, other))
-        sigma_true = (1 + lam * (f_other - f_true)) / 2
-        total += 1 - min(max(sigma_true, 0.0), 1.0)
-    return total / m
 
 
 def loo_distributional_error(
@@ -184,7 +156,6 @@ def loo_distributional_error(
     con_oracle,
     reps: int,
     rng: RandomStream,
-    memoize: bool = True,
 ) -> float:
     """Monte-Carlo estimate of the expected loss of the learner on a fresh
     point after seeing m-1 i.i.d. examples."""
@@ -197,6 +168,6 @@ def loo_distributional_error(
         drawn = distribution.draw(gen, m)
         context = Sample(drawn.pairs[: m - 1])
         x, y = drawn.pairs[m - 1]
-        pred = weak_realizable(context, x, params, con_oracle, rep_stream.child(1), memoize=memoize)
+        pred = weak_realizable(context, x, params, con_oracle, rep_stream.child(1))
         total += loss_bin(y, pred.bit)
     return total / reps

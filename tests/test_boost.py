@@ -10,8 +10,6 @@ from oiglearn.boost import (
     adaboost_predict,
     adaboost_train,
     epsilon_alpha,
-    model_from_json,
-    model_to_json,
     reweight,
 )
 from oiglearn.classes import MarginThresholdClass
@@ -135,33 +133,6 @@ def test_adaboost_training_evaluations_cached_per_round():
 
     adaboost_train(sample, counting_learner, 2, 4, RandomStream(3))
     assert len(calls) == 4 * 2  # rounds x distinct points
-
-
-def test_model_serialization_round_trip(tmp_path):
-    _, sample, oracle = _threshold_setup()
-    learner = make_weak_learner(paper_default_params(3), oracle)
-    model = adaboost_train(sample, learner, 3, 12, RandomStream(21),
-                           weak_params={"m": 3, "c1": 1.0})
-    text = model_to_json(model)
-    path = tmp_path / "model.json"
-    path.write_text(text)
-    loaded = model_from_json(path.read_text(), sample)
-    assert loaded.rounds == model.rounds
-    assert loaded.stream == model.stream
-    assert loaded.weak_params == {"m": 3, "c1": 1.0}
-    queries = [Fraction(k, 16) for k in range(17)]
-    assert [adaboost_predict(loaded, q, learner) for q in queries] == [
-        adaboost_predict(model, q, learner) for q in queries
-    ]
-
-
-def test_alpha_serializes_at_full_precision():
-    _, sample, oracle = _threshold_setup()
-    learner = make_weak_learner(paper_default_params(3), oracle)
-    model = adaboost_train(sample, learner, 3, 8, RandomStream(23))
-    loaded = model_from_json(model_to_json(model), sample)
-    for a, b in zip(model.rounds, loaded.rounds):
-        assert a.alpha == b.alpha  # 17 significant digits round-trip floats
 
 
 def test_adaboost_predict_tie_votes_one():

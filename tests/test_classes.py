@@ -116,6 +116,44 @@ def test_finite_table_pickles():
             assert copy.erm_value_on(xs, ys, loss_bin) == cls.erm_value_on(xs, ys, loss_bin)
 
 
+def test_threshold_and_hprime_pickle():
+    threshold = MarginThresholdClass.regular(0, Fraction(1, 12), 13, Fraction(1, 8))
+    grid_points = [Fraction(k, 10) for k in range(11)]
+    cases = ((threshold, grid_points), (HPrimeClass(bound=60), list(range(1, 61))))
+    gen = np.random.default_rng(44)
+    for cls, points in cases:
+        copy = pickle.loads(pickle.dumps(cls))
+        answers = set()
+        for _ in range(200):
+            n = int(gen.integers(1, 4))
+            xs = tuple(points[int(i)] for i in gen.integers(0, len(points), size=n))
+            ys = tuple(int(v) for v in gen.integers(0, 2, size=n))
+            answer = copy.consistent_on(xs, ys)
+            assert answer == cls.consistent_on(xs, ys), (cls, xs, ys)
+            answers.add(answer)
+            if cls is threshold:
+                assert copy.erm_value_on(xs, ys, loss_bin) == cls.erm_value_on(xs, ys, loss_bin)
+                assert copy.project_onto(xs) == cls.project_onto(xs)
+        assert answers == {True, False}
+
+
+@pytest.mark.parametrize(
+    "cls, xs",
+    [
+        (_interval_class(8), (1, 2)),
+        (MarginThresholdClass.regular(0, Fraction(1, 12), 13, Fraction(1, 8)),
+         (Fraction(9, 10), Fraction(1, 10))),
+        (HPrimeClass(50), (15, 3)),
+    ],
+    ids=["finite_table", "margin_threshold", "hprime"],
+)
+def test_consistent_on_rejects_length_mismatch(cls, xs):
+    with pytest.raises(ContractViolation):
+        cls.consistent_on(xs, (1,))
+    with pytest.raises(ContractViolation):
+        cls.consistent_on(xs[:1], (1, 0))
+
+
 def test_margin_threshold_examples():
     cls = MarginThresholdClass.regular(0, Fraction(1, 100), 101, Fraction(1, 10))
     assert cls.consistent_on((Fraction(9, 10), Fraction(1, 10)), (1, 0)) is True

@@ -85,7 +85,7 @@ def test_config_errors():
         ExperimentConfig.from_dict({"pipeline": "realizable_partial"})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(_singleton_config(m=1))
-    for bad in ({"n": 0}, {"reps": 0}, {"trials": -2},
+    for bad in ({"n": 0}, {"reps": 0}, {"trials": -2}, {"memoize": False},
                 {"pipeline": "reg_agnostic"}, {"pipeline": "multiclass_realizable"}):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(_singleton_config(**bad))
@@ -134,15 +134,19 @@ def test_singleton_class_zero_error_every_trial():
 def test_same_seed_byte_identical_csv_across_parallelism():
     config = ExperimentConfig.from_dict(_singleton_config(trials=4))
     outputs = []
-    for jobs in (1, 3):
+    # jobs 8 on 4 trials runs a pool of 4 processes
+    for jobs in (1, 3, 8):
         reports = run_experiment(config, jobs=jobs, measure_wall=False)
         sink = io.StringIO()
         emit_report(reports, "csv", sink)
         outputs.append(sink.getvalue())
     assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[2]
     again = io.StringIO()
     emit_report(run_experiment(config, measure_wall=False), "csv", again)
     assert again.getvalue() == outputs[0]
+    empty = ExperimentConfig.from_dict(_singleton_config(trials=0))
+    assert run_experiment(empty, jobs=2, measure_wall=False) == []
 
 
 def test_jsonl_mode_matches_csv_fields():
@@ -211,6 +215,7 @@ def test_cli_run_and_exit_codes(tmp_path):
         _singleton_config(n=0),
         _singleton_config(pipeline="weak_transductive", reps=0),
         _singleton_config(trials=-2),
+        _singleton_config(memoize=False),
     ] + [_regression_config(**bad) for bad in _BAD_REGRESSION]
     for k, raw in enumerate(bad_configs):
         path = tmp_path / f"bad{k}.json"

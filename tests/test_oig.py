@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oiglearn.classes import FiniteTableClass
-from oiglearn.core import ContractViolation, RandomStream
+from oiglearn.core import RandomStream
 from oiglearn.oig import (
     MembershipPredicate,
     WalkParams,
@@ -15,8 +15,6 @@ from oiglearn.oig import (
     exact_truncated_flip_expectation,
     flip,
     lazy_discount,
-    orientation_probability,
-    out_degree,
     pack,
     recursion_residual,
     unpack,
@@ -73,19 +71,11 @@ def test_estimate_potential_charges_oracle_per_distinct_vertex():
     ledger = QueryCostLedger()
     oracle = ConsistencyOracle(cls, ledger)
     gen = RandomStream(9).generator()
-    memoized = MembershipPredicate.from_oracle((0, 1), oracle, memoize=True)
-    estimate_potential(memoized, (0, 0), WalkParams(0.5, 6, 50), gen)
+    membership = MembershipPredicate.from_oracle((0, 1), oracle)
+    estimate_potential(membership, (0, 0), WalkParams(0.5, 6, 50), gen)
     # at most all 4 patterns of the 2-cube can be probed
     assert ledger.call_count <= 4
     assert ledger.total_cost == 2 * ledger.call_count
-
-    unmemo = QueryCostLedger()
-    oracle2 = ConsistencyOracle(cls, unmemo)
-    gen2 = RandomStream(9).generator()
-    unmemoized = MembershipPredicate.from_oracle((0, 1), oracle2, memoize=False)
-    estimate_potential(unmemoized, (0, 0), WalkParams(0.5, 6, 50), gen2)
-    assert unmemo.call_count > 50  # one call per probe, every trial probes at least once
-    assert unmemo.call_count <= 50 * 7
 
 
 def test_exact_generating_function_worked_instances():
@@ -153,28 +143,6 @@ def test_truncated_expectation_bias_bound():
         for horizon in (5, 20, 60):
             dp = exact_truncated_flip_expectation(inside, v, g, horizon)
             assert abs(dp - float(lazy_table(v))) <= g**horizon + 1e-12
-
-
-def test_orientation_probability_examples():
-    f = {(0, 0): 0.2, (0, 1): 0.5}
-    assert orientation_probability(lambda v: 0.3, 0.0, (0, 0), (0, 1)) == 0.5
-    assert orientation_probability(lambda v: 0.4, 1.0, (0, 0), (0, 1)) == 0.5
-    # mass on v: probability the edge points away from v'
-    assert orientation_probability(f.__getitem__, 1.0, (0, 1), (0, 0)) == pytest.approx(0.65)
-    with pytest.raises(ContractViolation):
-        orientation_probability(lambda v: 0.0, 1.0, (0, 0), (1, 1))
-
-
-def test_out_degree_examples():
-    isolated = out_degree([(0, 0)], lambda v: 0.5, 1.0, (0, 0))
-    assert isolated == 0
-    m = 3
-    full = [unpack(c, m) for c in range(8)]
-    assert out_degree(full, lambda v: 0.25, 1.0, (0, 0, 0)) == pytest.approx(m / 2)
-    table = exact_generating_function([(0, 0), (0, 1)], Fraction(1, 2))
-    assert out_degree([(0, 0), (0, 1)], table, Fraction(1), (0, 0)) == Fraction(1, 2)
-    with pytest.raises(ContractViolation):
-        out_degree([(0, 0)], lambda v: 0.5, 1.0, (1, 1))
 
 
 def test_default_horizon_inequality():
