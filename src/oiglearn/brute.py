@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .classes import FiniteTableClass, MarginThresholdClass
 from .core import STAR, ContractViolation, FiniteDistribution, Sample, as_fraction
-from .oig import PotentialTable, exact_generating_function, lazy_discount
+from .oig import PotentialTable, exact_generating_function, lazy_discount, neighbors, pack
 
 _MAX_DOMAIN = 32
 _MAX_TABLE = 2**16
@@ -36,6 +36,61 @@ def table_patterns(concept_class: FiniteTableClass, xs) -> frozenset:
         if STAR not in pattern:
             out.add(pattern)
     return frozenset(out)
+
+
+def rational_generating_function(inside, gamma, m: int) -> dict:
+    """Reference for the exact solve of `oig.exact_generating_function`: the
+    lazy-walk recursion built in fractions and solved by Gauss-Jordan
+    elimination.  Returns vertex -> value on the inside set."""
+    vertices = sorted(set(tuple(v) for v in inside), key=pack)
+    index = {v: i for i, v in enumerate(vertices)}
+    g = as_fraction(gamma)
+    diag = (2 - g) * m / g
+    rows, rhs = [], []
+    for i, v in enumerate(vertices):
+        row = [Fraction(0)] * len(vertices)
+        row[i] = diag
+        outside = 0
+        for w in neighbors(v):
+            if w in index:
+                row[index[w]] -= 1
+            else:
+                outside += 1
+        rows.append(row)
+        rhs.append(Fraction(outside))
+    return dict(zip(vertices, _solve_rational(rows, rhs)))
+
+
+def _solve_rational(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Gaussian elimination with exact fractions and partial pivoting."""
+    n = len(rows)
+    a = [row[:] + [r] for row, r in zip(rows, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise RuntimeError("singular recursion system; this should be impossible")
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return [a[r][n] for r in range(n)]
+
+
+def threshold_erm_scan(concept_class: MarginThresholdClass, xs, ys, loss) -> Fraction:
+    """Reference for `MarginThresholdClass.erm_value_on`: the summed loss of
+    every grid threshold, point by point."""
+    xs = [as_fraction(x) for x in xs]
+    best = None
+    for t in concept_class.grid:
+        total = sum(loss(y, concept_class.label_of(t, x)) for x, y in zip(xs, ys))
+        if best is None or total < best:
+            best = total
+            if best == 0:
+                break
+    return Fraction(best) / len(xs)
 
 
 def _check_size(concept_class: FiniteTableClass):

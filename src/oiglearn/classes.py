@@ -9,7 +9,7 @@ integers.  Every oracle answer is exact and cross-checkable by enumeration.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -17,7 +17,7 @@ from typing import Any, Iterable, Sequence
 
 _PRIME_CACHE_SIZE = 1 << 16
 
-from .core import STAR, ContractViolation, Sample, as_fraction
+from .core import STAR, ContractViolation, Sample, as_fraction, loss_bin
 from .oracle import (
     CONSISTENCY,
     ERM_VALUE,
@@ -235,15 +235,29 @@ class MarginThresholdClass(ConceptClass):
         return hi is None or self.grid[idx] <= hi
 
     def erm_value_on(self, xs, ys, loss) -> Fraction:
-        xs = [as_fraction(x) for x in xs]
-        best = None
-        for t in self.grid:
-            total = sum(loss(y, self.label_of(t, x)) for x, y in zip(xs, ys))
-            if best is None or total < best:
-                best = total
-                if best == 0:
-                    break
-        return Fraction(best) / len(xs)
+        """Least mean loss over the grid.  Under loss_bin, one sorted sweep:
+        h_t errs on (x, 1) iff t > x - margin, on (x, 0) iff t < x + margin,
+        and on every other label (STAR included) whatever t is."""
+        if loss is not loss_bin:
+            xs = [as_fraction(x) for x in xs]
+            best = min(
+                sum(loss(y, self.label_of(t, x)) for x, y in zip(xs, ys)) for t in self.grid
+            )
+            return Fraction(best) / len(xs)
+        above, below, always = [], [], 0
+        for x, y in zip(xs, ys):
+            if y == 1:
+                above.append(as_fraction(x) - self.margin)
+            elif y == 0:
+                below.append(as_fraction(x) + self.margin)
+            else:
+                always += 1
+        above.sort()
+        below.sort()
+        best = min(
+            bisect_left(above, t) + len(below) - bisect_right(below, t) for t in self.grid
+        )
+        return Fraction(best + always, len(xs))
 
     def project_onto(self, xs) -> frozenset:
         xs = [as_fraction(x) for x in xs]

@@ -161,6 +161,20 @@ PIPELINES = {
 }
 
 
+_CONFIG_KEYS = frozenset({
+    "pipeline", "memoize", "class", "distribution", "m", "eta", "gamma", "beta", "num_classes",
+    "n", "C1", "c1", "lambda", "delta", "trials", "seed", "reps",
+})
+_DISTRIBUTION_KEYS = frozenset({"support", "weights", "label_noise"})
+
+
+def _reject_unknown_keys(raw: dict, allowed: frozenset, where: str) -> None:
+    # a misspelled key would otherwise silently take its default
+    unknown = sorted(set(raw) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     class_spec: dict
@@ -185,6 +199,7 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         try:
             pipeline = raw["pipeline"]
+            _reject_unknown_keys(raw, _CONFIG_KEYS, "config")
             if not raw.get("memoize", True):
                 # the membership memo is always on; running without it would
                 # silently change the config's cost columns
@@ -196,6 +211,7 @@ class ExperimentConfig:
             if missing:
                 raise ConfigError(f"pipeline {pipeline} needs {', '.join(missing)}")
             dist = raw["distribution"]
+            _reject_unknown_keys(dist, _DISTRIBUTION_KEYS, "distribution")
             parse_label = as_fraction if entry.labels == "real" else int
             support = tuple((_parse_point(x), parse_label(y)) for x, y in dist["support"])
             weights = dist.get("weights")

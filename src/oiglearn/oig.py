@@ -216,10 +216,11 @@ def exact_generating_function(
 ) -> PotentialTable:
     """Solve the lazy-walk recursion M(v) = g/((2-g)m) * sum_i M(v^flip i) exactly.
 
-    M is 1 outside the set.  Small systems are solved in rational arithmetic
-    (so worked examples come out as exact fractions); larger ones fall back to
-    a floating solve, whose residual stays far below 1e-12 because the system
-    is strictly diagonally dominant.
+    M is 1 outside the set.  Systems of up to 64 patterns are solved exactly,
+    by fraction-free (Bareiss) integer elimination, so worked examples come
+    out as exact fractions; larger ones fall back to a floating solve, whose
+    residual stays far below 1e-12 because the system is strictly diagonally
+    dominant.
     """
     vertices = sorted(set(tuple(v) for v in inside), key=pack)
     if not vertices:
@@ -242,14 +243,7 @@ def exact_generating_function(
     if method == "rational":
         g = as_fraction(gamma)
         diag = (2 - g) * m / g
-        rows = []
-        for i, (inner, _) in enumerate(links):
-            row = [Fraction(0)] * size
-            row[i] = diag
-            for j in inner:
-                row[j] -= 1
-            rows.append(row)
-        solution = _solve_rational(rows, [Fraction(outside) for _, outside in links])
+        solution = _solve_integer(links, diag.numerator, diag.denominator)
     else:
         g = float(gamma)
         a = np.zeros((size, size))
@@ -262,22 +256,47 @@ def exact_generating_function(
     return PotentialTable(dict(zip(vertices, solution)), m)
 
 
-def _solve_rational(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination with exact fractions and partial pivoting."""
-    n = len(rows)
-    a = [row[:] + [r] for row, r in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
+def _solve_integer(links, p: int, q: int) -> list[Fraction]:
+    """Exact solution of the recursion system with diagonal p/q, by
+    fraction-free (Bareiss) elimination in integers.
+
+    Row i, scaled by q, is p on the diagonal, -q at each inside neighbour and
+    outside*q on the right.  The system is strictly diagonally dominant, so no
+    pivoting is needed and every division below is exact: forward, by the
+    previous pivot; backward, y_i = D*x_i is an integer by Cramer's rule.
+    """
+    n = len(links)
+    a = []
+    for i, (inner, outside) in enumerate(links):
+        row = [0] * (n + 1)
+        row[i] = p
+        for j in inner:
+            row[j] = -q
+        row[n] = outside * q
+        a.append(row)
+    prev = 1
+    for k in range(n):
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        if pivot == 0:
             raise RuntimeError("singular recursion system; this should be impossible")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+        tail = pivot_row[k + 1 :]
+        for i in range(k + 1, n):
+            # columns up to k of the rows below the pivot are never read again
+            row = a[i]
+            factor, rest = row[k], row[k + 1 :]
+            if factor:
+                row[k + 1 :] = [(pivot * x - factor * y) // prev for x, y in zip(rest, tail)]
+            else:
+                row[k + 1 :] = [pivot * x // prev for x in rest]
+        prev = pivot
+    det = prev
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        total = det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n) if row[j])
+        y[i] = total // row[i]
+    return [Fraction(v, det) for v in y]
 
 
 def recursion_residual(table: PotentialTable, inside: Iterable[Vertex], gamma) -> float:

@@ -12,8 +12,9 @@ from . import brute
 from .classes import FiniteTableClass, HPrimeClass, MarginThresholdClass
 from .core import STAR, RandomStream, Sample, loss_bin
 from .ermred import sample_erm_binary
-from .oig import exact_generating_function, recursion_residual, unpack
+from .oig import exact_generating_function, lazy_discount, recursion_residual, unpack
 from .oracle import ErmValueOracle, QueryCostLedger
+from .weak import paper_default_params
 
 
 def _random_binary_table(gen, num_points=4, num_hyps=6, star_rate=0.15) -> FiniteTableClass:
@@ -100,6 +101,20 @@ def _check_margin_threshold(gen) -> bool:
     return True
 
 
+def _check_threshold_sweep(gen) -> bool:
+    """erm_value_on's sorted sweep against brute's scan of every threshold,
+    with STAR labels and points on the band edges t +- margin."""
+    cls = MarginThresholdClass.regular(0, Fraction(1, 20), 21, Fraction(1, 10))
+    points = sorted({t + d for t in cls.grid for d in (-cls.margin, 0, cls.margin)})
+    for _ in range(200):
+        n = int(gen.integers(1, 31))
+        xs = tuple(points[int(i)] for i in gen.integers(0, len(points), size=n))
+        ys = tuple((0, 1, STAR)[int(i)] for i in gen.integers(0, 3, size=n))
+        if cls.erm_value_on(xs, ys, loss_bin) != brute.threshold_erm_scan(cls, xs, ys, loss_bin):
+            return False
+    return True
+
+
 def _check_hprime(gen) -> bool:
     cls = HPrimeClass(bound=80)
     window = list(range(1, 41))
@@ -123,6 +138,26 @@ def _check_recursion(gen) -> bool:
         table = exact_generating_function(inside, Fraction(gamma).limit_denominator(1000))
         if recursion_residual(table, inside, float(Fraction(gamma).limit_denominator(1000))) > 1e-10:
             return False
+    return True
+
+
+_SIMPLE_DISCOUNTS = (Fraction(1, 2), Fraction(2, 3), Fraction(9, 10), Fraction(99, 100))
+
+
+def _check_integer_solve(gen) -> bool:
+    """The exact solve against brute's Gauss-Jordan elimination in fractions,
+    on random subsets of the m-cube, at the flip-walk audit's discount (a
+    float's exact value) and at simple rationals."""
+    for m in range(1, 7):
+        audit_discount = lazy_discount(paper_default_params(max(m, 2)).gamma)
+        for _ in range(8):
+            count = int(gen.integers(1, min(16, 2**m) + 1))
+            inside = [unpack(int(c), m) for c in gen.choice(2**m, size=count, replace=False)]
+            simple = _SIMPLE_DISCOUNTS[int(gen.integers(0, len(_SIMPLE_DISCOUNTS)))]
+            for gamma in (audit_discount, simple):
+                solved = exact_generating_function(inside, gamma, m=m, method="rational")
+                if solved.values != brute.rational_generating_function(inside, gamma, m):
+                    return False
     return True
 
 
@@ -155,6 +190,8 @@ CHECKS = (
     ("generating-function recursion residuals", _check_recursion),
     ("weak-ERM minimizer extraction vs enumeration", _check_erm_reduction),
     ("finite-table kernel vs row scan", _check_table_kernel),
+    ("integer flip-walk solve vs fraction elimination", _check_integer_solve),
+    ("threshold ERM sweep vs grid scan", _check_threshold_sweep),
 )
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oiglearn.brute import table_patterns, vc_dimension
+from oiglearn.brute import table_patterns, threshold_erm_scan, vc_dimension
 from oiglearn.classes import (
     FiniteTableClass,
     HPrimeClass,
@@ -15,7 +15,7 @@ from oiglearn.classes import (
     prime_factors,
     semiprime_split,
 )
-from oiglearn.core import STAR, ContractViolation, Sample, loss_bin
+from oiglearn.core import STAR, ContractViolation, Sample, loss_bin, loss_mc
 from oiglearn.oracle import OracleCapabilityError, QueryCostLedger, query_strong_erm
 
 
@@ -172,6 +172,29 @@ def test_margin_threshold_vs_materialized_enumeration():
         ys = tuple(int(v) for v in gen.integers(0, 2, size=n))
         assert cls.consistent_on(xs, ys) == table.consistent_on(xs, ys)
         assert cls.erm_value_on(xs, ys, loss_bin) == table.erm_value_on(xs, ys, loss_bin)
+
+
+def test_margin_threshold_erm_sweep_matches_scan():
+    cls = MarginThresholdClass.regular(Fraction(1, 100), Fraction(1, 50), 50, Fraction(1, 200))
+    # the grid points and the band edges t +- margin
+    edges = sorted({t + d for t in cls.grid for d in (-cls.margin, 0, cls.margin)})
+    gen = np.random.default_rng(47)
+    for k in range(500):
+        n = 1 if k < 50 else int(gen.integers(1, 61))
+        if gen.random() < 0.5:
+            xs = tuple(edges[int(i)] for i in gen.integers(0, len(edges), size=n))
+        else:
+            xs = tuple(Fraction(int(v), 64) for v in gen.integers(-2, 67, size=n))
+        labels = (0, 1, STAR) if k % 2 else (0, 1)
+        ys = tuple(labels[int(i)] for i in gen.integers(0, len(labels), size=n))
+        expected = threshold_erm_scan(cls, xs, ys, loss_bin)
+        assert cls.erm_value_on(xs, ys, loss_bin) == expected, (xs, ys)
+        if k % 10 == 0:  # any other loss keeps the scan
+            assert cls.erm_value_on(xs, ys, loss_mc) == threshold_erm_scan(cls, xs, ys, loss_mc)
+    # on a band edge x = t + margin labels 1 and x = t - margin labels 0
+    t = cls.grid[7]
+    assert cls.erm_value_on((t + cls.margin, t - cls.margin), (1, 0), loss_bin) == 0
+    assert cls.erm_value_on((t,), (STAR,), loss_bin) == 1
 
 
 def test_margin_threshold_projection_is_steps():

@@ -53,6 +53,14 @@ _BAD_SETUPS = (
 )
 
 
+# misspelled keys, which would otherwise run with the default silently
+_UNKNOWN_KEYS = (
+    {"trails": 5},
+    {"Trials": 5},
+    {"distribution": {"support": [[0, 1], [1, 0], [2, 1]], "label_nosie": "1/10"}},
+)
+
+
 # regression settings that every trial would reject; the config parser must
 # reject them first, so `oig run` exits 3 rather than failing inside a trial
 _REAL_CLASS = {
@@ -86,12 +94,21 @@ def test_config_errors():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(_singleton_config(m=1))
     for bad in ({"n": 0}, {"reps": 0}, {"trials": -2}, {"memoize": False},
-                {"pipeline": "reg_agnostic"}, {"pipeline": "multiclass_realizable"}):
+                {"pipeline": "reg_agnostic"}, {"pipeline": "multiclass_realizable"},
+                *_UNKNOWN_KEYS):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(_singleton_config(**bad))
     for bad in _BAD_REGRESSION:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(_regression_config(**bad))
+    with pytest.raises(ConfigError, match="trails"):
+        ExperimentConfig.from_dict(_singleton_config(trails=5))
+    # every accepted key at once
+    ExperimentConfig.from_dict(_singleton_config(
+        memoize=True, C1=2, c1=2, reps=5, gamma=None, beta=None, num_classes=None,
+        **{"lambda": 1, "distribution": {"support": [[0, 1], [1, 0]], "weights": ["1/4", "3/4"],
+                                         "label_noise": "1/10"}},
+    ))
     for good in ({"pipeline": "reg_agnostic", "gamma": "1/4"},
                  {"pipeline": "reg_realizable", "gamma": "2/5", "beta": "1/2"}):
         ExperimentConfig.from_dict(_regression_config(**good))
@@ -216,7 +233,9 @@ def test_cli_run_and_exit_codes(tmp_path):
         _singleton_config(pipeline="weak_transductive", reps=0),
         _singleton_config(trials=-2),
         _singleton_config(memoize=False),
-    ] + [_regression_config(**bad) for bad in _BAD_REGRESSION]
+    ] + [_singleton_config(**bad) for bad in _UNKNOWN_KEYS] + [
+        _regression_config(**bad) for bad in _BAD_REGRESSION
+    ]
     for k, raw in enumerate(bad_configs):
         path = tmp_path / f"bad{k}.json"
         path.write_text(json.dumps(raw))

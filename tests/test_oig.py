@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oiglearn import brute
 from oiglearn.classes import FiniteTableClass
 from oiglearn.core import RandomStream
 from oiglearn.oig import (
@@ -20,6 +21,7 @@ from oiglearn.oig import (
     unpack,
 )
 from oiglearn.oracle import ConsistencyOracle, QueryCostLedger
+from oiglearn.weak import paper_default_params
 
 
 def test_flip_and_packing():
@@ -115,6 +117,37 @@ def test_rational_and_float_solvers_agree():
     approx = exact_generating_function(inside, Fraction(9, 10), method="float")
     for v in inside:
         assert float(exact(v)) == pytest.approx(approx(v), abs=1e-12)
+
+
+def _integer_matches_fraction_elimination(inside, gamma, m):
+    solved = exact_generating_function(inside, gamma, m=m, method="rational").values
+    reference = brute.rational_generating_function(inside, gamma, m)
+    assert all(type(v) is Fraction for v in solved.values())
+    assert solved == reference
+
+
+@pytest.mark.parametrize(
+    "inside, m",
+    [
+        ([(0, 1, 1)], 3),  # one pattern: every neighbour lies outside
+        ([unpack(c, 3) for c in range(8)], 3),  # the full cube: no exit, all zero
+        ([(0, 0, 0, 0), (0, 0, 0, 1), (1, 1, 1, 1), (1, 1, 1, 0)], 4),  # two components
+    ],
+)
+def test_integer_solve_matches_fraction_elimination(inside, m):
+    for gamma in (lazy_discount(paper_default_params(m).gamma), Fraction(1, 2), Fraction(9, 10)):
+        _integer_matches_fraction_elimination(inside, gamma, m)
+
+
+def test_integer_solve_matches_fraction_elimination_on_interval_system():
+    # the interval class on 0..127 projected onto 10 distinct points:
+    # 1 + 10*11/2 = 56 patterns, the size of an m=10 flip-walk audit
+    gen = np.random.default_rng(43)
+    xs = [int(v) for v in gen.choice(128, size=10, replace=False)]
+    inside = {tuple(1 if a <= x < b else 0 for x in xs) for a in range(129) for b in range(a, 129)}
+    assert len(inside) == 56
+    gamma = lazy_discount(paper_default_params(10).gamma)
+    _integer_matches_fraction_elimination(inside, gamma, 10)
 
 
 def test_flip_walk_reparametrization():
