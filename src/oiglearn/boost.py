@@ -2,9 +2,11 @@
 
 Each round resamples a small dataset from the current weights, fits the weak
 learner with a fresh child stream, and reweights by the usual exponential
-rule.  The trained model stores only (sample indices, alpha, stream label) per
-round: hypothesis evaluations are replayed on demand from the same stream, so
-prediction is a fixed function of the model and the query point.
+rule.  The trained model keeps its weak learner and stores only (sample
+indices, alpha, stream label) per round: hypothesis evaluations are replayed
+on demand from the same stream, so prediction is a fixed function of the model
+and the query point.  The training error is that same vote at the training
+points, read from the round caches without a weak-learner call.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ class BoostRound:
 @dataclass
 class BoostedModel:
     sample: Sample
+    weak: WeakLearner
     rounds: tuple[BoostRound, ...]
     stream: RandomStream
     weak_sample_size: int
@@ -95,7 +98,7 @@ def adaboost_train(
     """
     n = len(sample)
     if n == 0:
-        return BoostedModel(sample, (), rng, weak_sample_size)
+        return BoostedModel(sample, weak, (), rng, weak_sample_size)
     y = np.array([1 if lab == 1 else 0 for lab in sample.ys], dtype=np.int8)
     if any(lab not in (0, 1) for lab in sample.ys):
         raise ContractViolation("boosting requires binary 0/1 labels")
@@ -103,7 +106,6 @@ def adaboost_train(
     dist = np.full(n, 1.0 / n)
     kept: list[BoostRound] = []
     caches: list[dict] = []
-    eval_rows: list[np.ndarray] = []
     zs: list[float] = []
     early = False
     for t in range(rounds):
@@ -115,68 +117,43 @@ def adaboost_train(
         round_sample = sample.subset(idx)
         learner_stream = round_stream.child(1)
         cache: dict = {}
-        bits = np.empty(n, dtype=np.int8)
-        for i, x in enumerate(xs):
-            b = cache.get(x)
-            if b is None:
-                b = weak(round_sample, x, learner_stream)
-                cache[x] = b
-            bits[i] = b
+        for x in xs:
+            if x not in cache:
+                cache[x] = weak(round_sample, x, learner_stream)
+        bits = np.array([cache[x] for x in xs], dtype=np.int8)
         eps, alpha = epsilon_alpha(dist, bits, y)
-        if not math.isfinite(alpha):
-            kept = [BoostRound(tuple(int(i) for i in idx), alpha, t)]
-            caches = [cache]
-            eval_rows = [bits]
-            zs = []
-            early = True
-            break
         kept.append(BoostRound(tuple(int(i) for i in idx), alpha, t))
         caches.append(cache)
-        eval_rows.append(bits)
+        if not math.isfinite(alpha):
+            kept, caches, zs, early = kept[-1:], caches[-1:], [], True
+            break
         dist, z = reweight(dist, alpha, bits, y)
         zs.append(z)
         total = dist.sum()
         if abs(total - 1.0) > 1e-12:
             raise RuntimeError(f"round weights drifted from 1 by {abs(total - 1.0)}")
     model = BoostedModel(
-        sample,
-        tuple(kept),
-        rng,
-        weak_sample_size,
-        early_stop=early,
-        _caches=caches,
+        sample, weak, tuple(kept), rng, weak_sample_size, early_stop=early, _caches=caches
     )
-    votes = _vote_bits(model.rounds, eval_rows, n)
-    model.train_error = Fraction(int(np.count_nonzero(votes != y)), n)
+    # every training point is in every round's cache, so the replay is free
+    wrong = sum(adaboost_predict(model, x) != lab for x, lab in sample.pairs)
+    model.train_error = Fraction(wrong, n)
     model.z_product = float(np.prod(zs)) if zs else (0.0 if early else 1.0)
     if not early and model.train_error > model.z_product + 1e-9:
         raise RuntimeError("training error exceeded the normalizer product bound")
     return model
 
 
-def _vote_bits(rounds, eval_rows, n) -> np.ndarray:
-    if not rounds:
-        return np.ones(n, dtype=np.int8)  # empty vote: sign(0) reads as 1
-    first_alpha = rounds[0].alpha
-    if not math.isfinite(first_alpha):
-        bits = eval_rows[0]
-        return bits if first_alpha > 0 else 1 - bits
-    score = np.zeros(n)
-    for round_, bits in zip(rounds, eval_rows):
-        score += round_.alpha * (2 * bits.astype(np.float64) - 1)
-    return (score >= 0).astype(np.int8)
-
-
-def adaboost_predict(model: BoostedModel, x, weak: WeakLearner) -> int:
-    """Weighted-majority vote at x, replaying each round's hypothesis from its
-    stored stream label; sign(0) votes 1."""
+def adaboost_predict(model: BoostedModel, x) -> int:
+    """Weighted-majority vote at x, replaying each round's hypothesis with the
+    model's weak learner from its stored stream label; sign(0) votes 1."""
     if not model.rounds:
         return 1
     score = 0.0
     for round_, cache in zip(model.rounds, model._caches):
         b = cache.get(x)
         if b is None:
-            b = weak(model.round_sample(round_), x, model.round_stream(round_))
+            b = model.weak(model.round_sample(round_), x, model.round_stream(round_))
             cache[x] = b
         if not math.isfinite(round_.alpha):
             return b if round_.alpha > 0 else 1 - b

@@ -259,7 +259,6 @@ class TransductiveAudit:
     bound_rhs: float
     slack: float
     edge_mass_on_truth: tuple  # per coordinate: orientation mass on the truth vertex, or None if the edge is absent
-    potential: PotentialTable
 
 
 def exact_transductive_audit(
@@ -314,7 +313,6 @@ def exact_transductive_audit(
         bound_rhs=float(rhs),
         slack=float(rhs - total_out),
         edge_mass_on_truth=tuple(masses),
-        potential=table,
     )
 
 

@@ -155,7 +155,7 @@ class FiniteTableClass(ConceptClass):
                     break
         return best_idx, best
 
-    def erm_value_on(self, xs, ys, loss) -> Fraction:
+    def _erm_value(self, xs, ys, loss) -> Fraction:
         return Fraction(self._least_loss_row(xs, ys, loss)[1]) / len(xs)
 
     def range_consistent_on(self, xs, lower, upper) -> bool:
@@ -234,7 +234,7 @@ class MarginThresholdClass(ConceptClass):
             return False
         return hi is None or self.grid[idx] <= hi
 
-    def erm_value_on(self, xs, ys, loss) -> Fraction:
+    def _erm_value(self, xs, ys, loss) -> Fraction:
         """Least mean loss over the grid.  Under loss_bin, one sorted sweep:
         h_t errs on (x, 1) iff t > x - margin, on (x, 0) iff t < x + margin,
         and on every other label (STAR included) whatever t is."""

@@ -90,8 +90,7 @@ def _cmd_run(args) -> int:
 def _cmd_audit(args) -> int:
     from .brute import exact_transductive_audit
     from .classes import class_from_config
-    from .core import RandomStream
-    from .harness import build_distribution, validate_capabilities
+    from .harness import build_distribution, draw_trial, validate_capabilities
 
     try:
         config = _load_config(args.config)
@@ -102,13 +101,11 @@ def _cmd_audit(args) -> int:
         return EXIT_CONFIG
     try:
         validate_capabilities(config, concept_class)
-        gen = RandomStream(config.seed).child(0).generator()
-        sample = distribution.draw(gen, config.n)
-        params = config.weak_spec().learner_params()
+        # trial 0's sample at the discount of the audit pipeline
+        sample, _ = draw_trial(config, distribution, 0)
+        gamma = config.transductive_params().gamma
         for walk in ("lazy", "flip"):
-            audit = exact_transductive_audit(
-                concept_class, sample, params.gamma, config.lam, walk=walk
-            )
+            audit = exact_transductive_audit(concept_class, sample, gamma, config.lam, walk=walk)
             print(
                 f"walk={walk} out_degree={audit.out_degree:.6f} "
                 f"loo_error={audit.loo_error:.6f} min_potential={audit.min_potential:.6f} "

@@ -25,6 +25,7 @@ from .core import (
     ContractViolation,
     FiniteDistribution,
     RandomStream,
+    Sample,
     as_fraction,
     empirical_error,
     loss_abs,
@@ -50,7 +51,7 @@ from .pipelines import (
     fit_reg_agnostic,
     fit_reg_realizable,
 )
-from .weak import paper_default_params, transductive_error
+from .weak import WeakLearnerParams, paper_default_params, transductive_error
 
 
 class ConfigError(ValueError):
@@ -115,9 +116,7 @@ def _reg_agnostic(config, concept_class, distribution, sample, ledger, rng):
 
 
 def _weak_transductive(config, concept_class, distribution, sample, ledger, rng):
-    # leave-one-out contexts have size n-1, so the walk parameters come
-    # from the sample size rather than the boosting weak-sample size
-    params = paper_default_params(config.n, config.c1, config.lam)
+    params = config.transductive_params()
     con = ConsistencyOracle(concept_class, ledger)
     measured = transductive_error(sample, params, con, config.reps, rng)
     audit = exact_transductive_audit(concept_class, sample, params.gamma, config.lam, walk="flip")
@@ -125,9 +124,10 @@ def _weak_transductive(config, concept_class, distribution, sample, ledger, rng)
 
 
 def _audit(config, concept_class, distribution, sample, ledger, rng):
-    params = paper_default_params(config.n, config.c1, config.lam)
     ConsistencyOracle(concept_class, ledger)  # surfaces capability mismatch early
-    audit = exact_transductive_audit(concept_class, sample, params.gamma, config.lam, walk="lazy")
+    audit = exact_transductive_audit(
+        concept_class, sample, config.transductive_params().gamma, config.lam, walk="lazy"
+    )
     return audit.loo_error, audit.slack
 
 
@@ -275,6 +275,11 @@ class ExperimentConfig:
     def weak_spec(self) -> WeakSpec:
         return WeakSpec(self.m, self.c1, self.lam)
 
+    def transductive_params(self) -> WeakLearnerParams:
+        """The walk of the leave-one-out diagnostics.  Their contexts have size
+        n-1, so it comes from the sample size, not the weak-sample size m."""
+        return paper_default_params(self.n, self.c1, self.lam)
+
 
 def _parse_point(x):
     return parse_points([x])[0]
@@ -313,15 +318,19 @@ def validate_capabilities(config: ExperimentConfig, concept_class) -> None:
         )
 
 
+def draw_trial(config: ExperimentConfig, distribution, trial: int) -> tuple[Sample, RandomStream]:
+    """The training sample of trial `trial` and the stream its pipeline runs on."""
+    stream = RandomStream(config.seed).child(trial)
+    return distribution.draw(stream.child(0).generator(), config.n), stream.child(1)
+
+
 def run_trial(config: ExperimentConfig, concept_class, distribution, trial: int,
               measure_wall: bool = True) -> TrialReport:
-    stream = RandomStream(config.seed).child(trial)
     ledger = QueryCostLedger()
     started = time.perf_counter() if measure_wall else 0.0
-    gen = stream.child(0).generator()
-    sample = distribution.draw(gen, config.n)
+    sample, rng = draw_trial(config, distribution, trial)
     train_err, test_err = PIPELINES[config.pipeline].run(
-        config, concept_class, distribution, sample, ledger, stream.child(1)
+        config, concept_class, distribution, sample, ledger, rng
     )
     wall_ms = int(round((time.perf_counter() - started) * 1000)) if measure_wall else 0
     cost, calls = ledger.snapshot()

@@ -63,11 +63,17 @@ class ConceptClass:
             raise ContractViolation("a consistency query needs one label per point")
         return self._consistent(xs, ys)
 
+    def erm_value_on(self, xs: tuple, ys: tuple, loss) -> Fraction:
+        """The least mean loss of any hypothesis on the labeled points."""
+        if len(xs) != len(ys):
+            raise ContractViolation("an ERM value query needs one label per point")
+        return self._erm_value(xs, ys, loss)
+
     # raw per-class implementations; only the advertised ones are overridden
     def _consistent(self, xs: tuple, ys: tuple) -> bool:
         raise OracleCapabilityError(f"{type(self).__name__}: no consistency oracle")
 
-    def erm_value_on(self, xs: tuple, ys: tuple, loss) -> Fraction:
+    def _erm_value(self, xs: tuple, ys: tuple, loss) -> Fraction:
         raise OracleCapabilityError(f"{type(self).__name__}: no weak ERM oracle")
 
     def range_consistent_on(self, xs: tuple, lower: tuple, upper: tuple) -> bool:

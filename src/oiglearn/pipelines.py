@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 from .boost import BoostedModel, adaboost_predict, adaboost_train
 from .classes import FiniteTableClass, _star_sort_key
@@ -49,40 +51,47 @@ def make_weak_learner(params: WeakLearnerParams, con_oracle, total: bool = False
     return learner
 
 
+@dataclass(frozen=True)
+class BoostedPredictor:
+    """A boosted model and how a label is read off its vote.  Binary models
+    vote on x itself (no decoder); the encoded pipelines' models vote on
+    (x, code) inputs, and `decode(j_eval, x)` turns those votes into a label."""
+
+    model: BoostedModel
+    decode: Callable | None = None
+
+    def j_eval(self, x, code) -> int:
+        return adaboost_predict(self.model, (x, code))
+
+    def predict(self, x):
+        if self.decode is None:
+            return adaboost_predict(self.model, x)
+        return self.decode(self.j_eval, x)
+
+
+def _boost(sample: Sample, weak: WeakSpec, con_oracle, rounds: int, rng: RandomStream,
+           total: bool = False, decode=None) -> BoostedPredictor:
+    learner = make_weak_learner(weak.learner_params(), con_oracle, total)
+    return BoostedPredictor(adaboost_train(sample, learner, weak.m, rounds, rng), decode)
+
+
 # ---------------------------------------------------------------------------
 # partial binary
 
 
-@dataclass
-class BinaryPredictor:
-    model: BoostedModel
-    learner: object
-
-    def predict(self, x) -> int:
-        return adaboost_predict(self.model, x, self.learner)
-
-
 def fit_realizable_partial(
     sample: Sample, weak: WeakSpec, eta: float, delta: float, con_oracle, rng: RandomStream,
-) -> BinaryPredictor:
-    params = weak.learner_params()
-    learner = make_weak_learner(params, con_oracle)
-    rounds = boosting_rounds(len(sample), delta, eta, 4)
-    model = adaboost_train(sample, learner, weak.m, rounds, rng)
-    return BinaryPredictor(model, learner)
+) -> BoostedPredictor:
+    return _boost(sample, weak, con_oracle, boosting_rounds(len(sample), delta, eta, 4), rng)
 
 
 def fit_agnostic_partial(
     sample: Sample, weak: WeakSpec, eta: float, delta: float,
     erm_oracle: ErmValueOracle, con_oracle, rng: RandomStream,
-) -> BinaryPredictor:
+) -> BoostedPredictor:
     removal = sample_erm_binary(sample, erm_oracle)
     realizable = sample.subset([i for i, z in enumerate(removal) if z == 0])
-    params = weak.learner_params()
-    learner = make_weak_learner(params, con_oracle)
-    rounds = boosting_rounds(len(sample), delta, eta, 6)
-    model = adaboost_train(realizable, learner, weak.m, rounds, rng)
-    return BinaryPredictor(model, learner)
+    return _boost(realizable, weak, con_oracle, boosting_rounds(len(sample), delta, eta, 6), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -178,36 +187,21 @@ def decode_multiclass(j_eval, x, num_classes: int) -> int:
     return 1
 
 
-@dataclass
-class MulticlassPredictor:
-    model: BoostedModel
-    learner: object
-    num_classes: int
-
-    def j_eval(self, x, menu) -> int:
-        return adaboost_predict(self.model, (x, menu), self.learner)
-
-    def predict(self, x) -> int:
-        return decode_multiclass(self.j_eval, x, self.num_classes)
-
-
 def fit_multiclass_realizable(
     sample: Sample, num_classes: int, weak: WeakSpec, eta: float, delta: float,
     con_oracle, rng: RandomStream,
-) -> MulticlassPredictor:
-    menu_sample = build_menu_sample(sample, num_classes)
-    menu_oracle = menu_consistency_oracle(con_oracle)
-    params = weak.learner_params()
-    learner = make_weak_learner(params, menu_oracle, total=True)
-    rounds = boosting_rounds(len(sample) * num_classes, delta, eta, 4)
-    model = adaboost_train(menu_sample, learner, weak.m, rounds, rng)
-    return MulticlassPredictor(model, learner, num_classes)
+) -> BoostedPredictor:
+    return _boost(
+        build_menu_sample(sample, num_classes), weak, menu_consistency_oracle(con_oracle),
+        boosting_rounds(len(sample) * num_classes, delta, eta, 4), rng,
+        total=True, decode=partial(decode_multiclass, num_classes=num_classes),
+    )
 
 
 def fit_multiclass_agnostic(
     sample: Sample, num_classes: int, weak: WeakSpec, eta: float, delta: float,
     erm_oracle: ErmValueOracle, con_oracle, rng: RandomStream,
-) -> MulticlassPredictor:
+) -> BoostedPredictor:
     removal = sample_erm_binary(sample, erm_oracle)
     kept = sample.subset([i for i, z in enumerate(removal) if z == 0])
     return fit_multiclass_realizable(kept, num_classes, weak, eta, delta, con_oracle, rng)
@@ -276,41 +270,31 @@ def build_threshold_sample(sample: Sample, gamma, beta) -> Sample:
     return Sample(out)
 
 
-@dataclass
-class RegressionPredictor:
-    model: BoostedModel
-    learner: object
-    gamma: Fraction
-
-    def j_eval(self, x, tau) -> int:
-        return adaboost_predict(self.model, (x, tau), self.learner)
-
-    def predict(self, x) -> Fraction:
-        """gamma times the number of thresholds voted 1; not clamped to [0,1]."""
-        return self.gamma * sum(self.j_eval(x, tau) for tau in threshold_grid(self.gamma))
+def decode_threshold(j_eval, x, gamma) -> Fraction:
+    """gamma times the number of grid thresholds voted 1; not clamped to [0,1]."""
+    return gamma * sum(j_eval(x, tau) for tau in threshold_grid(gamma))
 
 
 def fit_reg_realizable(
     sample: Sample, weak: WeakSpec, eta: float, delta: float, gamma, beta,
     range_query, rng: RandomStream,
-) -> RegressionPredictor:
+) -> BoostedPredictor:
     gamma = as_fraction(gamma)
     beta = as_fraction(beta)
     if beta < gamma:
         raise ContractViolation("margin beta must be at least the grid width")
-    thr_sample = build_threshold_sample(sample, gamma, beta)
-    thr_oracle = threshold_consistency_oracle(range_query, gamma)
-    params = weak.learner_params()
-    learner = make_weak_learner(params, thr_oracle, total=True)
-    rounds = boosting_rounds(len(sample), delta, eta, 4)
-    model = adaboost_train(thr_sample, learner, weak.m, rounds, rng)
-    return RegressionPredictor(model, learner, gamma)
+    return _boost(
+        build_threshold_sample(sample, gamma, beta), weak,
+        threshold_consistency_oracle(range_query, gamma),
+        boosting_rounds(len(sample), delta, eta, 4), rng,
+        total=True, decode=partial(decode_threshold, gamma=gamma),
+    )
 
 
 def fit_reg_agnostic(
     sample: Sample, weak: WeakSpec, eta: float, delta: float, gamma,
     erm_oracle: ErmValueOracle, rng: RandomStream,
-) -> RegressionPredictor:
+) -> BoostedPredictor:
     gamma = as_fraction(gamma)
     if gamma.numerator != 1:
         raise ContractViolation("agnostic regression needs gamma = 1/G")

@@ -33,7 +33,6 @@ class WeakLearnerParams:
     lam: float
     trials: int
     horizon: int
-    c1: float = 1.0
 
     def walk_params(self) -> WalkParams:
         return WalkParams(self.gamma, self.horizon, self.trials)
@@ -63,7 +62,7 @@ def paper_default_params(m: int, c1: float = 1.0, lam: float = 1.0) -> WeakLearn
     gamma = 1 - 1 / (c1 * m * log_m)
     gamma = min(max(gamma, _GAMMA_FLOOR), _GAMMA_CEIL)
     trials = max(1, math.ceil(c1 * m * m * log_m**3))
-    return WeakLearnerParams(gamma, lam, trials, default_horizon(gamma), c1)
+    return WeakLearnerParams(gamma, lam, trials, default_horizon(gamma))
 
 
 def weak_realizable(

@@ -77,7 +77,7 @@ def test_adaboost_single_point_early_stops():
     assert model.early_stop
     assert len(model.rounds) == 1
     assert model.train_error == 0
-    assert adaboost_predict(model, Fraction(3, 4), learner) == 1
+    assert adaboost_predict(model, Fraction(3, 4)) == 1
 
 
 def test_adaboost_zero_rounds_predicts_one():
@@ -85,8 +85,8 @@ def test_adaboost_zero_rounds_predicts_one():
     learner = make_weak_learner(paper_default_params(2), oracle)
     model = adaboost_train(sample, learner, 2, 0, RandomStream(2))
     assert model.rounds == ()
-    assert adaboost_predict(model, Fraction(1, 8), learner) == 1
-    assert adaboost_predict(model, Fraction(7, 8), learner) == 1
+    assert adaboost_predict(model, Fraction(1, 8)) == 1
+    assert adaboost_predict(model, Fraction(7, 8)) == 1
 
 
 def test_adaboost_training_error_bounded_by_z_product():
@@ -102,7 +102,7 @@ def test_adaboost_reaches_zero_training_error():
     learner = make_weak_learner(paper_default_params(3), oracle)
     model = adaboost_train(sample, learner, 3, 120, RandomStream(11))
     assert model.train_error == 0
-    predict = lambda x: adaboost_predict(model, x, learner)
+    predict = lambda x: adaboost_predict(model, x)
     assert empirical_error(sample, predict, loss_bin) == 0
 
 
@@ -111,13 +111,13 @@ def test_adaboost_predict_replays_deterministically():
     learner = make_weak_learner(paper_default_params(3), oracle)
     model = adaboost_train(sample, learner, 3, 15, RandomStream(7))
     fresh = BoostedModel(
-        model.sample, model.rounds, model.stream, model.weak_sample_size,
+        model.sample, model.weak, model.rounds, model.stream, model.weak_sample_size,
         early_stop=model.early_stop,
     )
     queries = [Fraction(k, 16) for k in range(17)]
-    first = [adaboost_predict(model, q, learner) for q in queries]
-    replayed = [adaboost_predict(fresh, q, learner) for q in queries]
-    again = [adaboost_predict(fresh, q, learner) for q in queries]
+    first = [adaboost_predict(model, q) for q in queries]
+    replayed = [adaboost_predict(fresh, q) for q in queries]
+    again = [adaboost_predict(fresh, q) for q in queries]
     assert first == replayed == again
 
 
@@ -138,14 +138,14 @@ def test_adaboost_training_evaluations_cached_per_round():
 def test_adaboost_predict_tie_votes_one():
     # two rounds with equal weight and disagreeing bits: sign(0) reads as 1
     sample = Sample([(0, 0), (1, 1)])
-    model = BoostedModel(sample, (BoostRound((0,), 0.7, 0), BoostRound((1,), 0.7, 1)),
-                         RandomStream(1), 1)
     bits = {0: [0, 1]}
 
     def fixed(round_sample, x, stream):
         return bits[x].pop(0)
 
-    assert adaboost_predict(model, 0, fixed) == 1
+    model = BoostedModel(sample, fixed, (BoostRound((0,), 0.7, 0), BoostRound((1,), 0.7, 1)),
+                         RandomStream(1), 1)
+    assert adaboost_predict(model, 0) == 1
 
 
 def test_adaboost_tolerates_worse_than_half_rounds():

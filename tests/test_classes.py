@@ -152,6 +152,10 @@ def test_consistent_on_rejects_length_mismatch(cls, xs):
         cls.consistent_on(xs, (1,))
     with pytest.raises(ContractViolation):
         cls.consistent_on(xs[:1], (1, 0))
+    with pytest.raises(ContractViolation):
+        cls.erm_value_on(xs, (1,), loss_bin)
+    with pytest.raises(ContractViolation):
+        cls.erm_value_on(xs[:1], (1, 0), loss_bin)
 
 
 def test_margin_threshold_examples():

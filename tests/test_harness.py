@@ -282,6 +282,15 @@ def test_cli_audit_runs(tmp_path):
         proc = _run_cli(["audit", "--config", str(path)])
         assert proc.returncode == 3, proc.stderr
 
+    # `oig audit` audits trial 0's sample at the audit pipeline's discount
+    shipped = os.path.join(os.path.dirname(__file__), "..", "configs", "threshold_audit.json")
+    proc = _run_cli(["audit", "--config", shipped])
+    assert proc.returncode == 0, proc.stderr
+    report = run_experiment(ExperimentConfig.from_file(shipped), measure_wall=False)[0]
+    lazy = next(line for line in proc.stdout.splitlines() if line.startswith("walk=lazy"))
+    assert f"loo_error={report.train_err:.6f}" in lazy
+    assert f"slack={report.test_err:.6g}" in lazy
+
 
 def test_cli_selftest_passes():
     proc = _run_cli(["selftest"])

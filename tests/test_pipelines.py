@@ -18,6 +18,7 @@ from oiglearn.pipelines import (
     build_menu_sample,
     build_threshold_sample,
     decode_multiclass,
+    decode_threshold,
     fit_agnostic_partial,
     fit_multiclass_agnostic,
     fit_multiclass_realizable,
@@ -197,14 +198,10 @@ def test_multiclass_agnostic_removes_corrupted_label():
 
 def test_regression_vote_formula():
     # with a fixed J the prediction is exactly gamma times the vote count
-    from oiglearn.pipelines import RegressionPredictor
-
-    predictor = RegressionPredictor.__new__(RegressionPredictor)
-    predictor.gamma = Fraction(1, 4)
-    predictor.j_eval = lambda x, tau: 1 if tau in (0, Fraction(1, 4)) else 0
-    assert predictor.predict("x") == Fraction(1, 2)
-    predictor.j_eval = lambda x, tau: 0
-    assert predictor.predict("x") == 0
+    gamma = Fraction(1, 4)
+    two_votes = lambda x, tau: 1 if tau in (0, Fraction(1, 4)) else 0
+    assert decode_threshold(two_votes, "x", gamma) == Fraction(1, 2)
+    assert decode_threshold(lambda x, tau: 0, "x", gamma) == 0
 
 
 def test_reg_realizable_singleton_training_error():
