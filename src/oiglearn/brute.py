@@ -19,6 +19,9 @@ from .oig import PotentialTable, exact_generating_function, lazy_discount, neigh
 
 _MAX_DOMAIN = 32
 _MAX_TABLE = 2**16
+# the most sample points `exact_transductive_audit` accepts; the audit
+# pipelines reject larger n when their config is parsed
+AUDIT_MAX_POINTS = 24
 
 
 def project(concept_class, points) -> frozenset:
@@ -278,8 +281,8 @@ def exact_transductive_audit(
     for the solved potential, so it is nonnegative up to solver residual.
     """
     m = len(sample)
-    if m > 24:
-        raise ContractViolation("audit is limited to m <= 24")
+    if m > AUDIT_MAX_POINTS:
+        raise ContractViolation(f"audit is limited to m <= {AUDIT_MAX_POINTS}")
     points = sample.xs
     truth = tuple(sample.ys)
     inside = project(concept_class, points)

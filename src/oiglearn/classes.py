@@ -109,6 +109,10 @@ class FiniteTableClass(ConceptClass):
     def hypotheses(self):
         return [TableHypothesis(self, i) for i in range(len(self.table))]
 
+    def check_points(self, xs) -> None:
+        for x in xs:
+            self._column(x)
+
     def _column(self, x) -> int:
         try:
             return self._col[x]
@@ -210,6 +214,10 @@ class MarginThresholdClass(ConceptClass):
     def regular(cls, start, step, count, margin) -> "MarginThresholdClass":
         start, step = as_fraction(start), as_fraction(step)
         return cls([start + k * step for k in range(count)], margin)
+
+    def check_points(self, xs) -> None:
+        for x in xs:
+            as_fraction(x)
 
     def label_of(self, t: Fraction, x) -> Any:
         x = as_fraction(x)
@@ -369,17 +377,17 @@ class HPrimeClass(ConceptClass):
             raise ContractViolation("bound must be a positive integer")
         self.bound = bound
 
-    def _validate(self, xs, ys):
+    def check_points(self, xs) -> None:
         for x in xs:
             if not isinstance(x, int) or x < 1 or x > self.bound:
                 raise ContractViolation(
                     f"queries must use integers in [1, {self.bound}], got {x!r}"
                 )
-        if any(y not in (0, 1) for y in ys):
-            raise ContractViolation("labels must be 0 or 1")
 
     def _consistent(self, xs, ys) -> bool:
-        self._validate(xs, ys)
+        self.check_points(xs)
+        if any(y not in (0, 1) for y in ys):
+            raise ContractViolation("labels must be 0 or 1")
         assigned: dict[int, int] = {}
         for x, y in zip(xs, ys):
             if assigned.setdefault(x, y) != y:
@@ -443,6 +451,16 @@ class HPrimeClass(ConceptClass):
             if semiprime_split(n) is None:
                 rows.add(tuple(1 if x == n else 0 for x in points))
         return FiniteTableClass(points, sorted(rows), "binary")
+
+
+# per class kind, the keys `class_from_config` reads
+CLASS_CONFIG_KEYS = {
+    "finite_table": frozenset({"kind", "domain", "table"}),
+    "finite_multiclass": frozenset({"kind", "domain", "table", "num_classes"}),
+    "finite_real": frozenset({"kind", "domain", "table"}),
+    "margin_threshold": frozenset({"kind", "grid", "margin"}),
+    "hprime": frozenset({"kind", "bound"}),
+}
 
 
 def class_from_config(spec: dict) -> ConceptClass:

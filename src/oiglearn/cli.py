@@ -10,7 +10,15 @@ import argparse
 import os
 import sys
 
-from .harness import ConfigError, ExperimentConfig, emit_report, run_experiment
+from .harness import (
+    ConfigError,
+    ExperimentConfig,
+    audit_sample,
+    draw_trial,
+    emit_report,
+    run_experiment,
+    setup_experiment,
+)
 from .oracle import OracleCapabilityError
 
 EXIT_OK = 0
@@ -57,17 +65,16 @@ def _load_config(path) -> ExperimentConfig:
     config = ExperimentConfig.from_file(path)
     env_seed = os.environ.get("OIG_SEED")
     if env_seed is not None:
-        config = config.with_seed(int(env_seed))
+        try:
+            config = config.with_seed(int(env_seed))
+        except ValueError:
+            raise ConfigError(f"OIG_SEED must be an integer, got {env_seed!r}") from None
     return config
 
 
 def _cmd_run(args) -> int:
     try:
         config = _load_config(args.config)
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         reports = run_experiment(config, jobs=args.jobs, measure_wall=not args.no_wall)
     except OracleCapabilityError as exc:
         print(f"capability mismatch: {exc}", file=sys.stderr)
@@ -88,24 +95,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    from .brute import exact_transductive_audit
-    from .classes import class_from_config
-    from .harness import build_distribution, draw_trial, validate_capabilities
-
     try:
         config = _load_config(args.config)
-        concept_class = class_from_config(config.class_spec)
-        distribution = build_distribution(config)
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        validate_capabilities(config, concept_class)
+        concept_class, distribution = setup_experiment(config)
         # trial 0's sample at the discount of the audit pipeline
         sample, _ = draw_trial(config, distribution, 0)
-        gamma = config.transductive_params().gamma
         for walk in ("lazy", "flip"):
-            audit = exact_transductive_audit(concept_class, sample, gamma, config.lam, walk=walk)
+            audit = audit_sample(config, concept_class, sample, walk)
             print(
                 f"walk={walk} out_degree={audit.out_degree:.6f} "
                 f"loo_error={audit.loo_error:.6f} min_potential={audit.min_potential:.6f} "

@@ -168,8 +168,7 @@ class FiniteDistribution:
     @classmethod
     def uniform(cls, pairs) -> "FiniteDistribution":
         pairs = tuple(pairs)
-        w = Fraction(1, len(pairs))
-        return cls(pairs, tuple(w for _ in pairs))
+        return cls(pairs, tuple(Fraction(1, len(pairs)) for _ in pairs))
 
     def draw(self, gen: np.random.Generator, n: int) -> Sample:
         """n i.i.d. draws via inverse CDF over the cumulative weights."""

@@ -19,8 +19,8 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import IO, Callable
 
-from .brute import exact_transductive_audit
-from .classes import class_from_config, parse_points
+from .brute import AUDIT_MAX_POINTS, exact_transductive_audit
+from .classes import CLASS_CONFIG_KEYS, class_from_config, parse_points
 from .core import (
     ContractViolation,
     FiniteDistribution,
@@ -36,6 +36,7 @@ from .oracle import (
     CONSISTENCY,
     ERM_VALUE,
     RANGE_CONSISTENCY,
+    ConceptClass,
     ConsistencyOracle,
     ErmValueOracle,
     OracleCapabilityError,
@@ -115,19 +116,28 @@ def _reg_agnostic(config, concept_class, distribution, sample, ledger, rng):
     return _errors(_clamped(fitted.predict), sample, distribution, loss_abs)
 
 
+def audit_sample(config, concept_class, sample, walk):
+    """The exact leave-one-out audit of a drawn sample at the diagnostics'
+    discount.  A sample the audit cannot take (an unrealizable labeling, or
+    more patterns than the exact solve allows) is a config error."""
+    gamma = config.transductive_params().gamma
+    try:
+        return exact_transductive_audit(concept_class, sample, gamma, config.lam, walk=walk)
+    except ContractViolation as exc:
+        raise ConfigError(f"cannot audit the drawn sample: {exc}") from exc
+
+
 def _weak_transductive(config, concept_class, distribution, sample, ledger, rng):
-    params = config.transductive_params()
+    # the audit is deterministic and charges nothing, so it runs first: a
+    # sample it rejects fails before the Monte-Carlo estimate
+    audit = audit_sample(config, concept_class, sample, "flip")
     con = ConsistencyOracle(concept_class, ledger)
-    measured = transductive_error(sample, params, con, config.reps, rng)
-    audit = exact_transductive_audit(concept_class, sample, params.gamma, config.lam, walk="flip")
+    measured = transductive_error(sample, config.transductive_params(), con, config.reps, rng)
     return measured, audit.loo_error
 
 
 def _audit(config, concept_class, distribution, sample, ledger, rng):
-    ConsistencyOracle(concept_class, ledger)  # surfaces capability mismatch early
-    audit = exact_transductive_audit(
-        concept_class, sample, config.transductive_params().gamma, config.lam, walk="lazy"
-    )
+    audit = audit_sample(config, concept_class, sample, "lazy")
     return audit.loo_error, audit.slack
 
 
@@ -135,12 +145,13 @@ def _audit(config, concept_class, distribution, sample, ledger, rng):
 class Pipeline:
     """The oracles a pipeline needs, the config fields it requires, its label
     kind ("binary", "multiclass" or "real": how support labels parse and which
-    label noise applies) and its trial body."""
+    label noise applies), its trial body and the largest sample size n it takes."""
 
     capabilities: tuple
     required: tuple
     labels: str
     run: Callable
+    max_n: int | None = None
 
 
 PIPELINES = {
@@ -156,13 +167,15 @@ PIPELINES = {
     "reg_agnostic": Pipeline((ERM_VALUE,), ("gamma",), "real", _reg_agnostic),
     # diagnostics: train_err/test_err are the Monte-Carlo and the exact flip-walk
     # leave-one-out error, or the exact lazy-walk leave-one-out error and the bound slack
-    "weak_transductive": Pipeline((CONSISTENCY,), (), "binary", _weak_transductive),
-    "audit": Pipeline((CONSISTENCY,), (), "binary", _audit),
+    "weak_transductive": Pipeline(
+        (CONSISTENCY,), (), "binary", _weak_transductive, AUDIT_MAX_POINTS
+    ),
+    "audit": Pipeline((CONSISTENCY,), (), "binary", _audit, AUDIT_MAX_POINTS),
 }
 
 
 _CONFIG_KEYS = frozenset({
-    "pipeline", "memoize", "class", "distribution", "m", "eta", "gamma", "beta", "num_classes",
+    "pipeline", "class", "distribution", "m", "eta", "gamma", "beta", "num_classes",
     "n", "C1", "c1", "lambda", "delta", "trials", "seed", "reps",
 })
 _DISTRIBUTION_KEYS = frozenset({"support", "weights", "label_noise"})
@@ -200,20 +213,26 @@ class ExperimentConfig:
         try:
             pipeline = raw["pipeline"]
             _reject_unknown_keys(raw, _CONFIG_KEYS, "config")
-            if not raw.get("memoize", True):
-                # the membership memo is always on; running without it would
-                # silently change the config's cost columns
-                raise ConfigError("memoize: false is no longer supported")
             if pipeline not in PIPELINES:
                 raise ConfigError(f"unknown pipeline {pipeline!r}")
             entry = PIPELINES[pipeline]
             missing = [name for name in entry.required if raw.get(name) is None]
             if missing:
                 raise ConfigError(f"pipeline {pipeline} needs {', '.join(missing)}")
+            class_spec = raw["class"]
+            if not isinstance(class_spec, dict):
+                raise ConfigError("class must be an object")
+            # an unknown kind is left to class_from_config, which names it
+            class_keys = CLASS_CONFIG_KEYS.get(class_spec.get("kind"))
+            if class_keys is not None:
+                _reject_unknown_keys(class_spec, class_keys, f"{class_spec['kind']} class")
             dist = raw["distribution"]
             _reject_unknown_keys(dist, _DISTRIBUTION_KEYS, "distribution")
             parse_label = as_fraction if entry.labels == "real" else int
             support = tuple((_parse_point(x), parse_label(y)) for x, y in dist["support"])
+            low, high = (1, int(raw["num_classes"])) if entry.labels == "multiclass" else (0, 1)
+            if any(not low <= y <= high for _, y in support):
+                raise ConfigError(f"{entry.labels} support labels must lie in [{low}, {high}]")
             weights = dist.get("weights")
             if weights is not None:
                 weights = tuple(as_fraction(w) for w in weights)
@@ -226,7 +245,7 @@ class ExperimentConfig:
             beta = raw.get("beta")
             num_classes = raw.get("num_classes")
             config = cls(
-                class_spec=raw["class"],
+                class_spec=class_spec,
                 support=support,
                 weights=weights,
                 label_noise=as_fraction(dist.get("label_noise", 0)),
@@ -251,6 +270,11 @@ class ExperimentConfig:
         for name, low in (("n", 1), ("reps", 1), ("trials", 0)):
             if getattr(config, name) < low:
                 raise ConfigError(f"{name} must be at least {low}")
+        for name in ("eta", "delta", "c1"):
+            if not getattr(config, name) > 0:
+                raise ConfigError(f"{name} must be positive")
+        if entry.max_n is not None and config.n > entry.max_n:
+            raise ConfigError(f"pipeline {pipeline} takes at most n = {entry.max_n} points")
         # the regression pipelines' own checks, so a bad grid fails before any trial
         if "gamma" in entry.required and not (0 < config.gamma < 1):
             raise ConfigError("gamma must lie strictly between 0 and 1")
@@ -318,6 +342,21 @@ def validate_capabilities(config: ExperimentConfig, concept_class) -> None:
         )
 
 
+def setup_experiment(config: ExperimentConfig) -> tuple[ConceptClass, FiniteDistribution]:
+    """The concept class and the distribution of a parsed config.  A class or
+    distribution it cannot describe, or a support point outside the class
+    domain, is a ConfigError; a class without an oracle the pipeline needs is
+    an OracleCapabilityError."""
+    try:
+        concept_class = class_from_config(config.class_spec)
+        validate_capabilities(config, concept_class)
+        concept_class.check_points([x for x, _ in config.support])
+        distribution = build_distribution(config)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad experiment config: {exc}") from exc
+    return concept_class, distribution
+
+
 def draw_trial(config: ExperimentConfig, distribution, trial: int) -> tuple[Sample, RandomStream]:
     """The training sample of trial `trial` and the stream its pipeline runs on."""
     stream = RandomStream(config.seed).child(trial)
@@ -347,12 +386,7 @@ def run_trial(config: ExperimentConfig, concept_class, distribution, trial: int,
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1,
                    measure_wall: bool = True) -> list[TrialReport]:
-    try:
-        concept_class = class_from_config(config.class_spec)
-        validate_capabilities(config, concept_class)
-        distribution = build_distribution(config)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad experiment config: {exc}") from exc
+    concept_class, distribution = setup_experiment(config)
     trial = functools.partial(
         run_trial, config, concept_class, distribution, measure_wall=measure_wall
     )

@@ -231,13 +231,8 @@ def exact_generating_function(
         raise ContractViolation("all vertices must share one dimension")
     if m > 30 or len(vertices) > 4096:
         raise ContractViolation("exact solve is limited to m <= 30 and 4096 patterns")
-    index = {v: i for i, v in enumerate(vertices)}
     size = len(vertices)
-    # per vertex: the indices of its neighbours inside the set, and how many lie outside
-    links = []
-    for v in vertices:
-        inner = [index[w] for w in neighbors(v) if w in index]
-        links.append((inner, m - len(inner)))
+    links = _links(vertices)
     if method == "auto":
         method = "rational" if size <= _RATIONAL_CUTOFF else "float"
     if method == "rational":
@@ -254,6 +249,17 @@ def exact_generating_function(
             b[i] = outside
         solution = np.linalg.solve(a, b).tolist()
     return PotentialTable(dict(zip(vertices, solution)), m)
+
+
+def _links(vertices: list) -> list[tuple[list[int], int]]:
+    """Per vertex, in order: the indices of its neighbours inside the set,
+    and how many of its neighbours lie outside."""
+    index = {v: i for i, v in enumerate(vertices)}
+    links = []
+    for v in vertices:
+        inner = [index[w] for w in neighbors(v) if w in index]
+        links.append((inner, len(v) - len(inner)))
+    return links
 
 
 def _solve_integer(links, p: int, q: int) -> list[Fraction]:
@@ -322,24 +328,16 @@ def exact_truncated_flip_expectation(
     y = tuple(y)
     if m is None:
         m = len(y)
-    if y not in set(vertices):
+    if y not in vertices:
         return 1.0
-    index = {v: i for i, v in enumerate(vertices)}
     size = len(vertices)
     move = np.zeros((size, size))
     exit_prob = np.zeros(size)
-    for v in vertices:
-        i = index[v]
-        out = 0
-        for w in neighbors(v):
-            j = index.get(w)
-            if j is None:
-                out += 1
-            else:
-                move[j, i] += 1.0 / m
-        exit_prob[i] = out / m
+    for i, (inner, outside) in enumerate(_links(vertices)):
+        move[inner, i] = 1.0 / m
+        exit_prob[i] = outside / m
     p = np.zeros(size)
-    p[index[y]] = 1.0
+    p[vertices.index(y)] = 1.0
     total = 0.0
     g = float(gamma)
     for t in range(1, horizon + 1):

@@ -57,6 +57,9 @@ class ConceptClass:
                 f"{type(self).__name__} does not implement the {capability} oracle"
             )
 
+    def check_points(self, xs) -> None:
+        """Raise ContractViolation unless every point lies in the class domain."""
+
     def consistent_on(self, xs: tuple, ys: tuple) -> bool:
         """Does some hypothesis label each point xs[i] with ys[i]?"""
         if len(xs) != len(ys):

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .core import ContractViolation, RandomStream, Sample, loss_bin
-from .oig import MembershipPredicate, WalkParams, default_horizon, estimate_potential
+from .oig import MembershipPredicate, WalkParams, default_horizon, estimate_potential, pack
 
 
 class RealizabilityViolation(RuntimeError):
@@ -94,8 +94,10 @@ def weak_realizable(
     points = sample.xs + (x,)
     y0 = base + (0,)
     y1 = base + (1,)
-    feasible0 = con_oracle(points, y0)
-    feasible1 = con_oracle(points, y1)
+    # one memo per prediction: the feasibility checks are the walks' first queries
+    membership = MembershipPredicate.from_oracle(points, con_oracle)
+    feasible0 = membership.query_packed(pack(y0))
+    feasible1 = membership.query_packed(pack(y1))
     if not feasible0 and not feasible1:
         if total:
             return WeakPrediction(1, 1.0)
@@ -112,11 +114,8 @@ def weak_realizable(
         f1 = float(potential(points, y1))
     else:
         walk = params.walk_params()
-        # one predicate per completion, so a vertex both walks visit is charged twice
-        membership0 = MembershipPredicate.from_oracle(points, con_oracle)
-        f0 = estimate_potential(membership0, y0, walk, gen)
-        membership1 = MembershipPredicate.from_oracle(points, con_oracle)
-        f1 = estimate_potential(membership1, y1, walk, gen)
+        f0 = estimate_potential(membership, y0, walk, gen)
+        f1 = estimate_potential(membership, y1, walk, gen)
     sigma_hat = (1 + params.lam * (f0 - f1)) / 2
     sigma_hat = min(max(sigma_hat, 0.0), 1.0)
     bit = 1 if gen.random() < sigma_hat else 0
@@ -129,7 +128,6 @@ def transductive_error(
     con_oracle,
     reps: int,
     rng: RandomStream,
-    potential=None,
 ) -> float:
     """Monte-Carlo leave-one-out loss: each point predicted from the others."""
     m = len(sample)
@@ -140,10 +138,7 @@ def transductive_error(
         rep_stream = rng.child(rep)
         for i in range(m):
             x, y = sample[i]
-            pred = weak_realizable(
-                sample.without(i), x, params, con_oracle, rep_stream.child(i),
-                potential=potential,
-            )
+            pred = weak_realizable(sample.without(i), x, params, con_oracle, rep_stream.child(i))
             total += loss_bin(y, pred.bit)
     return total / (reps * m)
 

@@ -1,6 +1,9 @@
+import copy
 import io
 import json
 import os
+import pathlib
+import random
 import subprocess
 import sys
 
@@ -13,6 +16,7 @@ from oiglearn.harness import (
     build_distribution,
     emit_report,
     run_experiment,
+    setup_experiment,
     validate_capabilities,
 )
 from oiglearn.classes import class_from_config
@@ -45,12 +49,28 @@ def test_config_parsing_and_defaults():
     assert defaulted.eta == pytest.approx(1 / (2 * math.log(2)))
 
 
-# configs that parse but describe no concept class or no distribution
+# configs that parse but describe no concept class or no distribution, or
+# whose support leaves the class domain
 _BAD_SETUPS = (
     {"class": {"kind": "no_such_kind"}},
     {"class": {"kind": "finite_table", "domain": [0, 1, 2], "table": [[1, 0]]}},  # short row
+    {"class": {"kind": "finite_table", "domain": 5, "table": [[1]]}},
     {"distribution": {"support": [[0, 1], [1, 0]], "weights": [1]}},
+    {"distribution": {"support": []}},
+    {"distribution": {"support": [[0, 1], [7, 0]]}},
+    {"class": {"kind": "hprime", "bound": 10}, "distribution": {"support": [[70, 1]]}},
 )
+
+# diagnostics whose exact audit cannot take the drawn sample: too many
+# points, rejected by the parser, or an unrealizable labeling, rejected by
+# the first trial before its Monte-Carlo estimate
+_TOO_LARGE_FOR_AUDIT = ({"pipeline": "audit", "n": 30}, {"pipeline": "weak_transductive", "n": 30})
+_UNREALIZABLE = tuple(
+    {"pipeline": pipeline, "n": 4, "distribution": {"support": [[2, 0]]}}
+    for pipeline in ("audit", "weak_transductive")
+)
+
+_THRESHOLD_CLASS = {"kind": "margin_threshold", "grid": ["1/100", "1/50", 50], "margin": "1/200"}
 
 
 # misspelled keys, which would otherwise run with the default silently
@@ -58,6 +78,15 @@ _UNKNOWN_KEYS = (
     {"trails": 5},
     {"Trials": 5},
     {"distribution": {"support": [[0, 1], [1, 0], [2, 1]], "label_nosie": "1/10"}},
+    {"class": {**_THRESHOLD_CLASS, "marign": "1/200"}},
+    {"class": {"kind": "finite_table", "domain": [0, 1, 2], "table": [[1, 0, 1]], "bound": 2}},
+    {"memoize": False},
+)
+
+# support labels outside the pipeline's label set
+_BAD_LABELS = (
+    {"distribution": {"support": [[0, 1], [1, 2]]}},
+    {"distribution": {"support": [[0, -1]]}},
 )
 
 
@@ -93,9 +122,10 @@ def test_config_errors():
         ExperimentConfig.from_dict({"pipeline": "realizable_partial"})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(_singleton_config(m=1))
-    for bad in ({"n": 0}, {"reps": 0}, {"trials": -2}, {"memoize": False},
+    for bad in ({"n": 0}, {"reps": 0}, {"trials": -2}, {"class": None},
+                {"eta": 0}, {"delta": -0.2}, {"c1": -1},
                 {"pipeline": "reg_agnostic"}, {"pipeline": "multiclass_realizable"},
-                *_UNKNOWN_KEYS):
+                *_UNKNOWN_KEYS, *_TOO_LARGE_FOR_AUDIT, *_BAD_LABELS):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(_singleton_config(**bad))
     for bad in _BAD_REGRESSION:
@@ -105,14 +135,15 @@ def test_config_errors():
         ExperimentConfig.from_dict(_singleton_config(trails=5))
     # every accepted key at once
     ExperimentConfig.from_dict(_singleton_config(
-        memoize=True, C1=2, c1=2, reps=5, gamma=None, beta=None, num_classes=None,
+        C1=2, c1=2, reps=5, gamma=None, beta=None, num_classes=None,
         **{"lambda": 1, "distribution": {"support": [[0, 1], [1, 0]], "weights": ["1/4", "3/4"],
                                          "label_noise": "1/10"}},
     ))
     for good in ({"pipeline": "reg_agnostic", "gamma": "1/4"},
                  {"pipeline": "reg_realizable", "gamma": "2/5", "beta": "1/2"}):
         ExperimentConfig.from_dict(_regression_config(**good))
-    for bad_setup in _BAD_SETUPS:
+    ExperimentConfig.from_dict(_singleton_config(**{"class": _THRESHOLD_CLASS}))
+    for bad_setup in _BAD_SETUPS + _UNREALIZABLE:
         config = ExperimentConfig.from_dict(_singleton_config(**bad_setup))
         with pytest.raises(ConfigError):
             run_experiment(config, measure_wall=False)
@@ -126,6 +157,56 @@ def test_capability_validation():
     )
     with pytest.raises(OracleCapabilityError):
         validate_capabilities(config, class_from_config(config.class_spec))
+
+
+CONFIGS_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+SHIPPED_CONFIGS = sorted(CONFIGS_DIR.glob("*.json"))
+
+# stand-ins for a value: wrong types, None and negative numbers
+_WRONG_VALUES = (None, -1, -3, -0.5, "-1/2", "x", "", True, [], [-1], {}, {"kind": -1})
+
+
+def _slots(node):
+    """Every (container, key) of the dicts and lists nested in a config."""
+    keys = node if isinstance(node, dict) else range(len(node))
+    for key in keys:
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key])
+
+
+def _mutate(raw: dict, rand: random.Random) -> dict:
+    """A copy of the config with one key dropped or misspelled, or one value
+    swapped for a wrong one."""
+    raw = copy.deepcopy(raw)
+    holder, key = rand.choice(list(_slots(raw)))
+    action = rand.choice(("drop", "misspell", "swap"))
+    if action == "drop":
+        del holder[key]
+    elif action == "misspell" and isinstance(holder, dict):
+        i = rand.randrange(len(key))
+        typo = key[:i] + key[i + 1 :] if len(key) > 1 else key + key
+        holder[typo] = holder.pop(key)
+    else:
+        holder[key] = rand.choice(_WRONG_VALUES)
+    return raw
+
+
+def test_config_fuzz_fails_only_with_config_errors():
+    # parsing and setup of a malformed config either succeed or raise one of
+    # the two errors the CLI maps to exit codes, never anything else
+    rand = random.Random(6)
+    outcomes = {"ok": 0, "rejected": 0}
+    for path in SHIPPED_CONFIGS:
+        base = json.loads(path.read_text())
+        for _ in range(80):
+            raw = _mutate(base, rand)
+            try:
+                setup_experiment(ExperimentConfig.from_dict(raw))
+                outcomes["ok"] += 1
+            except (ConfigError, OracleCapabilityError):
+                outcomes["rejected"] += 1
+    assert outcomes["ok"] > 0 and outcomes["rejected"] > 0
 
 
 def test_zero_trials_gives_header_only_csv():
@@ -228,12 +309,14 @@ def test_cli_run_and_exit_codes(tmp_path):
     missing = tmp_path / "missing.json"
     assert _run_cli(["run", "--config", str(missing)]).returncode == 3
 
-    bad_configs = [_singleton_config(**bad) for bad in _BAD_SETUPS] + [
+    bad_configs = [
+        _singleton_config(**bad)
+        for bad in _BAD_SETUPS + _UNKNOWN_KEYS + _TOO_LARGE_FOR_AUDIT + _BAD_LABELS
+    ] + [
         _singleton_config(n=0),
         _singleton_config(pipeline="weak_transductive", reps=0),
         _singleton_config(trials=-2),
-        _singleton_config(memoize=False),
-    ] + [_singleton_config(**bad) for bad in _UNKNOWN_KEYS] + [
+    ] + [_singleton_config(trials=1, **bad) for bad in _UNREALIZABLE] + [
         _regression_config(**bad) for bad in _BAD_REGRESSION
     ]
     for k, raw in enumerate(bad_configs):
@@ -276,14 +359,21 @@ def test_cli_audit_runs(tmp_path):
     proc = _run_cli(["audit", "--config", str(config_path)])
     assert proc.returncode == 0, proc.stderr
     assert "walk=lazy" in proc.stdout and "walk=flip" in proc.stdout
-    for k, bad in enumerate(_BAD_SETUPS):
+    bad_configs = [_singleton_config(**{"n": 4, "trials": 1, **bad})
+                   for bad in _BAD_SETUPS + _UNREALIZABLE + _TOO_LARGE_FOR_AUDIT]
+    for k, raw in enumerate(bad_configs):
         path = tmp_path / f"bad{k}.json"
-        path.write_text(json.dumps(_singleton_config(n=4, trials=1, **bad)))
+        path.write_text(json.dumps(raw))
         proc = _run_cli(["audit", "--config", str(path)])
         assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+    # a config of another pipeline whose sample is too large to audit
+    proc = _run_cli(["audit", "--config", str(CONFIGS_DIR / "threshold_agnostic.json")])
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
 
     # `oig audit` audits trial 0's sample at the audit pipeline's discount
-    shipped = os.path.join(os.path.dirname(__file__), "..", "configs", "threshold_audit.json")
+    shipped = str(CONFIGS_DIR / "threshold_audit.json")
     proc = _run_cli(["audit", "--config", shipped])
     assert proc.returncode == 0, proc.stderr
     report = run_experiment(ExperimentConfig.from_file(shipped), measure_wall=False)[0]

@@ -5,10 +5,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oiglearn.brute import exact_transductive_audit
+from oiglearn.brute import exact_transductive_audit, project
 from oiglearn.classes import FiniteTableClass, MarginThresholdClass
 from oiglearn.core import ContractViolation, RandomStream, Sample
-from oiglearn.oig import exact_generating_function
+from oiglearn.oig import exact_generating_function, neighbors
 from oiglearn.oracle import ConsistencyOracle, QueryCostLedger
 from oiglearn.weak import (
     RealizabilityViolation,
@@ -25,6 +25,16 @@ def _full_cube_class(m):
 
 def _oracle(cls):
     return ConsistencyOracle(cls, QueryCostLedger())
+
+
+def _interval_class(size):
+    """Every interval [a, b) of the points 0..size-1, and the empty one."""
+    rows = [(0,) * size] + [
+        tuple(1 if a <= x < b else 0 for x in range(size))
+        for a in range(size)
+        for b in range(a + 1, size + 1)
+    ]
+    return FiniteTableClass(tuple(range(size)), rows, "binary")
 
 
 def test_paper_default_params_clamps_small_m():
@@ -91,6 +101,27 @@ def test_weak_realizable_determinism():
     first = weak_realizable(sample, Fraction(1, 2), params, _oracle(cls), stream)
     second = weak_realizable(sample, Fraction(1, 2), params, _oracle(cls), stream)
     assert first == second
+
+
+def test_prediction_charges_at_most_the_projection_and_its_boundary():
+    # one memo per prediction charges each vertex once; the walks stay in the
+    # projection W and stop at its outer boundary dW, and both feasibility
+    # queries land in W or dW, so one prediction makes at most |W u dW| calls
+    cls = _interval_class(16)
+    gen = np.random.default_rng(41)
+    for m in range(2, 7):
+        params = paper_default_params(m)
+        for k in range(40):
+            xs = [int(v) for v in gen.integers(0, 16, size=m + 1)]  # repeats allowed
+            a, b = sorted(int(v) for v in gen.integers(0, 17, size=2))
+            context = Sample((v, int(a <= v < b)) for v in xs[:m])
+            ledger = QueryCostLedger()
+            weak_realizable(
+                context, xs[m], params, ConsistencyOracle(cls, ledger), RandomStream(k).child(m)
+            )
+            inside = project(cls, xs)
+            boundary = {w for v in inside for w in neighbors(v)} - inside
+            assert ledger.snapshot()[1] <= len(inside) + len(boundary), (context, xs[m])
 
 
 def test_transductive_error_singleton_is_zero():
