@@ -119,9 +119,10 @@ def _reg_agnostic(config, concept_class, distribution, sample, ledger, rng):
 def audit_sample(config, concept_class, sample, walk):
     """The exact leave-one-out audit of a drawn sample at the diagnostics'
     discount.  A sample the audit cannot take (an unrealizable labeling, or
-    more patterns than the exact solve allows) is a config error."""
-    gamma = config.transductive_params().gamma
+    more patterns than the exact solve allows, or too few points for the
+    discount) is a config error."""
     try:
+        gamma = config.transductive_params().gamma
         return exact_transductive_audit(concept_class, sample, gamma, config.lam, walk=walk)
     except ContractViolation as exc:
         raise ConfigError(f"cannot audit the drawn sample: {exc}") from exc
@@ -145,13 +146,14 @@ def _audit(config, concept_class, distribution, sample, ledger, rng):
 class Pipeline:
     """The oracles a pipeline needs, the config fields it requires, its label
     kind ("binary", "multiclass" or "real": how support labels parse and which
-    label noise applies), its trial body and the largest sample size n it takes."""
+    label noise applies), its trial body and the sample sizes n it takes."""
 
     capabilities: tuple
     required: tuple
     labels: str
     run: Callable
     max_n: int | None = None
+    min_n: int = 1
 
 
 PIPELINES = {
@@ -166,11 +168,12 @@ PIPELINES = {
     "reg_realizable": Pipeline((RANGE_CONSISTENCY,), ("gamma",), "real", _reg_realizable),
     "reg_agnostic": Pipeline((ERM_VALUE,), ("gamma",), "real", _reg_agnostic),
     # diagnostics: train_err/test_err are the Monte-Carlo and the exact flip-walk
-    # leave-one-out error, or the exact lazy-walk leave-one-out error and the bound slack
+    # leave-one-out error, or the exact lazy-walk leave-one-out error and the bound
+    # slack; their walk comes from n (`transductive_params`), which needs n >= 2
     "weak_transductive": Pipeline(
-        (CONSISTENCY,), (), "binary", _weak_transductive, AUDIT_MAX_POINTS
+        (CONSISTENCY,), (), "binary", _weak_transductive, AUDIT_MAX_POINTS, min_n=2
     ),
-    "audit": Pipeline((CONSISTENCY,), (), "binary", _audit, AUDIT_MAX_POINTS),
+    "audit": Pipeline((CONSISTENCY,), (), "binary", _audit, AUDIT_MAX_POINTS, min_n=2),
 }
 
 
@@ -267,7 +270,7 @@ class ExperimentConfig:
             raise
         except (KeyError, TypeError, ValueError, ContractViolation) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
-        for name, low in (("n", 1), ("reps", 1), ("trials", 0)):
+        for name, low in (("n", entry.min_n), ("reps", 1), ("trials", 0)):
             if getattr(config, name) < low:
                 raise ConfigError(f"{name} must be at least {low}")
         for name in ("eta", "delta", "c1"):

@@ -29,6 +29,10 @@ Vertex = tuple  # of 0/1 ints
 # batch rollouts through numpy once this many trials are requested
 _VECTOR_TRIALS = 512
 
+# batch queries read a dense table of all 2^m codes up to this many points
+# (16 MiB at 24); above it they fall back to sorting each batch's codes
+_TABLE_MAX_POINTS = 24
+
 # exact solves of at most this many patterns use rational elimination
 _RATIONAL_CUTOFF = 64
 
@@ -81,12 +85,19 @@ class MembershipPredicate:
     Backed either by a consistency-oracle handle (each fresh evaluation is one
     oracle call of size m) or by an explicit vertex set.  Repeated queries for
     the same vertex hit a per-predicate memo and charge the ledger only once.
+
+    Batch queries (the vectorized walks) read a dense int8 table over all
+    2^m codes, allocated on the first batch when m <= 24: -1 marks a code the
+    table does not hold yet, and such codes go through `query_packed` in
+    ascending order.  The dict memo stays the one authority, so a code is
+    evaluated once however it is first asked.
     """
 
     def __init__(self, m: int, evaluate: Callable[[int], bool]):
         self.m = m
         self._evaluate = evaluate
         self._memo: dict[int, bool] = {}
+        self._table: np.ndarray | None = None
 
     @classmethod
     def from_oracle(cls, points: tuple, oracle) -> "MembershipPredicate":
@@ -112,11 +123,22 @@ class MembershipPredicate:
         return val
 
     def query_packed_batch(self, codes: np.ndarray) -> np.ndarray:
-        uniq, inverse = np.unique(codes, return_inverse=True)
-        vals = np.empty(len(uniq), dtype=bool)
-        for j, code in enumerate(uniq):
-            vals[j] = self.query_packed(int(code))
-        return vals[inverse]
+        if self.m > _TABLE_MAX_POINTS:
+            uniq, inverse = np.unique(codes, return_inverse=True)
+            vals = np.empty(len(uniq), dtype=bool)
+            for j, code in enumerate(uniq):
+                vals[j] = self.query_packed(int(code))
+            return vals[inverse]
+        table = self._table
+        if table is None:
+            table = self._table = np.full(1 << self.m, -1, dtype=np.int8)
+        vals = table[codes]
+        unknown = vals < 0
+        if unknown.any():
+            for code in np.unique(codes[unknown]).tolist():
+                table[code] = self.query_packed(code)
+            vals = table[codes]
+        return vals > 0
 
 
 def estimate_potential(

@@ -8,11 +8,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from . import brute
 from .classes import FiniteTableClass, HPrimeClass, MarginThresholdClass
 from .core import STAR, RandomStream, Sample, loss_bin
 from .ermred import sample_erm_binary
-from .oig import exact_generating_function, lazy_discount, recursion_residual, unpack
+from .oig import (
+    MembershipPredicate,
+    exact_generating_function,
+    lazy_discount,
+    recursion_residual,
+    unpack,
+)
 from .oracle import ErmValueOracle, QueryCostLedger
 from .weak import paper_default_params
 
@@ -161,6 +169,35 @@ def _check_integer_solve(gen) -> bool:
     return True
 
 
+def _check_membership_table(gen) -> bool:
+    """Batch answers from the dense table against one query_packed per code,
+    on random vertex sets; some codes are asked through query_packed before
+    the batches, and every distinct code must be evaluated exactly once."""
+    for m in range(8, 13):
+        for _ in range(6):
+            count = int(gen.integers(1, 2**m // 4))
+            inside = frozenset(int(c) for c in gen.choice(2**m, size=count, replace=False))
+            evaluated = []
+
+            def evaluate(code):
+                evaluated.append(code)
+                return code in inside
+
+            membership = MembershipPredicate(m, evaluate)
+            reference = MembershipPredicate(m, inside.__contains__)
+            pool = gen.integers(0, 2**m, size=64, dtype=np.uint64)
+            for code in pool[:8].tolist():
+                membership.query_packed(code)
+            for _ in range(4):
+                codes = gen.choice(pool, size=256)  # repeated codes
+                got = membership.query_packed_batch(codes)
+                if got.tolist() != [reference.query_packed(c) for c in codes.tolist()]:
+                    return False
+            if len(evaluated) != len(set(evaluated)):
+                return False
+    return True
+
+
 def _check_erm_reduction(gen) -> bool:
     for _ in range(100):
         cls = _random_binary_table(gen, num_points=4, num_hyps=5)
@@ -192,6 +229,7 @@ CHECKS = (
     ("finite-table kernel vs row scan", _check_table_kernel),
     ("integer flip-walk solve vs fraction elimination", _check_integer_solve),
     ("threshold ERM sweep vs grid scan", _check_threshold_sweep),
+    ("membership table vs per-code memo", _check_membership_table),
 )
 
 

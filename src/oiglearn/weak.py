@@ -73,6 +73,7 @@ def weak_realizable(
     rng: RandomStream,
     potential=None,
     total: bool = False,
+    membership: MembershipPredicate | None = None,
 ) -> WeakPrediction:
     """Predict the label of x from a realizable sample, via one oracle-driven
     edge orientation.
@@ -87,6 +88,11 @@ def weak_realizable(
     0-completion answers first) and returns 1.  Decoders for the multiclass
     and threshold encodings evaluate the learner at points whose class-true
     value is 'undefined', and rely on that total mode.
+
+    `membership`, if given, is the memo over the points `sample.xs + (x,)`
+    that answers this prediction's queries; a caller that predicts x from the
+    same context again passes the same memo, so an answer it already holds is
+    not charged twice.  By default each prediction builds its own.
     """
     base = tuple(sample.ys)
     if any(y not in (0, 1) for y in base):
@@ -94,8 +100,11 @@ def weak_realizable(
     points = sample.xs + (x,)
     y0 = base + (0,)
     y1 = base + (1,)
-    # one memo per prediction: the feasibility checks are the walks' first queries
-    membership = MembershipPredicate.from_oracle(points, con_oracle)
+    # the feasibility checks are the walks' first queries, on one memo
+    if membership is None:
+        membership = MembershipPredicate.from_oracle(points, con_oracle)
+    elif membership.m != len(points):
+        raise ContractViolation("membership memo must cover the context and the query point")
     feasible0 = membership.query_packed(pack(y0))
     feasible1 = membership.query_packed(pack(y1))
     if not feasible0 and not feasible1:
@@ -129,16 +138,28 @@ def transductive_error(
     reps: int,
     rng: RandomStream,
 ) -> float:
-    """Monte-Carlo leave-one-out loss: each point predicted from the others."""
+    """Monte-Carlo leave-one-out loss: each point predicted from the others,
+    `reps` times over.
+
+    Each leave-one-out context keeps one membership memo for all repetitions:
+    the oracle is deterministic, so a repetition does not pay again for an
+    answer the diagnostic already holds, and the cost counts each distinct
+    query once per context.  Prediction (rep, i) runs on the stream
+    rng.child(rep).child(i), so every random draw, and with it the error, is
+    what a fresh memo per prediction gives.
+    """
     m = len(sample)
     if m == 0:
         raise ContractViolation("transductive error needs a nonempty sample")
     total = 0
-    for rep in range(reps):
-        rep_stream = rng.child(rep)
-        for i in range(m):
-            x, y = sample[i]
-            pred = weak_realizable(sample.without(i), x, params, con_oracle, rep_stream.child(i))
+    for i in range(m):
+        context = sample.without(i)
+        x, y = sample[i]
+        membership = MembershipPredicate.from_oracle(context.xs + (x,), con_oracle)
+        for rep in range(reps):
+            pred = weak_realizable(
+                context, x, params, con_oracle, rng.child(rep).child(i), membership=membership
+            )
             total += loss_bin(y, pred.bit)
     return total / (reps * m)
 

@@ -65,6 +65,8 @@ _BAD_SETUPS = (
 # points, rejected by the parser, or an unrealizable labeling, rejected by
 # the first trial before its Monte-Carlo estimate
 _TOO_LARGE_FOR_AUDIT = ({"pipeline": "audit", "n": 30}, {"pipeline": "weak_transductive", "n": 30})
+# the diagnostics' walk comes from n, and the weak-learner defaults need n >= 2
+_TOO_SMALL_FOR_THE_WALK = ({"pipeline": "audit", "n": 1}, {"pipeline": "weak_transductive", "n": 1})
 _UNREALIZABLE = tuple(
     {"pipeline": pipeline, "n": 4, "distribution": {"support": [[2, 0]]}}
     for pipeline in ("audit", "weak_transductive")
@@ -125,7 +127,7 @@ def test_config_errors():
     for bad in ({"n": 0}, {"reps": 0}, {"trials": -2}, {"class": None},
                 {"eta": 0}, {"delta": -0.2}, {"c1": -1},
                 {"pipeline": "reg_agnostic"}, {"pipeline": "multiclass_realizable"},
-                *_UNKNOWN_KEYS, *_TOO_LARGE_FOR_AUDIT, *_BAD_LABELS):
+                *_UNKNOWN_KEYS, *_TOO_LARGE_FOR_AUDIT, *_TOO_SMALL_FOR_THE_WALK, *_BAD_LABELS):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(_singleton_config(**bad))
     for bad in _BAD_REGRESSION:
@@ -311,7 +313,8 @@ def test_cli_run_and_exit_codes(tmp_path):
 
     bad_configs = [
         _singleton_config(**bad)
-        for bad in _BAD_SETUPS + _UNKNOWN_KEYS + _TOO_LARGE_FOR_AUDIT + _BAD_LABELS
+        for bad in (_BAD_SETUPS + _UNKNOWN_KEYS + _TOO_LARGE_FOR_AUDIT + _TOO_SMALL_FOR_THE_WALK
+                    + _BAD_LABELS)
     ] + [
         _singleton_config(n=0),
         _singleton_config(pipeline="weak_transductive", reps=0),
@@ -359,8 +362,10 @@ def test_cli_audit_runs(tmp_path):
     proc = _run_cli(["audit", "--config", str(config_path)])
     assert proc.returncode == 0, proc.stderr
     assert "walk=lazy" in proc.stdout and "walk=flip" in proc.stdout
+    # the last: a realizable_partial config with one point, audited at its n
     bad_configs = [_singleton_config(**{"n": 4, "trials": 1, **bad})
-                   for bad in _BAD_SETUPS + _UNREALIZABLE + _TOO_LARGE_FOR_AUDIT]
+                   for bad in (_BAD_SETUPS + _UNREALIZABLE + _TOO_LARGE_FOR_AUDIT
+                               + _TOO_SMALL_FOR_THE_WALK + ({"n": 1},))]
     for k, raw in enumerate(bad_configs):
         path = tmp_path / f"bad{k}.json"
         path.write_text(json.dumps(raw))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oiglearn import brute
+from oiglearn import brute, oig
 from oiglearn.classes import FiniteTableClass
 from oiglearn.core import RandomStream
 from oiglearn.oig import (
@@ -78,6 +78,34 @@ def test_estimate_potential_charges_oracle_per_distinct_vertex():
     # at most all 4 patterns of the 2-cube can be probed
     assert ledger.call_count <= 4
     assert ledger.total_cost == 2 * ledger.call_count
+
+
+@pytest.mark.parametrize("m", [8, 26])
+def test_batch_queries_match_per_code_memo(m):
+    # m = 8 reads the dense table, m = 26 the per-batch sort above it
+    assert 8 <= oig._TABLE_MAX_POINTS < 26
+    gen = np.random.default_rng(m)
+    pool = gen.integers(0, 2**m, size=40, dtype=np.uint64)
+    inside = frozenset(pool[::3].tolist())
+    evaluated = []
+
+    def evaluate(code):
+        evaluated.append(code)
+        return code in inside
+
+    membership = MembershipPredicate(m, evaluate)
+    reference = MembershipPredicate(m, inside.__contains__)
+    asked = set(pool[:6].tolist())
+    for code in asked:  # already asked one code at a time
+        membership.query_packed(code)
+    for _ in range(5):
+        codes = gen.choice(pool, size=200)  # repeated codes
+        asked.update(codes.tolist())
+        got = membership.query_packed_batch(codes)
+        assert got.dtype == bool
+        assert got.tolist() == [reference.query_packed(c) for c in codes.tolist()]
+    # each distinct code asked is evaluated exactly once
+    assert sorted(evaluated) == sorted(asked)
 
 
 def test_exact_generating_function_worked_instances():

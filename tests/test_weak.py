@@ -8,7 +8,7 @@ import pytest
 from oiglearn.brute import exact_transductive_audit, project
 from oiglearn.classes import FiniteTableClass, MarginThresholdClass
 from oiglearn.core import ContractViolation, RandomStream, Sample
-from oiglearn.oig import exact_generating_function, neighbors
+from oiglearn.oig import MembershipPredicate, exact_generating_function, neighbors
 from oiglearn.oracle import ConsistencyOracle, QueryCostLedger
 from oiglearn.weak import (
     RealizabilityViolation,
@@ -122,6 +122,55 @@ def test_prediction_charges_at_most_the_projection_and_its_boundary():
             inside = project(cls, xs)
             boundary = {w for v in inside for w in neighbors(v)} - inside
             assert ledger.snapshot()[1] <= len(inside) + len(boundary), (context, xs[m])
+
+
+def _parent_transductive_error(sample, params, con_oracle, reps, rng):
+    # the reference: a fresh membership memo for every (rep, i) prediction
+    total = 0
+    for rep in range(reps):
+        for i in range(len(sample)):
+            x, y = sample[i]
+            pred = weak_realizable(sample.without(i), x, params, con_oracle, rng.child(rep).child(i))
+            total += int(pred.bit != y)
+    return total / (reps * len(sample))
+
+
+def test_transductive_error_shares_one_memo_per_context():
+    # one memo per leave-one-out context over all repetitions keeps every
+    # random draw, so the error equals the fresh-memo reference exactly, and
+    # charges each vertex of W_i u dW_i at most once per context i
+    cls = _interval_class(32)
+    gen = np.random.default_rng(43)
+    n, reps = 8, 20
+    params = paper_default_params(n)
+    assert params.trials >= 512  # the vectorized rollout engine
+    for k in range(10):
+        xs = [int(v) for v in gen.integers(0, 32, size=n)]  # repeats allowed
+        a, b = sorted(int(v) for v in gen.integers(0, 33, size=2))
+        sample = Sample((v, int(a <= v < b)) for v in xs)
+        rng = RandomStream(k).child(n)
+        ledger = QueryCostLedger()
+        err = transductive_error(sample, params, ConsistencyOracle(cls, ledger), reps, rng)
+        assert err == _parent_transductive_error(sample, params, _oracle(cls), reps, rng)
+        bound = 0
+        for i in range(n):
+            inside = project(cls, sample.without(i).xs + (xs[i],))
+            boundary = {w for v in inside for w in neighbors(v)} - inside
+            bound += len(inside) + len(boundary)
+        assert ledger.snapshot()[1] <= bound, sample
+
+
+def test_weak_realizable_rejects_a_memo_of_other_points():
+    cls = _full_cube_class(3)
+    sample = Sample([(0, 1), (1, 0)])
+    con = _oracle(cls)
+    params = paper_default_params(3)
+    with pytest.raises(ContractViolation):
+        weak_realizable(sample, 2, params, con, RandomStream(1),
+                        membership=MembershipPredicate.from_oracle((0, 1), con))
+    memo = MembershipPredicate.from_oracle((0, 1, 2), con)
+    shared = weak_realizable(sample, 2, params, con, RandomStream(1), membership=memo)
+    assert shared == weak_realizable(sample, 2, params, con, RandomStream(1))
 
 
 def test_transductive_error_singleton_is_zero():
