@@ -4,6 +4,10 @@ Everything here enumerates: class projections, exhaustive ERM, the
 combinatorial dimensions, and an exact orientation audit that recomputes the
 one-inclusion out-degree of the ground-truth vertex from the solved generating
 function.  Instance-size ceilings are hard contracts, not silent truncations.
+The references the tests check the learner against live here too: the menu
+and threshold encodings as explicit tables, membership over an explicit
+vertex set, the truncated flip-walk expectation by dynamic programming, and
+the leave-one-out error on fresh draws.
 """
 
 from __future__ import annotations
@@ -11,11 +15,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import partial
+from itertools import combinations, permutations
 
-from .classes import FiniteTableClass, MarginThresholdClass
-from .core import STAR, ContractViolation, FiniteDistribution, Sample, as_fraction
-from .oig import PotentialTable, exact_generating_function, lazy_discount, neighbors, pack
+import numpy as np
+
+from .classes import FiniteTableClass, MarginThresholdClass, _star_sort_key
+from .core import (
+    STAR,
+    ContractViolation,
+    FiniteDistribution,
+    RandomStream,
+    Sample,
+    as_fraction,
+    loss_bin,
+)
+from .oig import (
+    MembershipPredicate,
+    PotentialTable,
+    Vertex,
+    exact_generating_function,
+    lazy_discount,
+    neighbors,
+    pack,
+)
+from .pipelines import threshold_grid
+from .weak import WeakLearnerParams, weak_realizable
 
 _MAX_DOMAIN = 32
 _MAX_TABLE = 2**16
@@ -242,7 +267,7 @@ def brute_erm(concept_class: FiniteTableClass, sample: Sample, loss) -> tuple[Fr
 def distribution_opt(concept_class, distribution: FiniteDistribution, loss) -> Fraction:
     """Best-in-class expected loss under the distribution, by enumeration."""
     if isinstance(concept_class, FiniteTableClass):
-        predictors = [h for h in concept_class.hypotheses()]
+        predictors = [partial(concept_class.value_at, i) for i in range(len(concept_class.table))]
     elif isinstance(concept_class, MarginThresholdClass):
         predictors = [
             (lambda t: (lambda x: concept_class.label_of(t, x)))(t) for t in concept_class.grid
@@ -251,6 +276,129 @@ def distribution_opt(concept_class, distribution: FiniteDistribution, loss) -> F
         raise ContractViolation("no enumerable hypotheses for this class")
     return min(distribution.expected_loss(h, loss) for h in predictors)
 
+
+# ---------------------------------------------------------------------------
+# the multiclass and regression encodings as explicit tables
+
+
+def menu_project(label: int, menu: tuple[int, int]):
+    """A multiclass value seen through a menu (first, second): 0 on the first
+    entry, 1 on the second, undefined elsewhere."""
+    first, second = menu
+    if first == second:
+        raise ContractViolation("menus must pair distinct labels")
+    if label == first:
+        return 0
+    if label == second:
+        return 1
+    return STAR
+
+
+def materialize_menu_class(base: FiniteTableClass) -> FiniteTableClass:
+    """The menu encoding of a finite multiclass table as an explicit partial
+    binary table over (point, menu) inputs; for dimension cross-checks."""
+    menus = list(permutations(range(1, base.num_classes + 1), 2))
+    points = tuple((x, mu) for x in base.domain for mu in menus)
+    rows = {
+        tuple(menu_project(row[base._column(x)], mu) for (x, mu) in points)
+        for row in base.table
+    }
+    return FiniteTableClass(points, sorted(rows, key=_star_sort_key), "binary")
+
+
+def threshold_project(value, tau, gamma):
+    """A real value seen at threshold tau: 1 when at least gamma above, 0 when
+    at least gamma below, undefined inside the band."""
+    value, tau, gamma = as_fraction(value), as_fraction(tau), as_fraction(gamma)
+    if value >= tau + gamma:
+        return 1
+    if value <= tau - gamma:
+        return 0
+    return STAR
+
+
+def materialize_threshold_class(base: FiniteTableClass, gamma) -> FiniteTableClass:
+    """The threshold encoding of a finite real-valued table as an explicit
+    partial binary table over (point, threshold) inputs."""
+    gamma = as_fraction(gamma)
+    points = tuple((x, tau) for x in base.domain for tau in threshold_grid(gamma))
+    rows = {
+        tuple(threshold_project(row[base._column(x)], tau, gamma) for (x, tau) in points)
+        for row in base.table
+    }
+    return FiniteTableClass(points, sorted(rows, key=_star_sort_key), "binary")
+
+
+# ---------------------------------------------------------------------------
+# references for the walk estimator and the weak learner
+
+
+def membership_from_set(inside, m: int) -> MembershipPredicate:
+    """Membership in an explicit vertex set, on m points."""
+    packed = frozenset(pack(v) for v in inside)
+    return MembershipPredicate(m, lambda code: code in packed)
+
+
+def exact_truncated_flip_expectation(
+    inside, y: Vertex, gamma: float, horizon: int, m: int | None = None
+) -> float:
+    """E[gamma^(horizon ∧ exit time)] for the coordinate-flip walk, by dynamic
+    programming over the alive-mass distribution.  Independent of the
+    Monte-Carlo path; used to validate it."""
+    vertices = sorted(set(tuple(v) for v in inside), key=pack)
+    y = tuple(y)
+    if m is None:
+        m = len(y)
+    if y not in vertices:
+        return 1.0
+    size = len(vertices)
+    move = np.zeros((size, size))
+    exit_prob = np.zeros(size)
+    # its own neighbour loop, not the exact solve's, so that one fault cannot
+    # hide in both the solver and this check
+    index = {v: i for i, v in enumerate(vertices)}
+    for i, v in enumerate(vertices):
+        outside = 0
+        for w in neighbors(v):
+            j = index.get(w)
+            if j is None:
+                outside += 1
+            else:
+                move[j, i] = 1.0 / m
+        exit_prob[i] = outside / m
+    p = np.zeros(size)
+    p[index[y]] = 1.0
+    total = 0.0
+    g = float(gamma)
+    for t in range(1, horizon + 1):
+        total += (g**t) * float(exit_prob @ p)
+        p = move @ p
+    total += (g**horizon) * float(p.sum())
+    return total
+
+
+def loo_distributional_error(
+    distribution,
+    m: int,
+    params: WeakLearnerParams,
+    con_oracle,
+    reps: int,
+    rng: RandomStream,
+) -> float:
+    """Monte-Carlo estimate of the expected loss of the learner on a fresh
+    point after seeing m-1 i.i.d. examples."""
+    if m < 1:
+        raise ContractViolation("need m >= 1")
+    total = 0
+    for rep in range(reps):
+        rep_stream = rng.child(rep)
+        gen = rep_stream.child(0).generator()
+        drawn = distribution.draw(gen, m)
+        context = Sample(drawn.pairs[: m - 1])
+        x, y = drawn.pairs[m - 1]
+        pred = weak_realizable(context, x, params, con_oracle, rep_stream.child(1))
+        total += loss_bin(y, pred.bit)
+    return total / reps
 
 @dataclass(frozen=True)
 class TransductiveAudit:

@@ -17,12 +17,11 @@ from typing import Any, Iterable, Sequence
 
 _PRIME_CACHE_SIZE = 1 << 16
 
-from .core import STAR, ContractViolation, Sample, as_fraction, loss_bin
+from .core import STAR, ContractViolation, as_fraction, loss_bin
 from .oracle import (
     CONSISTENCY,
     ERM_VALUE,
     RANGE_CONSISTENCY,
-    STRONG_ERM,
     ConceptClass,
     OracleCapabilityError,
 )
@@ -30,41 +29,18 @@ from .oracle import (
 _BINARY_ENTRIES = frozenset({0, 1, STAR})
 
 
-class TableHypothesis:
-    """An evaluable row of a finite table class."""
-
-    __slots__ = ("owner", "index")
-
-    def __init__(self, owner: "FiniteTableClass", index: int):
-        self.owner = owner
-        self.index = index
-
-    def __call__(self, x):
-        return self.owner.value_at(self.index, x)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TableHypothesis)
-            and other.owner is self.owner
-            and other.index == self.index
-        )
-
-    def __repr__(self):
-        return f"TableHypothesis(#{self.index})"
-
-
 class FiniteTableClass(ConceptClass):
     """A concept class given by an explicit (hypothesis x domain point) table.
 
     kind is one of 'binary' (labels 0/1/STAR), 'multiclass' (labels 1..K) or
-    'real' (rational labels in [0,1]).  All four oracles answer exactly.
+    'real' (rational labels in [0,1]).  All three oracles answer exactly.
     Consistency and projection work on one bitset of rows per (column,
     label), so they cost one AND or split per query point; the ERM and range
     oracles scan the rows.  The bitsets of a column hold one bit per row for
     each distinct label in it.
     """
 
-    capabilities = frozenset({CONSISTENCY, ERM_VALUE, RANGE_CONSISTENCY, STRONG_ERM})
+    capabilities = frozenset({CONSISTENCY, ERM_VALUE, RANGE_CONSISTENCY})
 
     def __init__(self, domain: Sequence, table: Sequence[Sequence], kind: str, num_classes: int | None = None):
         if kind not in ("binary", "multiclass", "real"):
@@ -106,9 +82,6 @@ class FiniteTableClass(ConceptClass):
     def value_at(self, row: int, x):
         return self.table[row][self._column(x)]
 
-    def hypotheses(self):
-        return [TableHypothesis(self, i) for i in range(len(self.table))]
-
     def check_points(self, xs) -> None:
         for x in xs:
             self._column(x)
@@ -146,21 +119,18 @@ class FiniteTableClass(ConceptClass):
                 return False
         return True
 
-    def _least_loss_row(self, xs, ys, loss) -> tuple[int, Any]:
-        """The lowest-index row with the least loss sum, and that sum.  Losses
-        are nonnegative, so the scan stops at the first zero-loss row."""
+    def _erm_value(self, xs, ys, loss) -> Fraction:
+        """The least loss sum over the rows, as a mean.  Losses are
+        nonnegative, so the scan stops at the first zero-loss row."""
         cols = [self._column(x) for x in xs]
-        best_idx, best = 0, None
-        for i, row in enumerate(self.table):
+        best = None
+        for row in self.table:
             total = sum(loss(y, row[c]) for y, c in zip(ys, cols))
             if best is None or total < best:
-                best_idx, best = i, total
+                best = total
                 if best == 0:
                     break
-        return best_idx, best
-
-    def _erm_value(self, xs, ys, loss) -> Fraction:
-        return Fraction(self._least_loss_row(xs, ys, loss)[1]) / len(xs)
+        return Fraction(best) / len(xs)
 
     def range_consistent_on(self, xs, lower, upper) -> bool:
         if self.kind != "real":
@@ -170,9 +140,6 @@ class FiniteTableClass(ConceptClass):
             if all(lo <= row[c] <= hi for c, lo, hi in zip(cols, lower, upper)):
                 return True
         return False
-
-    def erm_hypothesis(self, sample: Sample, loss) -> TableHypothesis:
-        return TableHypothesis(self, self._least_loss_row(sample.xs, sample.ys, loss)[0])
 
     def project_onto(self, xs) -> frozenset:
         """The star-free label patterns the class realizes on the point sequence.
@@ -367,7 +334,7 @@ class HPrimeClass(ConceptClass):
 
     Deciding realizability is polynomial-time case analysis over the positive
     points; returning an actual minimizer would reveal prime factors, so the
-    strong ERM oracle is deliberately withheld.
+    class offers the consistency oracle only.
     """
 
     capabilities = frozenset({CONSISTENCY})

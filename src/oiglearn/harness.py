@@ -231,6 +231,12 @@ class ExperimentConfig:
                 _reject_unknown_keys(class_spec, class_keys, f"{class_spec['kind']} class")
             dist = raw["distribution"]
             _reject_unknown_keys(dist, _DISTRIBUTION_KEYS, "distribution")
+            # int() would run 2.7 as 2 and true as 1
+            for name in ("n", "m", "trials", "seed", "reps", "num_classes"):
+                if isinstance(raw.get(name), (bool, float)):
+                    raise ConfigError(f"{name} must be an integer, got {raw[name]!r}")
+            if entry.labels == "multiclass" and int(raw["num_classes"]) < 2:
+                raise ConfigError(f"pipeline {pipeline} needs num_classes of at least 2")
             parse_label = as_fraction if entry.labels == "real" else int
             support = tuple((_parse_point(x), parse_label(y)) for x, y in dist["support"])
             low, high = (1, int(raw["num_classes"])) if entry.labels == "multiclass" else (0, 1)

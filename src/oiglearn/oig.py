@@ -4,8 +4,8 @@ A vertex is a 0/1 labeling pattern on m fixed domain points.  The learner
 estimates, per vertex, the discounted time for a uniform-coordinate-flip walk
 to leave the realizable pattern set W; those potentials induce a random
 orientation of the one-inclusion graph.  This module provides the Monte-Carlo
-estimator, an exact linear-system solver for the walk's generating function,
-and the truncated-expectation dynamic program used to validate the estimator.
+estimator and an exact linear-system solver for the walk's generating
+function.
 
 Two walk conventions coexist.  Rollouts flip a uniformly random coordinate
 every step; the closed-form recursion solved by `exact_generating_function`
@@ -82,9 +82,11 @@ def default_horizon(gamma: float) -> int:
 class MembershipPredicate:
     """Answers 'is this vertex a realizable pattern?' for a fixed point sequence.
 
-    Backed either by a consistency-oracle handle (each fresh evaluation is one
-    oracle call of size m) or by an explicit vertex set.  Repeated queries for
-    the same vertex hit a per-predicate memo and charge the ledger only once.
+    Backed by a callable on packed codes: `from_oracle` asks a
+    consistency-oracle handle (each fresh evaluation is one oracle call of
+    size m), and `brute.membership_from_set` an explicit vertex set.  Repeated
+    queries for the same vertex hit a per-predicate memo and charge the ledger
+    only once.
 
     Batch queries (the vectorized walks) read a dense int8 table over all
     2^m codes, allocated on the first batch when m <= 24: -1 marks a code the
@@ -108,11 +110,6 @@ class MembershipPredicate:
             return oracle(points, unpack(code, m))
 
         return cls(m, evaluate)
-
-    @classmethod
-    def from_set(cls, inside: Iterable[Vertex], m: int) -> "MembershipPredicate":
-        packed = frozenset(pack(v) for v in inside)
-        return cls(m, lambda code: code in packed)
 
     def query_packed(self, code: int) -> bool:
         memo = self._memo
@@ -338,32 +335,3 @@ def recursion_residual(table: PotentialTable, inside: Iterable[Vertex], gamma) -
         res = m * float(table(v)) - total + m * (2 * (1 - g) / g) * float(table(v))
         worst = max(worst, abs(res))
     return worst
-
-
-def exact_truncated_flip_expectation(
-    inside: Iterable[Vertex], y: Vertex, gamma: float, horizon: int, m: int | None = None
-) -> float:
-    """E[gamma^(horizon ∧ exit time)] for the coordinate-flip walk, by dynamic
-    programming over the alive-mass distribution.  Independent of the
-    Monte-Carlo path; used to validate it."""
-    vertices = sorted(set(tuple(v) for v in inside), key=pack)
-    y = tuple(y)
-    if m is None:
-        m = len(y)
-    if y not in vertices:
-        return 1.0
-    size = len(vertices)
-    move = np.zeros((size, size))
-    exit_prob = np.zeros(size)
-    for i, (inner, outside) in enumerate(_links(vertices)):
-        move[inner, i] = 1.0 / m
-        exit_prob[i] = outside / m
-    p = np.zeros(size)
-    p[vertices.index(y)] = 1.0
-    total = 0.0
-    g = float(gamma)
-    for t in range(1, horizon + 1):
-        total += (g**t) * float(exit_prob @ p)
-        p = move @ p
-    total += (g**horizon) * float(p.sum())
-    return total

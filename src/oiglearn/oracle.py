@@ -2,8 +2,8 @@
 
 Learning algorithms never touch a concept class directly: they hold one of the
 oracle handles below, which answer a single bit (consistency, range
-consistency), a scalar (ERM value), or a hypothesis (strong ERM), and charge a
-shared ledger by the number of examples in each query.
+consistency) or a scalar (ERM value), and charge a shared ledger by the
+number of examples in each query.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .core import STAR, BINARY_LABELS, ContractViolation, Sample
 CONSISTENCY = "consistency"
 ERM_VALUE = "erm_value"
 RANGE_CONSISTENCY = "range_consistency"
-STRONG_ERM = "strong_erm"
 
 
 class OracleCapabilityError(RuntimeError):
@@ -81,19 +80,6 @@ class ConceptClass:
 
     def range_consistent_on(self, xs: tuple, lower: tuple, upper: tuple) -> bool:
         raise OracleCapabilityError(f"{type(self).__name__}: no range consistency oracle")
-
-    def erm_hypothesis(self, sample: Sample, loss):
-        raise OracleCapabilityError(f"{type(self).__name__}: no strong ERM oracle")
-
-
-def query_strong_erm(concept_class: ConceptClass, sample, loss, ledger: QueryCostLedger):
-    """Return an evaluable empirical risk minimizer (lowest table index on ties)."""
-    concept_class.require(STRONG_ERM)
-    sample = sample if isinstance(sample, Sample) else Sample(sample)
-    if len(sample) == 0:
-        raise ContractViolation("strong ERM of an empty sample is undefined")
-    ledger.charge(len(sample))
-    return concept_class.erm_hypothesis(sample, loss)
 
 
 class ConsistencyOracle:

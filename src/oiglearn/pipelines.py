@@ -17,8 +17,7 @@ from functools import partial
 from typing import Callable
 
 from .boost import BoostedModel, adaboost_predict, adaboost_train
-from .classes import FiniteTableClass, _star_sort_key
-from .core import STAR, ContractViolation, RandomStream, Sample, as_fraction
+from .core import ContractViolation, RandomStream, Sample, as_fraction
 from .ermred import sample_con_real, sample_erm_binary, sample_erm_real
 from .oracle import ErmValueOracle
 from .weak import WeakLearnerParams, paper_default_params, weak_realizable
@@ -98,19 +97,6 @@ def fit_agnostic_partial(
 # multiclass via menus
 
 
-def menu_project(label: int, menu: tuple[int, int]):
-    """A multiclass value seen through a menu (first, second): 0 on the first
-    entry, 1 on the second, undefined elsewhere."""
-    first, second = menu
-    if first == second:
-        raise ContractViolation("menus must pair distinct labels")
-    if label == first:
-        return 0
-    if label == second:
-        return 1
-    return STAR
-
-
 def menu_consistency_oracle(base_con_oracle):
     """Consistency for menu examples through the base multiclass oracle: bit b
     on (x, (first, second)) demands h(x) be the b-th menu entry.  One menu
@@ -137,39 +123,6 @@ def build_menu_sample(sample: Sample, num_classes: int) -> Sample:
             zeros.append(((x, (y, other)), 0))
             ones.append(((x, (other, y)), 1))
     return Sample(zeros + ones)
-
-
-def all_menus(num_classes: int) -> list[tuple[int, int]]:
-    return [
-        (a, b)
-        for a in range(1, num_classes + 1)
-        for b in range(1, num_classes + 1)
-        if a != b
-    ]
-
-
-def materialize_menu_class(base: FiniteTableClass) -> FiniteTableClass:
-    """The menu encoding of a finite multiclass table as an explicit partial
-    binary table over (point, menu) inputs; for dimension cross-checks."""
-    menus = all_menus(base.num_classes)
-    points = tuple((x, mu) for x in base.domain for mu in menus)
-    rows = {
-        tuple(menu_project(row[base._column(x)], mu) for (x, mu) in points)
-        for row in base.table
-    }
-    return FiniteTableClass(points, sorted(rows, key=_star_sort_key), "binary")
-
-
-def materialize_threshold_class(base: FiniteTableClass, gamma) -> FiniteTableClass:
-    """The threshold encoding of a finite real-valued table as an explicit
-    partial binary table over (point, threshold) inputs."""
-    gamma = as_fraction(gamma)
-    points = tuple((x, tau) for x in base.domain for tau in threshold_grid(gamma))
-    rows = {
-        tuple(threshold_project(row[base._column(x)], tau, gamma) for (x, tau) in points)
-        for row in base.table
-    }
-    return FiniteTableClass(points, sorted(rows, key=_star_sort_key), "binary")
 
 
 def decode_multiclass(j_eval, x, num_classes: int) -> int:
@@ -217,17 +170,6 @@ def threshold_grid(gamma) -> tuple[Fraction, ...]:
         raise ContractViolation("grid width must lie in (0,1)")
     count = int(Fraction(1) / gamma)  # floor
     return tuple(gamma * k for k in range(count + 1))
-
-
-def threshold_project(value, tau, gamma):
-    """A real value seen at threshold tau: 1 when at least gamma above, 0 when
-    at least gamma below, undefined inside the band."""
-    value, tau, gamma = as_fraction(value), as_fraction(tau), as_fraction(gamma)
-    if value >= tau + gamma:
-        return 1
-    if value <= tau - gamma:
-        return 0
-    return STAR
 
 
 def threshold_consistency_oracle(range_query, gamma):

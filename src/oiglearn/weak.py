@@ -162,27 +162,3 @@ def transductive_error(
             )
             total += loss_bin(y, pred.bit)
     return total / (reps * m)
-
-
-def loo_distributional_error(
-    distribution,
-    m: int,
-    params: WeakLearnerParams,
-    con_oracle,
-    reps: int,
-    rng: RandomStream,
-) -> float:
-    """Monte-Carlo estimate of the expected loss of the learner on a fresh
-    point after seeing m-1 i.i.d. examples."""
-    if m < 1:
-        raise ContractViolation("need m >= 1")
-    total = 0
-    for rep in range(reps):
-        rep_stream = rng.child(rep)
-        gen = rep_stream.child(0).generator()
-        drawn = distribution.draw(gen, m)
-        context = Sample(drawn.pairs[: m - 1])
-        x, y = drawn.pairs[m - 1]
-        pred = weak_realizable(context, x, params, con_oracle, rep_stream.child(1))
-        total += loss_bin(y, pred.bit)
-    return total / reps

@@ -19,7 +19,12 @@ from oiglearn.brute import (
     brute_erm,
     distribution_opt,
     exact_transductive_audit,
+    exact_truncated_flip_expectation,
     fat_shattering,
+    materialize_menu_class,
+    materialize_threshold_class,
+    membership_from_set,
+    menu_project,
     natarajan_dimension,
     vc_dimension,
 )
@@ -35,12 +40,10 @@ from oiglearn.core import (
 from oiglearn.harness import ExperimentConfig, build_distribution, emit_report, run_experiment
 from oiglearn.ermred import sample_con_real, sample_erm_binary, sample_erm_real
 from oiglearn.oig import (
-    MembershipPredicate,
     WalkParams,
     default_horizon,
     estimate_potential,
     exact_generating_function,
-    exact_truncated_flip_expectation,
     recursion_residual,
     unpack,
 )
@@ -58,9 +61,6 @@ from oiglearn.pipelines import (
     fit_reg_agnostic,
     fit_reg_realizable,
     make_weak_learner,
-    materialize_menu_class,
-    materialize_threshold_class,
-    menu_project,
 )
 from oiglearn.weak import paper_default_params, transductive_error
 
@@ -127,7 +127,7 @@ def test_criterion_02_monte_carlo_fidelity():
         start = inside[int(gen.integers(0, len(inside)))]
         gamma = 0.5 + 0.49 * float(gen.random())
         horizon = min(default_horizon(gamma), 400)
-        membership = MembershipPredicate.from_set(inside, m)
+        membership = membership_from_set(inside, m)
         estimate = estimate_potential(
             membership, start, WalkParams(gamma, horizon, 100_000),
             RandomStream(SEED + 1).child(k).generator(),

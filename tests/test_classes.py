@@ -15,8 +15,7 @@ from oiglearn.classes import (
     prime_factors,
     semiprime_split,
 )
-from oiglearn.core import STAR, ContractViolation, Sample, loss_bin, loss_mc
-from oiglearn.oracle import OracleCapabilityError, QueryCostLedger, query_strong_erm
+from oiglearn.core import STAR, ContractViolation, loss_bin, loss_mc
 
 
 def test_finite_table_examples():
@@ -264,12 +263,6 @@ def test_hprime_query_validation():
         cls.consistent_on((0,), (1,))
     with pytest.raises(ContractViolation):
         cls.consistent_on((51,), (1,))
-
-
-def test_hprime_withholds_strong_erm():
-    cls = HPrimeClass(bound=50)
-    with pytest.raises(OracleCapabilityError):
-        query_strong_erm(cls, Sample([(15, 1)]), loss_bin, QueryCostLedger())
 
 
 def test_hprime_matches_brute_force_window():

@@ -74,6 +74,21 @@ _UNREALIZABLE = tuple(
 
 _THRESHOLD_CLASS = {"kind": "margin_threshold", "grid": ["1/100", "1/50", 50], "margin": "1/200"}
 
+# multiclass pipelines with one class, which no menu can encode
+_ONE_CLASS = tuple(
+    {"pipeline": pipeline, "num_classes": 1,
+     "class": {"kind": "finite_multiclass", "domain": [0, 1, 2], "table": [[1, 1, 1]],
+               "num_classes": 1},
+     "distribution": {"support": [[0, 1], [1, 1], [2, 1]]}}
+    for pipeline in ("multiclass_realizable", "multiclass_agnostic")
+)
+
+# integer fields given a bool or a non-whole number, which int() would truncate
+_BAD_INTEGERS = (
+    {"n": 2.7}, {"m": 2.5}, {"trials": True}, {"seed": 11.5}, {"reps": True},
+    {"num_classes": 2.5},
+)
+
 
 # misspelled keys, which would otherwise run with the default silently
 _UNKNOWN_KEYS = (
@@ -127,7 +142,8 @@ def test_config_errors():
     for bad in ({"n": 0}, {"reps": 0}, {"trials": -2}, {"class": None},
                 {"eta": 0}, {"delta": -0.2}, {"c1": -1},
                 {"pipeline": "reg_agnostic"}, {"pipeline": "multiclass_realizable"},
-                *_UNKNOWN_KEYS, *_TOO_LARGE_FOR_AUDIT, *_TOO_SMALL_FOR_THE_WALK, *_BAD_LABELS):
+                *_UNKNOWN_KEYS, *_TOO_LARGE_FOR_AUDIT, *_TOO_SMALL_FOR_THE_WALK, *_BAD_LABELS,
+                *_ONE_CLASS, *_BAD_INTEGERS):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(_singleton_config(**bad))
     for bad in _BAD_REGRESSION:
@@ -314,7 +330,7 @@ def test_cli_run_and_exit_codes(tmp_path):
     bad_configs = [
         _singleton_config(**bad)
         for bad in (_BAD_SETUPS + _UNKNOWN_KEYS + _TOO_LARGE_FOR_AUDIT + _TOO_SMALL_FOR_THE_WALK
-                    + _BAD_LABELS)
+                    + _BAD_LABELS + _ONE_CLASS + _BAD_INTEGERS)
     ] + [
         _singleton_config(n=0),
         _singleton_config(pipeline="weak_transductive", reps=0),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oiglearn import brute, oig
+from oiglearn.brute import exact_truncated_flip_expectation, membership_from_set
 from oiglearn.classes import FiniteTableClass
 from oiglearn.core import RandomStream
 from oiglearn.oig import (
@@ -13,7 +14,6 @@ from oiglearn.oig import (
     default_horizon,
     estimate_potential,
     exact_generating_function,
-    exact_truncated_flip_expectation,
     flip,
     lazy_discount,
     pack,
@@ -33,7 +33,7 @@ def test_flip_and_packing():
 
 def test_estimate_potential_outside_is_exactly_one():
     gen = RandomStream(4).generator()
-    pred = MembershipPredicate.from_set([(1, 1)], 2)
+    pred = membership_from_set([(1, 1)], 2)
     est = estimate_potential(pred, (0, 0), WalkParams(0.5, 8, 100), gen)
     assert est == 1.0
 
@@ -41,7 +41,7 @@ def test_estimate_potential_outside_is_exactly_one():
 def test_estimate_potential_full_cube_truncates():
     gen = RandomStream(5).generator()
     m, L = 3, 6
-    pred = MembershipPredicate.from_set([unpack(c, m) for c in range(8)], m)
+    pred = membership_from_set([unpack(c, m) for c in range(8)], m)
     est = estimate_potential(pred, (0, 0, 0), WalkParams(0.5, L, 200), gen)
     assert est == pytest.approx(0.5**L, abs=0)
 
@@ -49,7 +49,7 @@ def test_estimate_potential_full_cube_truncates():
 def test_estimate_potential_m1_limit():
     # exit after exactly one flip, so the estimate converges to gamma
     gen = RandomStream(6).generator()
-    pred = MembershipPredicate.from_set([(0,)], 1)
+    pred = membership_from_set([(0,)], 1)
     est = estimate_potential(pred, (0,), WalkParams(0.5, 10, 20_000), gen)
     assert est == pytest.approx(0.5, abs=0)  # tau == 1 deterministically
 
@@ -58,7 +58,7 @@ def test_estimate_potential_paths_agree_statistically():
     # sequential (small U) and vectorized (large U) rollouts estimate the same mean
     m = 4
     inside = [unpack(c, m) for c in range(16) if bin(c).count("1") <= 2]
-    pred = MembershipPredicate.from_set(inside, m)
+    pred = membership_from_set(inside, m)
     params_small = WalkParams(0.7, 20, 400)
     params_big = WalkParams(0.7, 20, 4000)
     small = estimate_potential(pred, (0, 0, 0, 0), params_small, RandomStream(7).generator())
@@ -216,7 +216,7 @@ def test_default_horizon_inequality():
 def test_estimate_potential_double_run_determinism():
     m = 4
     inside = [unpack(c, m) for c in range(16) if c % 3 != 1]
-    pred = MembershipPredicate.from_set(inside, m)
+    pred = membership_from_set(inside, m)
     for trials in (100, 600):  # both execution paths
         a = estimate_potential(
             pred, (0,) * m, WalkParams(0.8, 15, trials), RandomStream(11).child(5).generator()

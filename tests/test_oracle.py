@@ -3,7 +3,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oiglearn.brute import brute_erm
 from oiglearn.classes import FiniteTableClass, HPrimeClass
 from oiglearn.core import STAR, ContractViolation, Sample, loss_bin
 from oiglearn.oracle import (
@@ -12,7 +11,6 @@ from oiglearn.oracle import (
     OracleCapabilityError,
     QueryCostLedger,
     RangeConsistencyOracle,
-    query_strong_erm,
 )
 
 
@@ -80,25 +78,9 @@ def test_range_consistency_examples():
         query([("x", Fraction(2, 3), Fraction(1, 3))])
 
 
-def test_strong_erm_examples():
-    ledger = QueryCostLedger()
-    cls = FiniteTableClass(("a", "b", "c"), [(0, 0, 0), (1, 1, 1)], "binary")
-    realizable = Sample([("a", 0), ("b", 0)])
-    h = query_strong_erm(cls, realizable, loss_bin, ledger)
-    assert all(h(x) == y for x, y in realizable)
-    # errors (1/3, 2/3): the first row wins
-    s = Sample([("a", 0), ("b", 0), ("c", 1)])
-    h = query_strong_erm(cls, s, loss_bin, ledger)
-    assert h.index == 0
-    single = FiniteTableClass(("a",), [(1,)], "binary")
-    assert query_strong_erm(single, Sample([("a", 0)]), loss_bin, ledger).index == 0
-
-
 def test_capability_errors():
     hp = HPrimeClass(bound=100)
     ledger = QueryCostLedger()
-    with pytest.raises(OracleCapabilityError):
-        query_strong_erm(hp, Sample([(6, 1)]), loss_bin, ledger)
     with pytest.raises(OracleCapabilityError):
         ErmValueOracle(hp, loss_bin, ledger)
     with pytest.raises(OracleCapabilityError):
@@ -155,16 +137,3 @@ def test_oracle_handles_charge_ledger():
     assert ledger.snapshot() == (6, 3)
     assert erm.unnormalized(Sample([("a", 0), ("b", 1), ("b", 0)])) == 1
     assert ledger.snapshot() == (9, 4)
-
-
-def test_strong_erm_matches_brute_minimizer():
-    gen = np.random.default_rng(17)
-    for _ in range(50):
-        cls = _random_class(gen)
-        n = int(gen.integers(1, 6))
-        sample = Sample(
-            (int(gen.integers(0, 4)), int(gen.integers(0, 2))) for _ in range(n)
-        )
-        h = query_strong_erm(cls, sample, loss_bin, QueryCostLedger())
-        value, winners = brute_erm(cls, sample, loss_bin)
-        assert h.index == winners[0]

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oiglearn.brute import menu_project, threshold_project
 from oiglearn.classes import FiniteTableClass
 from oiglearn.core import STAR, ContractViolation, RandomStream, Sample, loss_abs
 from oiglearn.oracle import (
@@ -26,9 +27,7 @@ from oiglearn.pipelines import (
     fit_reg_agnostic,
     fit_reg_realizable,
     menu_consistency_oracle,
-    menu_project,
     threshold_grid,
-    threshold_project,
 )
 
 

@@ -1,9 +1,9 @@
-"""The benchmark's traced mode still sees every layer of the boosted pipelines.
+"""The benchmark's traced mode still sees every layer of the pipelines.
 
 `perfbench/tracing.py` wraps functions by name in the module namespaces their
 callers look them up in, so a rename or a changed call path would silently
-leave a per-layer metric at zero.  This runs one trial of three tiny configs
-under the tracer, in a fresh process so the wrappers stay out of this one.
+leave a per-layer metric at zero.  This runs one trial of tiny configs under
+the tracer, in a fresh process so the wrappers stay out of this one.
 """
 
 import json
@@ -14,13 +14,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-_INTERVALS = [[0] * 8] + [
-    [1 if a <= x < b else 0 for x in range(8)] for a in range(8) for b in range(a + 1, 9)
-]
+
+def _intervals(size):
+    return [[0] * size] + [
+        [1 if a <= x < b else 0 for x in range(size)]
+        for a in range(size) for b in range(a + 1, size + 1)
+    ]
+
 
 CONFIGS = {
     "realizable_partial": {
-        "class": {"kind": "finite_table", "domain": list(range(8)), "table": _INTERVALS},
+        "class": {"kind": "finite_table", "domain": list(range(8)), "table": _intervals(8)},
         "distribution": {"support": [[x, 1 if 2 <= x < 6 else 0] for x in range(8)]},
         "pipeline": "realizable_partial", "n": 6, "m": 2, "eta": 3, "seed": 5,
     },
@@ -66,15 +70,19 @@ print(json.dumps(counts))
 """
 
 
-def test_tracer_counts_every_boosted_layer():
+def _traced_counts(configs):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], input=json.dumps(CONFIGS),
+        [sys.executable, "-c", SCRIPT], input=json.dumps(configs),
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    counts = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_tracer_counts_every_boosted_layer():
+    counts = _traced_counts(CONFIGS)
     for name, extra in EXTRA_SPANS.items():
         for span in (
             "pipelines.fit.calls",
@@ -84,3 +92,23 @@ def test_tracer_counts_every_boosted_layer():
             *extra,
         ):
             assert counts[name].get(span, 0) >= 1, (name, span)
+
+
+# n = 8 plans 576 rollouts per estimate, so the vectorized walk engine runs
+DIAGNOSTIC = {
+    "class": {"kind": "finite_table", "domain": list(range(16)), "table": _intervals(16)},
+    "distribution": {"support": [[x, 1 if 4 <= x < 12 else 0] for x in range(16)]},
+    "pipeline": "weak_transductive", "n": 8, "reps": 2, "seed": 5,
+}
+
+
+def test_tracer_counts_the_diagnostic_layers():
+    counts = _traced_counts({"weak_transductive": DIAGNOSTIC})["weak_transductive"]
+    for span in (
+        "pipelines.fit.calls",
+        "harness.audit.calls",
+        "oig.estimate_potential.calls",
+        "oig.exact_generating_function.calls",
+        "weak.weak_realizable.calls",
+    ):
+        assert counts.get(span, 0) >= 1, span

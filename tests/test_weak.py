@@ -248,7 +248,7 @@ def test_weak_learner_beats_coin_on_thresholds():
 def test_loo_distributional_error_singleton_is_zero():
     cls = FiniteTableClass((0, 1, 2), [(1, 0, 1)], "binary")
     from oiglearn.core import FiniteDistribution
-    from oiglearn.weak import loo_distributional_error
+    from oiglearn.brute import loo_distributional_error
 
     dist = FiniteDistribution.uniform([(0, 1), (1, 0), (2, 1)])
     params = paper_default_params(3)
@@ -260,7 +260,7 @@ def test_loo_distributional_error_point_mass_degenerates():
     # support on one (x, y): every draw is the constant sample, so the
     # distributional error equals the m-sample transductive error of it
     from oiglearn.core import FiniteDistribution
-    from oiglearn.weak import loo_distributional_error
+    from oiglearn.brute import loo_distributional_error
 
     cls = _full_cube_class(3)
     dist = FiniteDistribution.uniform([(0, 1)])
@@ -277,7 +277,7 @@ def test_loo_equals_expected_transductive():
     # exchangeability: E_{S ~ P^m}[transductive error] equals the
     # distributional leave-one-out error; both estimated by Monte Carlo
     from oiglearn.core import FiniteDistribution
-    from oiglearn.weak import loo_distributional_error
+    from oiglearn.brute import loo_distributional_error
 
     cls = MarginThresholdClass.regular(0, Fraction(1, 16), 17, Fraction(1, 32))
     support = [
