@@ -121,6 +121,14 @@ def threshold_erm_scan(concept_class: MarginThresholdClass, xs, ys, loss) -> Fra
     return Fraction(best) / len(xs)
 
 
+def table_erm_scan(concept_class: FiniteTableClass, xs, ys, loss) -> Fraction:
+    """Reference for `FiniteTableClass.erm_value_on`: the least summed loss
+    of any row, point by point in fractions, as a mean."""
+    cols = [concept_class._column(x) for x in xs]
+    best = min(sum(loss(y, row[c]) for y, c in zip(ys, cols)) for row in concept_class.table)
+    return Fraction(best) / len(xs)
+
+
 def _check_size(concept_class: FiniteTableClass):
     if len(concept_class.domain) > _MAX_DOMAIN or len(concept_class.table) > _MAX_TABLE:
         raise ContractViolation("instance too large for exhaustive search")

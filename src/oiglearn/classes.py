@@ -12,12 +12,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import sub
 from typing import Any, Iterable, Sequence
 
 _PRIME_CACHE_SIZE = 1 << 16
 
-from .core import STAR, ContractViolation, as_fraction, loss_bin
+from .core import STAR, ContractViolation, as_fraction, loss_abs, loss_bin
 from .oracle import (
     CONSISTENCY,
     ERM_VALUE,
@@ -35,9 +36,12 @@ class FiniteTableClass(ConceptClass):
     kind is one of 'binary' (labels 0/1/STAR), 'multiclass' (labels 1..K) or
     'real' (rational labels in [0,1]).  All three oracles answer exactly.
     Consistency and projection work on one bitset of rows per (column,
-    label), so they cost one AND or split per query point; the ERM and range
-    oracles scan the rows.  The bitsets of a column hold one bit per row for
-    each distinct label in it.
+    label), so they cost one AND or split per query point.  The bitsets of a
+    column hold one bit per row for each distinct label in it.  ERM under
+    absolute loss on a real table sums integer distances: the entries are
+    held as integers over their common denominator, and each query's labels
+    are scaled once to a denominator both divide.  Every other ERM query and
+    the range oracle scan the rows in fractions.
     """
 
     capabilities = frozenset({CONSISTENCY, ERM_VALUE, RANGE_CONSISTENCY})
@@ -78,6 +82,7 @@ class FiniteTableClass(ConceptClass):
             raise ContractViolation("domain points must be distinct")
         self._all_rows = (1 << len(rows)) - 1
         self._label_rows: list[dict | None] = [None] * len(self.domain)
+        self._scaled_rows: tuple[int, tuple] | None = None
 
     def value_at(self, row: int, x):
         return self.table[row][self._column(x)]
@@ -119,9 +124,49 @@ class FiniteTableClass(ConceptClass):
                 return False
         return True
 
+    def _integer_rows(self) -> tuple[int, tuple]:
+        """(D, rows): D is the lcm of the entries' denominators and each row
+        holds its entries times D, as ints.  Built on the first absolute-loss
+        ERM query."""
+        if self._scaled_rows is None:
+            denominator = lcm(*(v.denominator for row in self.table for v in row))
+            rows = tuple(
+                tuple(v.numerator * (denominator // v.denominator) for v in row)
+                for row in self.table
+            )
+            self._scaled_rows = (denominator, rows)
+        return self._scaled_rows
+
+    def _abs_erm_value(self, xs, ys) -> Fraction:
+        """The least absolute-loss sum over the rows, as a mean, in integers
+        over L = lcm(D, label denominators): sum |y*L - (L/D)*(v*D)| per row,
+        stopping at the first zero."""
+        cols = [self._column(x) for x in xs]
+        ys = [Fraction(y) for y in ys]
+        for y in ys:
+            if not 0 <= y.numerator <= y.denominator:
+                raise ContractViolation(f"absolute-loss labels must lie in [0,1], got {y}")
+        denominator, rows = self._integer_rows()
+        scale = lcm(denominator, *(y.denominator for y in ys))
+        targets = [y.numerator * (scale // y.denominator) for y in ys]
+        up = scale // denominator
+        best = None
+        for row in rows:
+            values = map(row.__getitem__, cols)
+            if up != 1:
+                values = map(up.__mul__, values)
+            total = sum(map(abs, map(sub, targets, values)))
+            if best is None or total < best:
+                best = total
+                if best == 0:
+                    break
+        return Fraction(best, scale * len(xs))
+
     def _erm_value(self, xs, ys, loss) -> Fraction:
         """The least loss sum over the rows, as a mean.  Losses are
         nonnegative, so the scan stops at the first zero-loss row."""
+        if self.kind == "real" and loss is loss_abs:
+            return self._abs_erm_value(xs, ys)
         cols = [self._column(x) for x in xs]
         best = None
         for row in self.table:

@@ -237,6 +237,13 @@ class ExperimentConfig:
                     raise ConfigError(f"{name} must be an integer, got {raw[name]!r}")
             if entry.labels == "multiclass" and int(raw["num_classes"]) < 2:
                 raise ConfigError(f"pipeline {pipeline} needs num_classes of at least 2")
+            # labels the class cannot give would widen the menus and the decoder
+            if (entry.labels == "multiclass" and class_spec.get("kind") == "finite_multiclass"
+                    and class_spec.get("num_classes") != int(raw["num_classes"])):
+                raise ConfigError(
+                    f"num_classes {raw['num_classes']} differs from the class's "
+                    f"num_classes {class_spec.get('num_classes')!r}"
+                )
             parse_label = as_fraction if entry.labels == "real" else int
             support = tuple((_parse_point(x), parse_label(y)) for x, y in dist["support"])
             low, high = (1, int(raw["num_classes"])) if entry.labels == "multiclass" else (0, 1)

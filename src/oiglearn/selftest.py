@@ -12,7 +12,7 @@ import numpy as np
 
 from . import brute
 from .classes import FiniteTableClass, HPrimeClass, MarginThresholdClass
-from .core import STAR, RandomStream, Sample, loss_bin
+from .core import STAR, RandomStream, Sample, loss_abs, loss_bin
 from .ermred import sample_erm_binary
 from .oig import (
     MembershipPredicate,
@@ -198,6 +198,30 @@ def _check_membership_table(gen) -> bool:
     return True
 
 
+def _check_abs_erm(gen) -> bool:
+    """erm_value_on under loss_abs on real tables against brute's Fraction
+    scan.  The table entries are k/4 or k/6 and the query labels have
+    denominators 2 to 7, so some divide the table's common denominator and
+    some do not; points repeat."""
+    for _ in range(200):
+        points = int(gen.integers(1, 6))
+        table_dens = (4, 6)[: int(gen.integers(1, 3))]
+        rows = {
+            tuple(Fraction(int(gen.integers(0, d + 1)), d)
+                  for d in gen.choice(table_dens, size=points).tolist())
+            for _ in range(int(gen.integers(1, 9)))
+        }
+        cls = FiniteTableClass(tuple(range(points)), sorted(rows), "real")
+        for _ in range(5):
+            n = int(gen.integers(1, 11))
+            xs = tuple(int(v) for v in gen.integers(0, points, size=n))
+            ys = tuple(Fraction(int(gen.integers(0, d + 1)), d)
+                       for d in gen.choice((2, 3, 4, 5, 6, 7), size=n).tolist())
+            if cls.erm_value_on(xs, ys, loss_abs) != brute.table_erm_scan(cls, xs, ys, loss_abs):
+                return False
+    return True
+
+
 def _check_erm_reduction(gen) -> bool:
     for _ in range(100):
         cls = _random_binary_table(gen, num_points=4, num_hyps=5)
@@ -230,6 +254,7 @@ CHECKS = (
     ("integer flip-walk solve vs fraction elimination", _check_integer_solve),
     ("threshold ERM sweep vs grid scan", _check_threshold_sweep),
     ("membership table vs per-code memo", _check_membership_table),
+    ("real-table absolute-loss ERM vs Fraction scan", _check_abs_erm),
 )
 
 

@@ -1,4 +1,4 @@
-"""The benchmark's interval_loo workload, checked as `perfbench/run.py` checks it.
+"""The benchmark's own instances, run through the harness as its worker runs them.
 
 A benchmark run fails when its workload check reports a problem, when trial 0
 differs between two processes, or when the check finds no recorded sample
@@ -7,6 +7,7 @@ interval_loo is the one workload whose check reads `train_err` as the
 Monte-Carlo leave-one-out error and `test_err` as the exact one, and
 recomputes the exact error from the drawn samples with the benchmark's own
 reference.  This runs its first trials the way the benchmark's worker does.
+On regression_agnostic every ERM answer is checked against the row scan.
 """
 
 import io
@@ -16,7 +17,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from oiglearn.classes import class_from_config
+from oiglearn.brute import table_erm_scan
+from oiglearn.classes import FiniteTableClass, class_from_config
 from oiglearn.core import FiniteDistribution
 from oiglearn.harness import (
     ExperimentConfig,
@@ -89,3 +91,25 @@ def test_interval_loo_passes_the_benchmark_check(monkeypatch):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == _report_line(reports[0])
+
+
+def test_regression_agnostic_erm_answers_match_the_row_scan(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import build_regression_agnostic
+
+    config = ExperimentConfig.from_dict(build_regression_agnostic(SEED))
+    concept_class = class_from_config(config.class_spec)
+    distribution = build_distribution(config)
+    erm_value_on = FiniteTableClass.erm_value_on
+    answered = []
+
+    def checked(self, xs, ys, loss):
+        value = erm_value_on(self, xs, ys, loss)
+        assert value == table_erm_scan(self, xs, ys, loss), (xs, ys)
+        answered.append(value)
+        return value
+
+    monkeypatch.setattr(FiniteTableClass, "erm_value_on", checked)
+    for trial in range(3):
+        run_trial(config, concept_class, distribution, trial, measure_wall=False)
+    assert len(answered) > 500

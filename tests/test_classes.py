@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oiglearn.brute import table_patterns, threshold_erm_scan, vc_dimension
+from oiglearn.brute import table_erm_scan, table_patterns, threshold_erm_scan, vc_dimension
 from oiglearn.classes import (
     FiniteTableClass,
     HPrimeClass,
@@ -15,7 +15,7 @@ from oiglearn.classes import (
     prime_factors,
     semiprime_split,
 )
-from oiglearn.core import STAR, ContractViolation, loss_bin, loss_mc
+from oiglearn.core import STAR, ContractViolation, loss_abs, loss_bin, loss_mc
 
 
 def test_finite_table_examples():
@@ -103,16 +103,77 @@ def test_finite_table_pickles():
     ]
     for cls in classes:
         cls.project_onto(cls.domain[:1])  # one column's bitsets built before pickling, the rest after
-        copy = pickle.loads(pickle.dumps(cls))
+        copies = [pickle.loads(pickle.dumps(cls))]
+        if cls.kind == "real":
+            # the first copy was pickled before the integer rows existed, this one after
+            cls.erm_value_on(cls.domain, cls.table[0], loss_abs)
+            copies.append(pickle.loads(pickle.dumps(cls)))
         gen = np.random.default_rng(43)
         labels = sorted({v for row in cls.table for v in row if v is not STAR})
         for _ in range(100):
             n = int(gen.integers(1, 4))
             xs = tuple(cls.domain[int(i)] for i in gen.integers(0, len(cls.domain), size=n))
             ys = tuple(labels[int(i)] for i in gen.integers(0, len(labels), size=n))
-            assert copy.consistent_on(xs, ys) == cls.consistent_on(xs, ys)
-            assert copy.project_onto(xs) == cls.project_onto(xs)
-            assert copy.erm_value_on(xs, ys, loss_bin) == cls.erm_value_on(xs, ys, loss_bin)
+            for copy in copies:
+                assert copy.consistent_on(xs, ys) == cls.consistent_on(xs, ys)
+                assert copy.project_onto(xs) == cls.project_onto(xs)
+                assert copy.erm_value_on(xs, ys, loss_bin) == cls.erm_value_on(xs, ys, loss_bin)
+                if cls.kind == "real":
+                    value = table_erm_scan(cls, xs, ys, loss_abs)
+                    assert copy.erm_value_on(xs, ys, loss_abs) == value
+                    assert cls.erm_value_on(xs, ys, loss_abs) == value
+
+
+def _random_real_table(gen, points, denominators):
+    """A real table of 1 to 8 distinct rows whose entries are k/d, d drawn
+    from `denominators`."""
+    rows = set()
+    for _ in range(int(gen.integers(1, 9))):
+        dens = [denominators[int(i)] for i in gen.integers(0, len(denominators), size=points)]
+        rows.add(tuple(Fraction(int(gen.integers(0, d + 1)), d) for d in dens))
+    return FiniteTableClass(tuple(range(points)), sorted(rows), "real")
+
+
+# entries 0 and 1 only (D = 1), halves and quarters, and mixed denominators
+_TABLE_DENOMINATORS = ((1,), (2, 4), (3, 5, 8))
+# query labels over denominators that do and do not divide the table's, and
+# labels given as ints and as floats (read exactly, as binary fractions)
+_LABEL_DENOMINATORS = (1, 2, 3, 4, 7, 10, 16)
+
+
+def test_real_table_abs_erm_matches_scan():
+    gen = np.random.default_rng(53)
+    for k in range(600):
+        denominators = _TABLE_DENOMINATORS[k % len(_TABLE_DENOMINATORS)]
+        cls = _random_real_table(gen, int(gen.integers(1, 6)), denominators)
+        n = int(gen.integers(1, 13))  # more points than columns, so points repeat
+        xs = tuple(int(v) for v in gen.integers(0, len(cls.domain), size=n))
+        dens = [_LABEL_DENOMINATORS[int(i)] for i in gen.integers(0, len(_LABEL_DENOMINATORS), size=n)]
+        ys = tuple(Fraction(int(gen.integers(0, d + 1)), d) for d in dens)
+        if k % 5 == 0:
+            ys = tuple(int(y) if y.denominator == 1 else float(y) for y in ys)
+        value = cls.erm_value_on(xs, ys, loss_abs)
+        assert value == table_erm_scan(cls, xs, ys, loss_abs), (cls.table, xs, ys)
+        assert type(value) is Fraction
+        if k % 10 == 0:  # any other loss keeps the scan
+            assert cls.erm_value_on(xs, ys, loss_bin) == table_erm_scan(cls, xs, ys, loss_bin)
+
+
+def test_real_table_abs_erm_edge_cases():
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    cls = FiniteTableClass((0, 1, 2), [(0, 0, 1), (half, 1, 0), (1, half, half)], "real")
+    # the zero-loss row is the last one; the rows before it are still compared
+    assert cls.erm_value_on((2, 0, 2), (half, 1, half), loss_abs) == 0
+    assert cls.erm_value_on((0, 1), (third, third), loss_abs) == Fraction(1, 3)
+    assert cls.erm_value_on((1, 1), (third, 1), loss_abs) == Fraction(1, 3)
+    for ys in ((Fraction(-1, 3), half), (half, Fraction(4, 3)), (0, 2), (0, -0.5)):
+        for xs in ((0, 1), (1, 1)):
+            with pytest.raises(ContractViolation):
+                cls.erm_value_on(xs, ys, loss_abs)
+            with pytest.raises(ContractViolation):
+                table_erm_scan(cls, xs, ys, loss_abs)
+    with pytest.raises(ContractViolation):
+        cls.erm_value_on((3,), (0,), loss_abs)
 
 
 def test_threshold_and_hprime_pickle():

@@ -83,6 +83,17 @@ _ONE_CLASS = tuple(
     for pipeline in ("multiclass_realizable", "multiclass_agnostic")
 )
 
+# a top-level num_classes other than the class's own: the menus and the
+# decoder would range over labels no hypothesis gives
+_MULTICLASS_CLASS = {"kind": "finite_multiclass", "domain": [0, 1, 2],
+                     "table": [[1, 2, 3], [2, 3, 4]], "num_classes": 4}
+_MISMATCHED_CLASSES = tuple(
+    {"pipeline": pipeline, "num_classes": k, "class": _MULTICLASS_CLASS,
+     "distribution": {"support": [[0, 1], [1, 2], [2, 3]]}}
+    for pipeline in ("multiclass_realizable", "multiclass_agnostic")
+    for k in (3, 6)
+)
+
 # integer fields given a bool or a non-whole number, which int() would truncate
 _BAD_INTEGERS = (
     {"n": 2.7}, {"m": 2.5}, {"trials": True}, {"seed": 11.5}, {"reps": True},
@@ -143,9 +154,12 @@ def test_config_errors():
                 {"eta": 0}, {"delta": -0.2}, {"c1": -1},
                 {"pipeline": "reg_agnostic"}, {"pipeline": "multiclass_realizable"},
                 *_UNKNOWN_KEYS, *_TOO_LARGE_FOR_AUDIT, *_TOO_SMALL_FOR_THE_WALK, *_BAD_LABELS,
-                *_ONE_CLASS, *_BAD_INTEGERS):
+                *_ONE_CLASS, *_MISMATCHED_CLASSES, *_BAD_INTEGERS):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(_singleton_config(**bad))
+    ExperimentConfig.from_dict(_singleton_config(
+        **{**_MISMATCHED_CLASSES[0], "num_classes": 4}
+    ))
     for bad in _BAD_REGRESSION:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(_regression_config(**bad))
@@ -330,7 +344,7 @@ def test_cli_run_and_exit_codes(tmp_path):
     bad_configs = [
         _singleton_config(**bad)
         for bad in (_BAD_SETUPS + _UNKNOWN_KEYS + _TOO_LARGE_FOR_AUDIT + _TOO_SMALL_FOR_THE_WALK
-                    + _BAD_LABELS + _ONE_CLASS + _BAD_INTEGERS)
+                    + _BAD_LABELS + _ONE_CLASS + _MISMATCHED_CLASSES + _BAD_INTEGERS)
     ] + [
         _singleton_config(n=0),
         _singleton_config(pipeline="weak_transductive", reps=0),
