@@ -465,13 +465,14 @@ class HPrimeClass(ConceptClass):
         return FiniteTableClass(points, sorted(rows), "binary")
 
 
-# per class kind, the keys `class_from_config` reads
-CLASS_CONFIG_KEYS = {
-    "finite_table": frozenset({"kind", "domain", "table"}),
-    "finite_multiclass": frozenset({"kind", "domain", "table", "num_classes"}),
-    "finite_real": frozenset({"kind", "domain", "table"}),
-    "margin_threshold": frozenset({"kind", "grid", "margin"}),
-    "hprime": frozenset({"kind", "bound"}),
+# per class kind, the labels its hypotheses give and the keys
+# `class_from_config` reads
+CLASS_KINDS = {
+    "finite_table": ("binary", frozenset({"kind", "domain", "table"})),
+    "finite_multiclass": ("multiclass", frozenset({"kind", "domain", "table", "num_classes"})),
+    "finite_real": ("real", frozenset({"kind", "domain", "table"})),
+    "margin_threshold": ("binary", frozenset({"kind", "grid", "margin"})),
+    "hprime": ("binary", frozenset({"kind", "bound"})),
 }
 
 

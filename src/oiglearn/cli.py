@@ -54,11 +54,19 @@ def main(argv=None) -> int:
     sub.add_parser("selftest", help="run the brute-force cross-check battery")
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "audit":
-        return _cmd_audit(args)
-    return _cmd_selftest()
+    if args.command == "selftest":
+        return _cmd_selftest()
+    try:
+        config = _load_config(args.config)
+        if args.command == "run":
+            return _cmd_run(config, args)
+        return _cmd_audit(config)
+    except OracleCapabilityError as exc:
+        print(f"capability mismatch: {exc}", file=sys.stderr)
+        return EXIT_CAPABILITY
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def _load_config(path) -> ExperimentConfig:
@@ -72,16 +80,8 @@ def _load_config(path) -> ExperimentConfig:
     return config
 
 
-def _cmd_run(args) -> int:
-    try:
-        config = _load_config(args.config)
-        reports = run_experiment(config, jobs=args.jobs, measure_wall=not args.no_wall)
-    except OracleCapabilityError as exc:
-        print(f"capability mismatch: {exc}", file=sys.stderr)
-        return EXIT_CAPABILITY
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def _cmd_run(config, args) -> int:
+    reports = run_experiment(config, jobs=args.jobs, measure_wall=not args.no_wall)
     try:
         if args.out == "-":
             emit_report(reports, args.format, sys.stdout)
@@ -94,29 +94,21 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_audit(args) -> int:
-    try:
-        config = _load_config(args.config)
-        concept_class, distribution = setup_experiment(config)
-        # trial 0's sample at the discount of the audit pipeline
-        sample, _ = draw_trial(config, distribution, 0)
-        for walk in ("lazy", "flip"):
-            audit = audit_sample(config, concept_class, sample, walk)
-            print(
-                f"walk={walk} out_degree={audit.out_degree:.6f} "
-                f"loo_error={audit.loo_error:.6f} min_potential={audit.min_potential:.6f} "
-                f"bound_rhs={audit.bound_rhs:.6f} slack={audit.slack:.6g}"
-            )
-            masses = ", ".join(
-                "absent" if m is None else f"{m:.4f}" for m in audit.edge_mass_on_truth
-            )
-            print(f"  per-edge mass on truth: [{masses}]")
-    except OracleCapabilityError as exc:
-        print(f"capability mismatch: {exc}", file=sys.stderr)
-        return EXIT_CAPABILITY
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def _cmd_audit(config) -> int:
+    concept_class, distribution = setup_experiment(config)
+    # trial 0's sample at the discount of the audit pipeline
+    sample, _ = draw_trial(config, distribution, 0)
+    for walk in ("lazy", "flip"):
+        audit = audit_sample(config, concept_class, sample, walk)
+        print(
+            f"walk={walk} out_degree={audit.out_degree:.6f} "
+            f"loo_error={audit.loo_error:.6f} min_potential={audit.min_potential:.6f} "
+            f"bound_rhs={audit.bound_rhs:.6f} slack={audit.slack:.6g}"
+        )
+        masses = ", ".join(
+            "absent" if m is None else f"{m:.4f}" for m in audit.edge_mass_on_truth
+        )
+        print(f"  per-edge mass on truth: [{masses}]")
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import IO, Callable
 
 from .brute import AUDIT_MAX_POINTS, exact_transductive_audit
-from .classes import CLASS_CONFIG_KEYS, class_from_config, parse_points
+from .classes import CLASS_KINDS, class_from_config, parse_points
 from .core import (
     ContractViolation,
     FiniteDistribution,
@@ -59,61 +59,49 @@ class ConfigError(ValueError):
     """The experiment configuration could not be parsed or validated."""
 
 
-# A pipeline's trial body returns (train_err, test_err).  It looks up fit_*,
-# transductive_error, exact_transductive_audit and empirical_error in this
-# module's globals at run time, so rebinding one (as a tracer does) reaches it.
+# A learner's trial body fits its pipeline and returns the fitted
+# `BoostedPredictor`; `run_trial` scores it under the loss of the pipeline's
+# label kind.  A diagnostic's trial body returns its two report values.  Trial
+# bodies and `run_trial` look up fit_*, transductive_error,
+# exact_transductive_audit and empirical_error in this module's globals at run
+# time, so rebinding one (as a tracer does) reaches it.
 
 
 def _boosting(config):
     return config.weak_spec(), config.eta, config.delta
 
 
-def _errors(predict, sample, distribution, loss):
-    return empirical_error(sample, predict, loss), distribution.expected_loss(predict, loss)
-
-
-def _clamped(predict):
-    # the vote sum can exceed 1; losses are reported against the clamped value
-    return lambda x: min(max(predict(x), Fraction(0)), Fraction(1))
-
-
-def _realizable_partial(config, concept_class, distribution, sample, ledger, rng):
+def _realizable_partial(config, concept_class, sample, ledger, rng):
     con = ConsistencyOracle(concept_class, ledger)
-    fitted = fit_realizable_partial(sample, *_boosting(config), con, rng)
-    return _errors(fitted.predict, sample, distribution, loss_bin)
+    return fit_realizable_partial(sample, *_boosting(config), con, rng)
 
 
-def _agnostic_partial(config, concept_class, distribution, sample, ledger, rng):
+def _agnostic_partial(config, concept_class, sample, ledger, rng):
     con = ConsistencyOracle(concept_class, ledger)
     erm = ErmValueOracle(concept_class, loss_bin, ledger)
-    fitted = fit_agnostic_partial(sample, *_boosting(config), erm, con, rng)
-    return _errors(fitted.predict, sample, distribution, loss_bin)
+    return fit_agnostic_partial(sample, *_boosting(config), erm, con, rng)
 
 
-def _multiclass_realizable(config, concept_class, distribution, sample, ledger, rng):
+def _multiclass_realizable(config, concept_class, sample, ledger, rng):
     con = ConsistencyOracle(concept_class, ledger)
-    fitted = fit_multiclass_realizable(sample, config.num_classes, *_boosting(config), con, rng)
-    return _errors(fitted.predict, sample, distribution, loss_mc)
+    return fit_multiclass_realizable(sample, config.num_classes, *_boosting(config), con, rng)
 
 
-def _multiclass_agnostic(config, concept_class, distribution, sample, ledger, rng):
+def _multiclass_agnostic(config, concept_class, sample, ledger, rng):
     con = ConsistencyOracle(concept_class, ledger)
     erm = ErmValueOracle(concept_class, loss_mc, ledger)
-    fitted = fit_multiclass_agnostic(sample, config.num_classes, *_boosting(config), erm, con, rng)
-    return _errors(fitted.predict, sample, distribution, loss_mc)
+    return fit_multiclass_agnostic(sample, config.num_classes, *_boosting(config), erm, con, rng)
 
 
-def _reg_realizable(config, concept_class, distribution, sample, ledger, rng):
+def _reg_realizable(config, concept_class, sample, ledger, rng):
     beta = config.beta if config.beta is not None else config.gamma
     range_query = RangeConsistencyOracle(concept_class, ledger)
-    fitted = fit_reg_realizable(sample, *_boosting(config), config.gamma, beta, range_query, rng)
-    return _errors(_clamped(fitted.predict), sample, distribution, loss_abs)
+    return fit_reg_realizable(sample, *_boosting(config), config.gamma, beta, range_query, rng)
 
 
-def _reg_agnostic(config, concept_class, distribution, sample, ledger, rng):
+def _reg_agnostic(config, concept_class, sample, ledger, rng):
     erm = ErmValueOracle(concept_class, loss_abs, ledger)
-    fitted = fit_reg_agnostic(sample, *_boosting(config), config.gamma, erm, rng)
-    return _errors(_clamped(fitted.predict), sample, distribution, loss_abs)
+    return fit_reg_agnostic(sample, *_boosting(config), config.gamma, erm, rng)
 
 
 def audit_sample(config, concept_class, sample, walk):
@@ -128,7 +116,7 @@ def audit_sample(config, concept_class, sample, walk):
         raise ConfigError(f"cannot audit the drawn sample: {exc}") from exc
 
 
-def _weak_transductive(config, concept_class, distribution, sample, ledger, rng):
+def _weak_transductive(config, concept_class, sample, ledger, rng):
     # the audit is deterministic and charges nothing, so it runs first: a
     # sample it rejects fails before the Monte-Carlo estimate
     audit = audit_sample(config, concept_class, sample, "flip")
@@ -137,43 +125,52 @@ def _weak_transductive(config, concept_class, distribution, sample, ledger, rng)
     return measured, audit.loo_error
 
 
-def _audit(config, concept_class, distribution, sample, ledger, rng):
+def _audit(config, concept_class, sample, ledger, rng):
     audit = audit_sample(config, concept_class, sample, "lazy")
     return audit.loo_error, audit.slack
 
 
+# per label kind: the loss a learner's errors are measured in, and the config
+# field its pipelines require
+_LABEL_KINDS = {
+    "binary": (loss_bin, None),
+    "multiclass": (loss_mc, "num_classes"),
+    "real": (loss_abs, "gamma"),
+}
+
+
 @dataclass(frozen=True)
 class Pipeline:
-    """The oracles a pipeline needs, the config fields it requires, its label
-    kind ("binary", "multiclass" or "real": how support labels parse and which
-    label noise applies), its trial body and the sample sizes n it takes."""
+    """The oracles a pipeline needs, its label kind ("binary", "multiclass" or
+    "real": how support labels parse, which label noise applies, and through
+    `_LABEL_KINDS` which loss scores the learner and which config field it
+    requires), its trial body and the sample sizes n it takes.  A diagnostic's
+    trial body reports its own two values instead of a predictor to score."""
 
     capabilities: tuple
-    required: tuple
     labels: str
     run: Callable
     max_n: int | None = None
     min_n: int = 1
+    diagnostic: bool = False
 
 
 PIPELINES = {
-    "realizable_partial": Pipeline((CONSISTENCY,), (), "binary", _realizable_partial),
-    "agnostic_partial": Pipeline((CONSISTENCY, ERM_VALUE), (), "binary", _agnostic_partial),
-    "multiclass_realizable": Pipeline(
-        (CONSISTENCY,), ("num_classes",), "multiclass", _multiclass_realizable
-    ),
-    "multiclass_agnostic": Pipeline(
-        (CONSISTENCY, ERM_VALUE), ("num_classes",), "multiclass", _multiclass_agnostic
-    ),
-    "reg_realizable": Pipeline((RANGE_CONSISTENCY,), ("gamma",), "real", _reg_realizable),
-    "reg_agnostic": Pipeline((ERM_VALUE,), ("gamma",), "real", _reg_agnostic),
+    "realizable_partial": Pipeline((CONSISTENCY,), "binary", _realizable_partial),
+    "agnostic_partial": Pipeline((CONSISTENCY, ERM_VALUE), "binary", _agnostic_partial),
+    "multiclass_realizable": Pipeline((CONSISTENCY,), "multiclass", _multiclass_realizable),
+    "multiclass_agnostic": Pipeline((CONSISTENCY, ERM_VALUE), "multiclass", _multiclass_agnostic),
+    "reg_realizable": Pipeline((RANGE_CONSISTENCY,), "real", _reg_realizable),
+    "reg_agnostic": Pipeline((ERM_VALUE,), "real", _reg_agnostic),
     # diagnostics: train_err/test_err are the Monte-Carlo and the exact flip-walk
     # leave-one-out error, or the exact lazy-walk leave-one-out error and the bound
     # slack; their walk comes from n (`transductive_params`), which needs n >= 2
     "weak_transductive": Pipeline(
-        (CONSISTENCY,), (), "binary", _weak_transductive, AUDIT_MAX_POINTS, min_n=2
+        (CONSISTENCY,), "binary", _weak_transductive, AUDIT_MAX_POINTS, min_n=2, diagnostic=True
     ),
-    "audit": Pipeline((CONSISTENCY,), (), "binary", _audit, AUDIT_MAX_POINTS, min_n=2),
+    "audit": Pipeline(
+        (CONSISTENCY,), "binary", _audit, AUDIT_MAX_POINTS, min_n=2, diagnostic=True
+    ),
 }
 
 
@@ -219,16 +216,22 @@ class ExperimentConfig:
             if pipeline not in PIPELINES:
                 raise ConfigError(f"unknown pipeline {pipeline!r}")
             entry = PIPELINES[pipeline]
-            missing = [name for name in entry.required if raw.get(name) is None]
-            if missing:
-                raise ConfigError(f"pipeline {pipeline} needs {', '.join(missing)}")
+            _, required = _LABEL_KINDS[entry.labels]
+            if required is not None and raw.get(required) is None:
+                raise ConfigError(f"pipeline {pipeline} needs {required}")
             class_spec = raw["class"]
             if not isinstance(class_spec, dict):
                 raise ConfigError("class must be an object")
             # an unknown kind is left to class_from_config, which names it
-            class_keys = CLASS_CONFIG_KEYS.get(class_spec.get("kind"))
-            if class_keys is not None:
+            class_kind = CLASS_KINDS.get(class_spec.get("kind"))
+            if class_kind is not None:
+                class_labels, class_keys = class_kind
                 _reject_unknown_keys(class_spec, class_keys, f"{class_spec['kind']} class")
+                if class_labels != entry.labels:
+                    raise ConfigError(
+                        f"pipeline {pipeline} takes {entry.labels} labels, but a "
+                        f"{class_spec['kind']} class gives {class_labels} labels"
+                    )
             dist = raw["distribution"]
             _reject_unknown_keys(dist, _DISTRIBUTION_KEYS, "distribution")
             # int() would run 2.7 as 2 and true as 1
@@ -260,6 +263,9 @@ class ExperimentConfig:
             gamma = raw.get("gamma")
             beta = raw.get("beta")
             num_classes = raw.get("num_classes")
+            c1 = float(raw.get("C1", raw.get("c1", 1.0)))
+            if "c1" in raw and float(raw["c1"]) != c1:
+                raise ConfigError(f"C1 {raw['C1']!r} and c1 {raw['c1']!r} differ")
             config = cls(
                 class_spec=class_spec,
                 support=support,
@@ -268,7 +274,7 @@ class ExperimentConfig:
                 pipeline=pipeline,
                 n=int(raw.get("n", 10)),
                 m=m,
-                c1=float(raw.get("C1", raw.get("c1", 1.0))),
+                c1=c1,
                 lam=float(raw.get("lambda", 1.0)),
                 eta=eta,
                 delta=float(raw.get("delta", 0.2)),
@@ -292,7 +298,7 @@ class ExperimentConfig:
         if entry.max_n is not None and config.n > entry.max_n:
             raise ConfigError(f"pipeline {pipeline} takes at most n = {entry.max_n} points")
         # the regression pipelines' own checks, so a bad grid fails before any trial
-        if "gamma" in entry.required and not (0 < config.gamma < 1):
+        if entry.labels == "real" and not (0 < config.gamma < 1):
             raise ConfigError("gamma must lie strictly between 0 and 1")
         if pipeline == "reg_agnostic" and config.gamma.numerator != 1:
             raise ConfigError("reg_agnostic needs gamma = 1/G for an integer G")
@@ -381,12 +387,17 @@ def draw_trial(config: ExperimentConfig, distribution, trial: int) -> tuple[Samp
 
 def run_trial(config: ExperimentConfig, concept_class, distribution, trial: int,
               measure_wall: bool = True) -> TrialReport:
+    entry = PIPELINES[config.pipeline]
     ledger = QueryCostLedger()
     started = time.perf_counter() if measure_wall else 0.0
     sample, rng = draw_trial(config, distribution, trial)
-    train_err, test_err = PIPELINES[config.pipeline].run(
-        config, concept_class, distribution, sample, ledger, rng
-    )
+    fitted = entry.run(config, concept_class, sample, ledger, rng)
+    if entry.diagnostic:
+        train_err, test_err = fitted
+    else:
+        loss, _ = _LABEL_KINDS[entry.labels]
+        train_err = empirical_error(sample, fitted.predict, loss)
+        test_err = distribution.expected_loss(fitted.predict, loss)
     wall_ms = int(round((time.perf_counter() - started) * 1000)) if measure_wall else 0
     cost, calls = ledger.snapshot()
     return TrialReport(

@@ -43,9 +43,9 @@ def boosting_rounds(n: int, delta: float, eta: float, log_factor: int) -> int:
     return math.ceil(16 * math.log(log_factor * n / delta) / (eta * eta))
 
 
-def make_weak_learner(params: WeakLearnerParams, con_oracle, total: bool = False):
+def make_weak_learner(params: WeakLearnerParams, con_oracle):
     def learner(round_sample: Sample, x, stream: RandomStream) -> int:
-        return weak_realizable(round_sample, x, params, con_oracle, stream, total=total).bit
+        return weak_realizable(round_sample, x, params, con_oracle, stream).bit
 
     return learner
 
@@ -69,8 +69,8 @@ class BoostedPredictor:
 
 
 def _boost(sample: Sample, weak: WeakSpec, con_oracle, rounds: int, rng: RandomStream,
-           total: bool = False, decode=None) -> BoostedPredictor:
-    learner = make_weak_learner(weak.learner_params(), con_oracle, total)
+           decode=None) -> BoostedPredictor:
+    learner = make_weak_learner(weak.learner_params(), con_oracle)
     return BoostedPredictor(adaboost_train(sample, learner, weak.m, rounds, rng), decode)
 
 
@@ -147,7 +147,7 @@ def fit_multiclass_realizable(
     return _boost(
         build_menu_sample(sample, num_classes), weak, menu_consistency_oracle(con_oracle),
         boosting_rounds(len(sample) * num_classes, delta, eta, 4), rng,
-        total=True, decode=partial(decode_multiclass, num_classes=num_classes),
+        decode=partial(decode_multiclass, num_classes=num_classes),
     )
 
 
@@ -213,8 +213,10 @@ def build_threshold_sample(sample: Sample, gamma, beta) -> Sample:
 
 
 def decode_threshold(j_eval, x, gamma) -> Fraction:
-    """gamma times the number of grid thresholds voted 1; not clamped to [0,1]."""
-    return gamma * sum(j_eval(x, tau) for tau in threshold_grid(gamma))
+    """gamma times the number of grid thresholds voted 1, clamped to at most 1:
+    the grid has floor(1/gamma)+1 thresholds, so a unanimous vote reaches
+    1+gamma when 1/gamma is an integer.  The vote is never negative."""
+    return min(gamma * sum(j_eval(x, tau) for tau in threshold_grid(gamma)), Fraction(1))
 
 
 def fit_reg_realizable(
@@ -229,7 +231,7 @@ def fit_reg_realizable(
         build_threshold_sample(sample, gamma, beta), weak,
         threshold_consistency_oracle(range_query, gamma),
         boosting_rounds(len(sample), delta, eta, 4), rng,
-        total=True, decode=partial(decode_threshold, gamma=gamma),
+        decode=partial(decode_threshold, gamma=gamma),
     )
 
 

@@ -16,11 +16,6 @@ from .core import ContractViolation, RandomStream, Sample, loss_bin
 from .oig import MembershipPredicate, WalkParams, default_horizon, estimate_potential, pack
 
 
-class RealizabilityViolation(RuntimeError):
-    """Both completions were rejected: the input sample is not realizable
-    (or the oracle is broken)."""
-
-
 @dataclass(frozen=True)
 class WeakLearnerParams:
     """Walk discount/trials plus the orientation sharpness lambda.
@@ -72,7 +67,6 @@ def weak_realizable(
     con_oracle,
     rng: RandomStream,
     potential=None,
-    total: bool = False,
     membership: MembershipPredicate | None = None,
 ) -> WeakPrediction:
     """Predict the label of x from a realizable sample, via one oracle-driven
@@ -83,11 +77,11 @@ def weak_realizable(
     distinct points stay independent.  `potential`, if given, is a test hook
     (points, vertex) -> value replacing the Monte-Carlo estimator.
 
-    When both completions are rejected the input was unrealizable: by default
-    that raises, but `total=True` keeps the literal check order (the failing
-    0-completion answers first) and returns 1.  Decoders for the multiclass
-    and threshold encodings evaluate the learner at points whose class-true
-    value is 'undefined', and rely on that total mode.
+    A rejected 0-completion answers 1 and a rejected 1-completion answers 0;
+    both are queried, the 0-completion first.  So when both are rejected (an
+    unrealizable sample, or a point where no consistent hypothesis is defined,
+    as in a partial class or the multiclass and threshold encodings) the
+    prediction is still 1.
 
     `membership`, if given, is the memo over the points `sample.xs + (x,)`
     that answers this prediction's queries; a caller that predicts x from the
@@ -107,12 +101,6 @@ def weak_realizable(
         raise ContractViolation("membership memo must cover the context and the query point")
     feasible0 = membership.query_packed(pack(y0))
     feasible1 = membership.query_packed(pack(y1))
-    if not feasible0 and not feasible1:
-        if total:
-            return WeakPrediction(1, 1.0)
-        raise RealizabilityViolation(
-            "neither completion of the query point is consistent with the class"
-        )
     if not feasible0:
         return WeakPrediction(1, 1.0)
     if not feasible1:

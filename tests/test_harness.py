@@ -11,6 +11,7 @@ import pytest
 
 from oiglearn.harness import (
     CSV_HEADER,
+    PIPELINES,
     ConfigError,
     ExperimentConfig,
     build_distribution,
@@ -133,6 +134,17 @@ _BAD_REGRESSION = (
     {"pipeline": "reg_realizable", "gamma": "1/4", "beta": "1/8"},
 )
 
+# a class whose labels are not the pipeline's: real values for a binary
+# learner, binary labels for a multiclass one, thresholds for a regressor
+_MISMATCHED_KINDS = (
+    {"pipeline": "agnostic_partial", "class": _REAL_CLASS,
+     "distribution": {"support": [[0, 1], [1, 0]]}},
+    {"pipeline": "multiclass_realizable", "num_classes": 2,
+     "distribution": {"support": [[0, 1], [1, 2], [2, 1]]}},
+    {"pipeline": "reg_agnostic", "gamma": "1/4", "class": _THRESHOLD_CLASS,
+     "distribution": {"support": [["1/64", 0], ["63/64", 1]]}},
+)
+
 
 def _regression_config(**overrides):
     raw = _singleton_config(
@@ -153,8 +165,9 @@ def test_config_errors():
     for bad in ({"n": 0}, {"reps": 0}, {"trials": -2}, {"class": None},
                 {"eta": 0}, {"delta": -0.2}, {"c1": -1},
                 {"pipeline": "reg_agnostic"}, {"pipeline": "multiclass_realizable"},
+                {"C1": 1, "c1": 5},
                 *_UNKNOWN_KEYS, *_TOO_LARGE_FOR_AUDIT, *_TOO_SMALL_FOR_THE_WALK, *_BAD_LABELS,
-                *_ONE_CLASS, *_MISMATCHED_CLASSES, *_BAD_INTEGERS):
+                *_ONE_CLASS, *_MISMATCHED_CLASSES, *_MISMATCHED_KINDS, *_BAD_INTEGERS):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(_singleton_config(**bad))
     ExperimentConfig.from_dict(_singleton_config(
@@ -226,13 +239,14 @@ def _mutate(raw: dict, rand: random.Random) -> dict:
 
 def test_config_fuzz_fails_only_with_config_errors():
     # parsing and setup of a malformed config either succeed or raise one of
-    # the two errors the CLI maps to exit codes, never anything else
+    # the two errors the CLI maps to exit codes, never anything else; each
+    # shipped config is tried under every pipeline, then mutated under one
     rand = random.Random(6)
     outcomes = {"ok": 0, "rejected": 0}
     for path in SHIPPED_CONFIGS:
         base = json.loads(path.read_text())
-        for _ in range(80):
-            raw = _mutate(base, rand)
+        swapped = [{**base, "pipeline": name} for name in sorted(PIPELINES)]
+        for raw in swapped + [_mutate(rand.choice(swapped), rand) for _ in range(80)]:
             try:
                 setup_experiment(ExperimentConfig.from_dict(raw))
                 outcomes["ok"] += 1
@@ -344,7 +358,8 @@ def test_cli_run_and_exit_codes(tmp_path):
     bad_configs = [
         _singleton_config(**bad)
         for bad in (_BAD_SETUPS + _UNKNOWN_KEYS + _TOO_LARGE_FOR_AUDIT + _TOO_SMALL_FOR_THE_WALK
-                    + _BAD_LABELS + _ONE_CLASS + _MISMATCHED_CLASSES + _BAD_INTEGERS)
+                    + _BAD_LABELS + _ONE_CLASS + _MISMATCHED_CLASSES + _MISMATCHED_KINDS
+                    + _BAD_INTEGERS)
     ] + [
         _singleton_config(n=0),
         _singleton_config(pipeline="weak_transductive", reps=0),
@@ -374,6 +389,27 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert proc.returncode == 4
 
 
+def test_cli_runs_where_no_hypothesis_is_defined(tmp_path):
+    # a weak prediction whose two completions are both rejected answers 1:
+    # a noisy sample drawn for a realizable pipeline, and a point that is '*'
+    # in every row of the table
+    noisy = json.loads((CONFIGS_DIR / "threshold_realizable.json").read_text())
+    noisy["distribution"]["label_noise"] = "1/10"
+    noisy["trials"] = 1
+    starred = _singleton_config(
+        pipeline="agnostic_partial", trials=1,
+        **{"class": {"kind": "finite_table", "domain": [0, 1, 2],
+                     "table": [[1, 0, "*"], [0, 1, "*"]]}},
+    )
+    for k, raw in enumerate((noisy, starred)):
+        path = tmp_path / f"undefined{k}.json"
+        path.write_text(json.dumps(raw))
+        proc = _run_cli(["run", "--config", str(path), "--no-wall"])
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stdout.splitlines()) == 2
+
+
 def test_cli_seed_env_override(tmp_path):
     config_path = tmp_path / "exp.json"
     config_path.write_text(json.dumps(_singleton_config(trials=2)))
@@ -395,7 +431,7 @@ def test_cli_audit_runs(tmp_path):
     # the last: a realizable_partial config with one point, audited at its n
     bad_configs = [_singleton_config(**{"n": 4, "trials": 1, **bad})
                    for bad in (_BAD_SETUPS + _UNREALIZABLE + _TOO_LARGE_FOR_AUDIT
-                               + _TOO_SMALL_FOR_THE_WALK + ({"n": 1},))]
+                               + _TOO_SMALL_FOR_THE_WALK + _MISMATCHED_KINDS + ({"n": 1},))]
     for k, raw in enumerate(bad_configs):
         path = tmp_path / f"bad{k}.json"
         path.write_text(json.dumps(raw))

@@ -201,6 +201,8 @@ def test_regression_vote_formula():
     two_votes = lambda x, tau: 1 if tau in (0, Fraction(1, 4)) else 0
     assert decode_threshold(two_votes, "x", gamma) == Fraction(1, 2)
     assert decode_threshold(lambda x, tau: 0, "x", gamma) == 0
+    # a unanimous vote covers floor(1/gamma)+1 = 5 thresholds and is clamped to 1
+    assert decode_threshold(lambda x, tau: 1, "x", gamma) == 1
 
 
 def test_reg_realizable_singleton_training_error():

@@ -11,7 +11,6 @@ from oiglearn.core import ContractViolation, RandomStream, Sample
 from oiglearn.oig import MembershipPredicate, exact_generating_function, neighbors
 from oiglearn.oracle import ConsistencyOracle, QueryCostLedger
 from oiglearn.weak import (
-    RealizabilityViolation,
     WeakLearnerParams,
     paper_default_params,
     transductive_error,
@@ -73,11 +72,16 @@ def test_weak_realizable_forced_by_consistency():
     assert pred.sigma_hat == 1.0
 
 
-def test_weak_realizable_rejects_unrealizable():
+def test_weak_realizable_answers_when_both_completions_are_rejected():
+    # an unrealizable context: the rejected 0-completion answers 1, as it does
+    # when only that completion is rejected, after both queries are charged
     cls = FiniteTableClass((0, 1), [(0, 0)], "binary")
     params = paper_default_params(2)
-    with pytest.raises(RealizabilityViolation):
-        weak_realizable(Sample([(0, 1)]), 1, params, _oracle(cls), RandomStream(0))
+    ledger = QueryCostLedger()
+    oracle = ConsistencyOracle(cls, ledger)
+    pred = weak_realizable(Sample([(0, 1)]), 1, params, oracle, RandomStream(0))
+    assert (pred.bit, pred.sigma_hat) == (1, 1.0)
+    assert ledger.snapshot() == (4, 2)  # two queries of two points each
 
 
 def test_weak_realizable_lambda_zero_is_fair_coin():
