@@ -1,13 +1,18 @@
 """Independent brute-force reference oracles for tests and audits.
 
-Everything here enumerates: class projections, exhaustive ERM, the
+Everything here enumerates: table projections and ERM by row scans, the
 combinatorial dimensions, and an exact orientation audit that recomputes the
 one-inclusion out-degree of the ground-truth vertex from the solved generating
 function.  Instance-size ceilings are hard contracts, not silent truncations.
-The references the tests check the learner against live here too: the menu
-and threshold encodings as explicit tables, membership over an explicit
-vertex set, the truncated flip-walk expectation by dynamic programming, and
-the leave-one-out error on fresh draws.
+The references the tests check the learner against live here too: the margin
+thresholds and the hprime class on a finite window, and the menu and threshold
+encodings, as explicit tables; membership over an explicit vertex set; the
+exact solve in fractions and its recursion residual; the truncated flip-walk
+expectation by dynamic programming; and the leave-one-out error on fresh draws.
+
+The audit is production code (`oig audit` and the diagnostic pipelines run
+it).  It stays here because it looks up `exact_generating_function` in this
+module's globals, which is where a tracer wraps the exact solve.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .classes import FiniteTableClass, MarginThresholdClass, _star_sort_key
+from .classes import FiniteTableClass, HPrimeClass, MarginThresholdClass, is_prime, semiprime_split
 from .core import (
     STAR,
     ContractViolation,
@@ -40,18 +45,13 @@ from .oig import (
     pack,
 )
 from .pipelines import threshold_grid
-from .weak import WeakLearnerParams, weak_realizable
+from .weak import WeakLearnerParams, edge_mass, weak_realizable
 
 _MAX_DOMAIN = 32
 _MAX_TABLE = 2**16
 # the most sample points `exact_transductive_audit` accepts; the audit
 # pipelines reject larger n when their config is parsed
 AUDIT_MAX_POINTS = 24
-
-
-def project(concept_class, points) -> frozenset:
-    """The star-free label patterns realized on the point sequence."""
-    return concept_class.project_onto(tuple(points))
 
 
 def table_patterns(concept_class: FiniteTableClass, xs) -> frozenset:
@@ -87,6 +87,19 @@ def rational_generating_function(inside, gamma, m: int) -> dict:
         rows.append(row)
         rhs.append(Fraction(outside))
     return dict(zip(vertices, _solve_rational(rows, rhs)))
+
+
+def recursion_residual(table: PotentialTable, inside, gamma) -> float:
+    """max over solved vertices of |m*M(v) - sum_i M(v^flip i) + m*2(1-g)/g*M(v)|."""
+    g = float(gamma)
+    m = table.m
+    worst = 0.0
+    for v in inside:
+        v = tuple(v)
+        total = sum(float(table(w)) for w in neighbors(v))
+        res = m * float(table(v)) - total + m * (2 * (1 - g) / g) * float(table(v))
+        worst = max(worst, abs(res))
+    return worst
 
 
 def _solve_rational(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -286,7 +299,51 @@ def distribution_opt(concept_class, distribution: FiniteDistribution, loss) -> F
 
 
 # ---------------------------------------------------------------------------
-# the multiclass and regression encodings as explicit tables
+# explicit tables: the analytic classes on a finite window, and the multiclass
+# and regression encodings
+
+
+def _star_sort_key(row):
+    return tuple(2 if v is STAR else v for v in row)
+
+
+def materialize_thresholds(concept_class: MarginThresholdClass, points) -> FiniteTableClass:
+    """The margin thresholds restricted to the points, as an explicit table
+    with STAR entries."""
+    points = tuple(points)
+    rows = {tuple(concept_class.label_of(t, x) for x in points) for t in concept_class.grid}
+    return FiniteTableClass(points, sorted(rows, key=_star_sort_key), "binary")
+
+
+def next_prime_above(n: int) -> int:
+    k = n + 1
+    while not is_prime(k):
+        k += 1
+    return k
+
+
+def materialize_hprime(concept_class: HPrimeClass, points) -> FiniteTableClass:
+    """The hprime class restricted to a finite query window, as an explicit table.
+
+    Pair hypotheses whose members exceed the window are represented by a
+    single fresh prime above it; their restrictions collapse to indicator
+    patterns already expressible inside the window.
+    """
+    points = tuple(points)
+    concept_class.check_points(points)
+    top = max(points)
+    small_primes = [k for k in range(2, top + 1) if is_prime(k)]
+    big = next_prime_above(top)
+    rows = {tuple(0 for _ in points)}  # any hypothesis supported above the window
+    candidates = small_primes + [big]
+    for i, p in enumerate(candidates):
+        for q in candidates[i:]:
+            ones = {p, q, p * q}
+            rows.add(tuple(1 if x in ones else 0 for x in points))
+    for n in points:
+        if semiprime_split(n) is None:
+            rows.add(tuple(1 if x == n else 0 for x in points))
+    return FiniteTableClass(points, sorted(rows), "binary")
 
 
 def menu_project(label: int, menu: tuple[int, int]):
@@ -441,7 +498,7 @@ def exact_transductive_audit(
         raise ContractViolation(f"audit is limited to m <= {AUDIT_MAX_POINTS}")
     points = sample.xs
     truth = tuple(sample.ys)
-    inside = project(concept_class, points)
+    inside = concept_class.project_onto(points)
     if truth not in inside:
         raise ContractViolation("the sample's labeling is not realizable by the class")
     gamma = as_fraction(gamma)
@@ -460,7 +517,7 @@ def exact_transductive_audit(
         if other not in inside:
             masses.append(None)
             continue
-        mass_on_truth = (1 + lam * (_val(table, other) - _val(table, truth))) / 2
+        mass_on_truth = edge_mass(_val(table, truth), _val(table, other), lam)
         masses.append(float(mass_on_truth))
         total_out += 1 - mass_on_truth
     min_potential = min(_val(table, v) for v in inside)

@@ -288,16 +288,6 @@ class MarginThresholdClass(ConceptClass):
                 out.add(pattern)
         return frozenset(out)
 
-    def materialize(self, points) -> FiniteTableClass:
-        """Explicit table restriction (with STAR entries) for brute-force checks."""
-        points = tuple(points)
-        rows = {tuple(self.label_of(t, x) for x in points) for t in self.grid}
-        return FiniteTableClass(points, sorted(rows, key=_star_sort_key), "binary")
-
-
-def _star_sort_key(row):
-    return tuple(2 if v is STAR else v for v in row)
-
 
 # deterministic Miller-Rabin witnesses covering all n < 3.3 * 10^24
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -364,13 +354,6 @@ def semiprime_split(n: int) -> tuple[int, int] | None:
     if len(factors) == 2:
         return factors[0], factors[1]
     return None
-
-
-def next_prime_above(n: int) -> int:
-    k = n + 1
-    while not is_prime(k):
-        k += 1
-    return k
 
 
 class HPrimeClass(ConceptClass):
@@ -441,28 +424,6 @@ class HPrimeClass(ConceptClass):
         if not is_prime(ratio):
             return False
         return ratio not in zeros
-
-    def materialize(self, points: Sequence[int]) -> FiniteTableClass:
-        """Explicit restriction to a finite query window, for brute-force checks.
-
-        Pair hypotheses whose members exceed the window are represented by a
-        single fresh prime above it; their restrictions collapse to indicator
-        patterns already expressible inside the window.
-        """
-        points = tuple(points)
-        top = max(points)
-        small_primes = [k for k in range(2, top + 1) if is_prime(k)]
-        big = next_prime_above(top)
-        rows = {tuple(0 for _ in points)}  # any hypothesis supported above the window
-        candidates = small_primes + [big]
-        for i, p in enumerate(candidates):
-            for q in candidates[i:]:
-                ones = {p, q, p * q}
-                rows.add(tuple(1 if x in ones else 0 for x in points))
-        for n in points:
-            if semiprime_split(n) is None:
-                rows.add(tuple(1 if x == n else 0 for x in points))
-        return FiniteTableClass(points, sorted(rows), "binary")
 
 
 # per class kind, the labels its hypotheses give and the keys

@@ -238,8 +238,8 @@ class ExperimentConfig:
             for name in ("n", "m", "trials", "seed", "reps", "num_classes"):
                 if isinstance(raw.get(name), (bool, float)):
                     raise ConfigError(f"{name} must be an integer, got {raw[name]!r}")
-            if entry.labels == "multiclass" and int(raw["num_classes"]) < 2:
-                raise ConfigError(f"pipeline {pipeline} needs num_classes of at least 2")
+            if raw.get("num_classes") is not None and int(raw["num_classes"]) < 2:
+                raise ConfigError("num_classes must be at least 2")
             # labels the class cannot give would widen the menus and the decoder
             if (entry.labels == "multiclass" and class_spec.get("kind") == "finite_multiclass"
                     and class_spec.get("num_classes") != int(raw["num_classes"])):
@@ -295,15 +295,22 @@ class ExperimentConfig:
         for name in ("eta", "delta", "c1"):
             if not getattr(config, name) > 0:
                 raise ConfigError(f"{name} must be positive")
+        # beyond [0, 1] an edge mass leaves [0, 1] and the audit no longer
+        # describes the learner
+        if not 0 <= config.lam <= 1:
+            raise ConfigError("lambda must lie in [0, 1]")
         if entry.max_n is not None and config.n > entry.max_n:
             raise ConfigError(f"pipeline {pipeline} takes at most n = {entry.max_n} points")
-        # the regression pipelines' own checks, so a bad grid fails before any trial
-        if entry.labels == "real" and not (0 < config.gamma < 1):
+        # a given field is checked by the rule of the pipelines that read it,
+        # whether or not this pipeline does, so a bad grid fails before any trial
+        if config.gamma is not None and not (0 < config.gamma < 1):
             raise ConfigError("gamma must lie strictly between 0 and 1")
+        if config.beta is not None and not config.beta > 0:
+            raise ConfigError("beta must be positive")
+        if config.gamma is not None and config.beta is not None and config.beta < config.gamma:
+            raise ConfigError("beta must be at least gamma")
         if pipeline == "reg_agnostic" and config.gamma.numerator != 1:
             raise ConfigError("reg_agnostic needs gamma = 1/G for an integer G")
-        if pipeline == "reg_realizable" and config.beta is not None and config.beta < config.gamma:
-            raise ConfigError("beta must be at least gamma")
         return config
 
     @classmethod

@@ -5,7 +5,7 @@ estimates, per vertex, the discounted time for a uniform-coordinate-flip walk
 to leave the realizable pattern set W; those potentials induce a random
 orientation of the one-inclusion graph.  This module provides the Monte-Carlo
 estimator and an exact linear-system solver for the walk's generating
-function.
+function; the references they are checked against live in `brute.py`.
 
 Two walk conventions coexist.  Rollouts flip a uniformly random coordinate
 every step; the closed-form recursion solved by `exact_generating_function`
@@ -231,15 +231,15 @@ def exact_generating_function(
     inside: Iterable[Vertex],
     gamma,
     m: int | None = None,
-    method: str = "auto",
 ) -> PotentialTable:
     """Solve the lazy-walk recursion M(v) = g/((2-g)m) * sum_i M(v^flip i) exactly.
 
-    M is 1 outside the set.  Systems of up to 64 patterns are solved exactly,
-    by fraction-free (Bareiss) integer elimination, so worked examples come
-    out as exact fractions; larger ones fall back to a floating solve, whose
-    residual stays far below 1e-12 because the system is strictly diagonally
-    dominant.
+    M is 1 outside the set.  The size of the set alone picks the solve.
+    Systems of up to 64 patterns are solved exactly, by fraction-free
+    (Bareiss) integer elimination, so their values are `Fraction`s; larger
+    ones fall back to a floating solve, whose values are floats and whose
+    residual (`brute.recursion_residual`) stays far below 1e-12 because the
+    system is strictly diagonally dominant.
     """
     vertices = sorted(set(tuple(v) for v in inside), key=pack)
     if not vertices:
@@ -252,9 +252,7 @@ def exact_generating_function(
         raise ContractViolation("exact solve is limited to m <= 30 and 4096 patterns")
     size = len(vertices)
     links = _links(vertices)
-    if method == "auto":
-        method = "rational" if size <= _RATIONAL_CUTOFF else "float"
-    if method == "rational":
+    if size <= _RATIONAL_CUTOFF:
         g = as_fraction(gamma)
         diag = (2 - g) * m / g
         solution = _solve_integer(links, diag.numerator, diag.denominator)
@@ -322,16 +320,3 @@ def _solve_integer(links, p: int, q: int) -> list[Fraction]:
         total = det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n) if row[j])
         y[i] = total // row[i]
     return [Fraction(v, det) for v in y]
-
-
-def recursion_residual(table: PotentialTable, inside: Iterable[Vertex], gamma) -> float:
-    """max over solved vertices of |m*M(v) - sum_i M(v^flip i) + m*2(1-g)/g*M(v)|."""
-    g = float(gamma)
-    m = table.m
-    worst = 0.0
-    for v in inside:
-        v = tuple(v)
-        total = sum(float(table(w)) for w in neighbors(v))
-        res = m * float(table(v)) - total + m * (2 * (1 - g) / g) * float(table(v))
-        worst = max(worst, abs(res))
-    return worst

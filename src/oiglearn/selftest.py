@@ -14,13 +14,7 @@ from . import brute
 from .classes import FiniteTableClass, HPrimeClass, MarginThresholdClass
 from .core import STAR, RandomStream, Sample, loss_abs, loss_bin
 from .ermred import sample_erm_binary
-from .oig import (
-    MembershipPredicate,
-    exact_generating_function,
-    lazy_discount,
-    recursion_residual,
-    unpack,
-)
+from .oig import MembershipPredicate, exact_generating_function, lazy_discount, unpack
 from .oracle import ErmValueOracle, QueryCostLedger
 from .weak import paper_default_params
 
@@ -97,7 +91,7 @@ def _check_table_kernel(gen) -> bool:
 
 def _check_margin_threshold(gen) -> bool:
     cls = MarginThresholdClass.regular(0, Fraction(1, 20), 21, Fraction(1, 10))
-    table = cls.materialize([Fraction(k, 16) for k in range(17)])
+    table = brute.materialize_thresholds(cls, [Fraction(k, 16) for k in range(17)])
     for _ in range(200):
         n = int(gen.integers(1, 6))
         xs = tuple(Fraction(int(v), 16) for v in gen.integers(0, 17, size=n))
@@ -126,7 +120,7 @@ def _check_threshold_sweep(gen) -> bool:
 def _check_hprime(gen) -> bool:
     cls = HPrimeClass(bound=80)
     window = list(range(1, 41))
-    table = cls.materialize(window)
+    table = brute.materialize_hprime(cls, window)
     for _ in range(300):
         n = int(gen.integers(1, 5))
         xs = tuple(int(v) for v in gen.integers(1, 41, size=n))
@@ -144,7 +138,7 @@ def _check_recursion(gen) -> bool:
         inside = [unpack(int(c), m) for c in codes]
         gamma = 0.5 + 0.45 * gen.random()
         table = exact_generating_function(inside, Fraction(gamma).limit_denominator(1000))
-        if recursion_residual(table, inside, float(Fraction(gamma).limit_denominator(1000))) > 1e-10:
+        if brute.recursion_residual(table, inside, float(Fraction(gamma).limit_denominator(1000))) > 1e-10:
             return False
     return True
 
@@ -163,7 +157,7 @@ def _check_integer_solve(gen) -> bool:
             inside = [unpack(int(c), m) for c in gen.choice(2**m, size=count, replace=False)]
             simple = _SIMPLE_DISCOUNTS[int(gen.integers(0, len(_SIMPLE_DISCOUNTS)))]
             for gamma in (audit_discount, simple):
-                solved = exact_generating_function(inside, gamma, m=m, method="rational")
+                solved = exact_generating_function(inside, gamma, m=m)
                 if solved.values != brute.rational_generating_function(inside, gamma, m):
                     return False
     return True

@@ -60,13 +60,22 @@ def paper_default_params(m: int, c1: float = 1.0, lam: float = 1.0) -> WeakLearn
     return WeakLearnerParams(gamma, lam, trials, default_horizon(gamma))
 
 
+def edge_mass(f_here, f_there, lam):
+    """The mass an edge of the one-inclusion graph puts on its endpoint whose
+    exit-time potential is f_here, when its other endpoint's is f_there:
+    (1 + lam*(f_there - f_here))/2, so the edge leans toward the endpoint with
+    the lower potential, the one the walk leaves later (Haussler, Littlestone
+    & Warmuth 1994).  Potentials in
+    [0, 1] and lam in [0, 1] keep the mass in [0, 1]."""
+    return (1 + lam * (f_there - f_here)) / 2
+
+
 def weak_realizable(
     sample: Sample,
     x,
     params: WeakLearnerParams,
     con_oracle,
     rng: RandomStream,
-    potential=None,
     membership: MembershipPredicate | None = None,
 ) -> WeakPrediction:
     """Predict the label of x from a realizable sample, via one oracle-driven
@@ -74,8 +83,9 @@ def weak_realizable(
 
     The stream is re-keyed by a stable hash of x, so repeated evaluations of
     the same fitted hypothesis at the same point replay identically while
-    distinct points stay independent.  `potential`, if given, is a test hook
-    (points, vertex) -> value replacing the Monte-Carlo estimator.
+    distinct points stay independent.  The bit is 1 with probability
+    `edge_mass(f1, f0, lam)`, where f0 and f1 are the Monte-Carlo potentials
+    of the 0- and 1-completions.
 
     A rejected 0-completion answers 1 and a rejected 1-completion answers 0;
     both are queried, the 0-completion first.  So when both are rejected (an
@@ -106,15 +116,10 @@ def weak_realizable(
     if not feasible1:
         return WeakPrediction(0, 0.0)
     gen = rng.child_for(x).generator()
-    if potential is not None:
-        f0 = float(potential(points, y0))
-        f1 = float(potential(points, y1))
-    else:
-        walk = params.walk_params()
-        f0 = estimate_potential(membership, y0, walk, gen)
-        f1 = estimate_potential(membership, y1, walk, gen)
-    sigma_hat = (1 + params.lam * (f0 - f1)) / 2
-    sigma_hat = min(max(sigma_hat, 0.0), 1.0)
+    walk = params.walk_params()
+    f0 = estimate_potential(membership, y0, walk, gen)
+    f1 = estimate_potential(membership, y1, walk, gen)
+    sigma_hat = edge_mass(f1, f0, params.lam)
     bit = 1 if gen.random() < sigma_hat else 0
     return WeakPrediction(bit, sigma_hat)
 

@@ -23,9 +23,11 @@ from oiglearn.brute import (
     fat_shattering,
     materialize_menu_class,
     materialize_threshold_class,
+    materialize_hprime,
     membership_from_set,
     menu_project,
     natarajan_dimension,
+    recursion_residual,
     vc_dimension,
 )
 from oiglearn.classes import FiniteTableClass, HPrimeClass, MarginThresholdClass
@@ -44,7 +46,6 @@ from oiglearn.oig import (
     default_horizon,
     estimate_potential,
     exact_generating_function,
-    recursion_residual,
     unpack,
 )
 from oiglearn.oracle import (
@@ -103,13 +104,12 @@ def test_criterion_01_generating_function_recursion():
     table = exact_generating_function([(0, 0), (0, 1)], Fraction(1, 2))
     assert table((0, 0)) == Fraction(1, 5) and table((0, 1)) == Fraction(1, 5)
     gen = np.random.default_rng(SEED)
-    for trial in range(100):
+    for _ in range(100):
         m = int(gen.integers(1, 11))
         size = int(gen.integers(1, min(40, 2**m) + 1))
         inside = _random_pattern_set(gen, m, size)
         gamma = Fraction(int(gen.integers(40, 99)), 100)
-        method = "rational" if trial % 2 == 0 else "float"
-        solved = exact_generating_function(inside, gamma, method=method)
+        solved = exact_generating_function(inside, gamma)
         assert recursion_residual(solved, inside, gamma) <= 1e-10
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
@@ -175,7 +175,7 @@ def test_criterion_04_min_potential_bound():
                 ball = [center] + [center ^ (1 << j) for j in range(m)]
                 ball += [center ^ (1 << i) ^ (1 << j) for i in range(m) for j in range(i + 1, m)]
                 inside = [unpack(c, m) for c in dict.fromkeys(ball)][:cap]
-            solved = exact_generating_function(inside, gamma, method="float")
+            solved = exact_generating_function(inside, gamma)
             low = min(float(solved(v)) for v in inside)
             worst = min(worst, low)
             assert low >= floor - 1e-9
@@ -453,7 +453,7 @@ def test_criterion_12_oracle_separation_class():
     started = time.perf_counter()
     cls = HPrimeClass(bound=4000)
     window = list(range(2, 61))
-    table = cls.materialize(window)
+    table = materialize_hprime(cls, window)
     checked = 0
     for size in (1, 2, 3, 4):
         for xs in combinations(window, size):
@@ -461,7 +461,7 @@ def test_criterion_12_oracle_separation_class():
             for ys in product((0, 1), repeat=size):
                 assert cls.consistent_on(xs, ys) == (ys in patterns), (xs, ys)
                 checked += 1
-    small_window = cls.materialize(list(range(2, 31)))
+    small_window = materialize_hprime(cls, list(range(2, 31)))
     dim = vc_dimension(small_window, check_growth=False)
     assert dim <= 3
     elapsed = time.perf_counter() - started

@@ -9,8 +9,8 @@ from oiglearn.brute import (
     distribution_opt,
     exact_transductive_audit,
     fat_shattering,
+    materialize_thresholds,
     natarajan_dimension,
-    project,
     vc_dimension,
 )
 from oiglearn.classes import FiniteTableClass, MarginThresholdClass
@@ -30,16 +30,16 @@ def _full_cube_class(m):
 
 def test_project_examples():
     single = FiniteTableClass((0, 1), [(0, 1)], "binary")
-    assert project(single, (0, 1)) == frozenset({(0, 1)})
+    assert single.project_onto((0, 1)) == frozenset({(0, 1)})
     starred = FiniteTableClass((0, 1), [(STAR, 1)], "binary")
-    assert project(starred, (0, 1)) == frozenset()
-    assert len(project(_full_cube_class(3), (0, 1, 2))) == 8
+    assert starred.project_onto((0, 1)) == frozenset()
+    assert len(_full_cube_class(3).project_onto((0, 1, 2))) == 8
 
 
 def test_project_margin_threshold_steps():
     cls = MarginThresholdClass.regular(0, Fraction(1, 40), 41, Fraction(1, 40))
     pts = tuple(Fraction(k, 8) for k in range(1, 8))
-    for pattern in project(cls, pts):
+    for pattern in cls.project_onto(pts):
         # sorted points: once a 1 appears, everything after stays 1
         first_one = next((i for i, b in enumerate(pattern) if b == 1), len(pattern))
         assert all(b == 1 for b in pattern[first_one:])
@@ -50,7 +50,7 @@ def test_vc_dimension_examples():
     for m in (1, 2, 3):
         assert vc_dimension(_full_cube_class(m)) == m
     thresholds = MarginThresholdClass.regular(0, Fraction(1, 50), 51, Fraction(1, 100))
-    table = thresholds.materialize([Fraction(k, 10) for k in range(1, 10)])
+    table = materialize_thresholds(thresholds, [Fraction(k, 10) for k in range(1, 10)])
     assert vc_dimension(table) == 1
 
 

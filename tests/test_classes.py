@@ -4,14 +4,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oiglearn.brute import table_erm_scan, table_patterns, threshold_erm_scan, vc_dimension
+from oiglearn.brute import (
+    materialize_hprime,
+    materialize_thresholds,
+    next_prime_above,
+    table_erm_scan,
+    table_patterns,
+    threshold_erm_scan,
+    vc_dimension,
+)
 from oiglearn.classes import (
     FiniteTableClass,
     HPrimeClass,
     MarginThresholdClass,
     class_from_config,
     is_prime,
-    next_prime_above,
     prime_factors,
     semiprime_split,
 )
@@ -228,7 +235,7 @@ def test_margin_threshold_examples():
 def test_margin_threshold_vs_materialized_enumeration():
     cls = MarginThresholdClass.regular(0, Fraction(1, 12), 13, Fraction(1, 8))
     points = tuple(Fraction(k, 10) for k in range(11))
-    table = cls.materialize(points)
+    table = materialize_thresholds(cls, points)
     gen = np.random.default_rng(5)
     for _ in range(1000):
         n = int(gen.integers(1, 6))
@@ -329,7 +336,7 @@ def test_hprime_query_validation():
 def test_hprime_matches_brute_force_window():
     cls = HPrimeClass(bound=200)
     window = list(range(1, 36))
-    table = cls.materialize(window)
+    table = materialize_hprime(cls, window)
     gen = np.random.default_rng(23)
     for _ in range(1000):
         n = int(gen.integers(1, 5))
@@ -340,7 +347,7 @@ def test_hprime_matches_brute_force_window():
 
 def test_hprime_window_vc_dimension_at_most_3():
     cls = HPrimeClass(bound=40)
-    table = cls.materialize(list(range(2, 31)))
+    table = materialize_hprime(cls, list(range(2, 31)))
     assert vc_dimension(table, check_growth=False) <= 3
 
 

@@ -101,6 +101,14 @@ _BAD_INTEGERS = (
     {"num_classes": 2.5},
 )
 
+# values out of range for every pipeline that reads the field: a field is
+# checked whenever it is given, even where this binary pipeline ignores it
+_OUT_OF_RANGE = (
+    {"lambda": 1000}, {"lambda": -2}, {"lambda": 1.01}, {"lambda": "nan"},
+    {"gamma": "7"}, {"gamma": "0"}, {"beta": "-3"}, {"beta": 0},
+    {"gamma": "1/4", "beta": "1/8"}, {"num_classes": 1}, {"num_classes": 0},
+)
+
 
 # misspelled keys, which would otherwise run with the default silently
 _UNKNOWN_KEYS = (
@@ -132,6 +140,7 @@ _BAD_REGRESSION = (
     {"pipeline": "reg_agnostic", "gamma": "0"},
     {"pipeline": "reg_realizable", "gamma": "1"},
     {"pipeline": "reg_realizable", "gamma": "1/4", "beta": "1/8"},
+    {"pipeline": "reg_agnostic", "gamma": "1/4", "beta": "-3"},
 )
 
 # a class whose labels are not the pipeline's: real values for a binary
@@ -167,7 +176,8 @@ def test_config_errors():
                 {"pipeline": "reg_agnostic"}, {"pipeline": "multiclass_realizable"},
                 {"C1": 1, "c1": 5},
                 *_UNKNOWN_KEYS, *_TOO_LARGE_FOR_AUDIT, *_TOO_SMALL_FOR_THE_WALK, *_BAD_LABELS,
-                *_ONE_CLASS, *_MISMATCHED_CLASSES, *_MISMATCHED_KINDS, *_BAD_INTEGERS):
+                *_ONE_CLASS, *_MISMATCHED_CLASSES, *_MISMATCHED_KINDS, *_BAD_INTEGERS,
+                *_OUT_OF_RANGE):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(_singleton_config(**bad))
     ExperimentConfig.from_dict(_singleton_config(
@@ -184,6 +194,9 @@ def test_config_errors():
         **{"lambda": 1, "distribution": {"support": [[0, 1], [1, 0]], "weights": ["1/4", "3/4"],
                                          "label_noise": "1/10"}},
     ))
+    # in range, so accepted, although this binary pipeline reads none of them
+    for good in ({"lambda": 0}, {"gamma": "1/4", "beta": "1/2", "num_classes": 9}):
+        ExperimentConfig.from_dict(_singleton_config(**good))
     for good in ({"pipeline": "reg_agnostic", "gamma": "1/4"},
                  {"pipeline": "reg_realizable", "gamma": "2/5", "beta": "1/2"}):
         ExperimentConfig.from_dict(_regression_config(**good))
@@ -364,6 +377,7 @@ def test_cli_run_and_exit_codes(tmp_path):
         _singleton_config(n=0),
         _singleton_config(pipeline="weak_transductive", reps=0),
         _singleton_config(trials=-2),
+        _singleton_config(**{"lambda": 1000}),
     ] + [_singleton_config(trials=1, **bad) for bad in _UNREALIZABLE] + [
         _regression_config(**bad) for bad in _BAD_REGRESSION
     ]

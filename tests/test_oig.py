@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oiglearn import brute, oig
-from oiglearn.brute import exact_truncated_flip_expectation, membership_from_set
+from oiglearn.brute import exact_truncated_flip_expectation, membership_from_set, recursion_residual
 from oiglearn.classes import FiniteTableClass
 from oiglearn.core import RandomStream
 from oiglearn.oig import (
@@ -17,7 +17,6 @@ from oiglearn.oig import (
     flip,
     lazy_discount,
     pack,
-    recursion_residual,
     unpack,
 )
 from oiglearn.oracle import ConsistencyOracle, QueryCostLedger
@@ -120,14 +119,13 @@ def test_exact_generating_function_worked_instances():
 
 def test_exact_generating_function_residuals_random():
     gen = np.random.default_rng(31)
-    for trial in range(60):
+    for _ in range(60):
         m = int(gen.integers(1, 8))
         size = int(gen.integers(1, min(12, 2**m) + 1))
         codes = gen.choice(2**m, size=size, replace=False)
         inside = [unpack(int(c), m) for c in codes]
         gamma = Fraction(int(gen.integers(30, 99)), 100)
-        method = "rational" if trial % 2 == 0 else "float"
-        table = exact_generating_function(inside, gamma, method=method)
+        table = exact_generating_function(inside, gamma)
         assert recursion_residual(table, inside, gamma) <= 1e-10
         whole_cube = size == 2**m  # no exit exists, so the potential vanishes
         for v in inside:
@@ -136,19 +134,22 @@ def test_exact_generating_function_residuals_random():
             assert val > 0 or whole_cube
 
 
-def test_rational_and_float_solvers_agree():
+def test_float_solve_above_the_cutoff_matches_fraction_elimination():
+    # one pattern past the exact solve's cutoff takes the floating solve
     gen = np.random.default_rng(37)
-    m = 5
-    codes = gen.choice(2**m, size=10, replace=False)
-    inside = [unpack(int(c), m) for c in codes]
-    exact = exact_generating_function(inside, Fraction(9, 10), method="rational")
-    approx = exact_generating_function(inside, Fraction(9, 10), method="float")
+    m = 8
+    size = oig._RATIONAL_CUTOFF + 16
+    inside = [unpack(int(c), m) for c in gen.choice(2**m, size=size, replace=False)]
+    gamma = Fraction(9, 10)
+    approx = exact_generating_function(inside, gamma)
+    reference = brute.rational_generating_function(inside, gamma, m)
     for v in inside:
-        assert float(exact(v)) == pytest.approx(approx(v), abs=1e-12)
+        assert type(approx(v)) is float
+        assert approx(v) == pytest.approx(float(reference[v]), abs=1e-12)
 
 
 def _integer_matches_fraction_elimination(inside, gamma, m):
-    solved = exact_generating_function(inside, gamma, m=m, method="rational").values
+    solved = exact_generating_function(inside, gamma, m=m).values
     reference = brute.rational_generating_function(inside, gamma, m)
     assert all(type(v) is Fraction for v in solved.values())
     assert solved == reference

@@ -5,13 +5,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oiglearn.brute import exact_transductive_audit, project
+from oiglearn.brute import exact_transductive_audit
 from oiglearn.classes import FiniteTableClass, MarginThresholdClass
 from oiglearn.core import ContractViolation, RandomStream, Sample
 from oiglearn.oig import MembershipPredicate, exact_generating_function, neighbors
 from oiglearn.oracle import ConsistencyOracle, QueryCostLedger
 from oiglearn.weak import (
     WeakLearnerParams,
+    edge_mass,
     paper_default_params,
     transductive_error,
     weak_realizable,
@@ -123,7 +124,7 @@ def test_prediction_charges_at_most_the_projection_and_its_boundary():
             weak_realizable(
                 context, xs[m], params, ConsistencyOracle(cls, ledger), RandomStream(k).child(m)
             )
-            inside = project(cls, xs)
+            inside = cls.project_onto(xs)
             boundary = {w for v in inside for w in neighbors(v)} - inside
             assert ledger.snapshot()[1] <= len(inside) + len(boundary), (context, xs[m])
 
@@ -158,7 +159,7 @@ def test_transductive_error_shares_one_memo_per_context():
         assert err == _parent_transductive_error(sample, params, _oracle(cls), reps, rng)
         bound = 0
         for i in range(n):
-            inside = project(cls, sample.without(i).xs + (xs[i],))
+            inside = cls.project_onto(sample.without(i).xs + (xs[i],))
             boundary = {w for v in inside for w in neighbors(v)} - inside
             bound += len(inside) + len(boundary)
         assert ledger.snapshot()[1] <= bound, sample
@@ -194,38 +195,33 @@ def test_transductive_error_full_cube_is_half():
     assert abs(err - 0.5) < 5 * sigma
 
 
-def test_exact_potential_hook_reproduces_orientation():
+def test_audit_orients_edges_by_edge_mass():
+    # the audit's mass on the truth vertex is the learner's orientation
+    # formula on the exact potentials: edge_mass(f1, f0, lam) on the
+    # 1-completion, so its complement edge_mass(f0, f1, lam) on the 0-completion
+    # the edge leans toward the endpoint with the lower potential
+    assert edge_mass(Fraction(1, 4), Fraction(3, 4), Fraction(1, 2)) == Fraction(5, 8)
     cls = MarginThresholdClass.regular(0, Fraction(1, 30), 31, Fraction(1, 20))
     points = tuple(Fraction(2 * k + 1, 16) for k in range(6))
     truth = tuple(1 if x > Fraction(1, 2) else 0 for x in points)
     sample = Sample(zip(points, truth))
-    params = paper_default_params(len(points))
     inside = cls.project_onto(points)
-    table = exact_generating_function(inside, Fraction(95, 100))
-    column = {x: j for j, x in enumerate(points)}
-
-    def hook(pts, vertex):
-        # the learner moves the query point to the end; the walk is symmetric
-        # under coordinate permutation, so map back to the canonical order
-        canonical = [None] * len(points)
-        for x, bit in zip(pts, vertex):
-            canonical[column[x]] = bit
-        return float(table(tuple(canonical)))
-
-    for i in range(len(sample)):
-        x, y = sample[i]
-        pred = weak_realizable(
-            sample.without(i), x, params, _oracle(cls), RandomStream(9).child(i),
-            potential=hook,
-        )
-        other = truth[:i] + (1 - truth[i],) + truth[i + 1 :]
-        if other not in inside:
-            assert pred.sigma_hat in (0.0, 1.0)
-        else:
-            y0 = truth[:i] + (0,) + truth[i + 1 :]
-            y1 = truth[:i] + (1,) + truth[i + 1 :]
-            expected = (1 + (float(table(y0)) - float(table(y1)))) / 2
-            assert pred.sigma_hat == pytest.approx(expected)
+    gamma, lam = Fraction(95, 100), Fraction(1, 2)
+    table = exact_generating_function(inside, gamma)
+    audit = exact_transductive_audit(cls, sample, gamma, lam, walk="lazy")
+    live = 0
+    for i, mass in enumerate(audit.edge_mass_on_truth):
+        y0 = truth[:i] + (0,) + truth[i + 1 :]
+        y1 = truth[:i] + (1,) + truth[i + 1 :]
+        if (y0 if truth[i] else y1) not in inside:
+            assert mass is None
+            continue
+        live += 1
+        f0, f1 = table(y0), table(y1)
+        on_one, on_zero = edge_mass(f1, f0, lam), edge_mass(f0, f1, lam)
+        assert on_one + on_zero == 1
+        assert mass == float(on_one if truth[i] else on_zero)
+    assert live == 2  # the last 0 and the first 1 can each flip
 
 
 def test_exact_potential_margin_bound():
