@@ -65,7 +65,6 @@ class BoostedModel:
     weak: WeakLearner
     rounds: tuple[BoostRound, ...]
     stream: RandomStream
-    weak_sample_size: int
     early_stop: bool = False
     train_error: Fraction | None = None
     z_product: float | None = None
@@ -98,7 +97,7 @@ def adaboost_train(
     """
     n = len(sample)
     if n == 0:
-        return BoostedModel(sample, weak, (), rng, weak_sample_size)
+        return BoostedModel(sample, weak, (), rng)
     y = np.array([1 if lab == 1 else 0 for lab in sample.ys], dtype=np.int8)
     if any(lab not in (0, 1) for lab in sample.ys):
         raise ContractViolation("boosting requires binary 0/1 labels")
@@ -132,9 +131,7 @@ def adaboost_train(
         total = dist.sum()
         if abs(total - 1.0) > 1e-12:
             raise RuntimeError(f"round weights drifted from 1 by {abs(total - 1.0)}")
-    model = BoostedModel(
-        sample, weak, tuple(kept), rng, weak_sample_size, early_stop=early, _caches=caches
-    )
+    model = BoostedModel(sample, weak, tuple(kept), rng, early_stop=early, _caches=caches)
     # every training point is in every round's cache, so the replay is free
     wrong = sum(adaboost_predict(model, x) != lab for x, lab in sample.pairs)
     model.train_error = Fraction(wrong, n)

@@ -8,7 +8,8 @@ The references the tests check the learner against live here too: the margin
 thresholds and the hprime class on a finite window, and the menu and threshold
 encodings, as explicit tables; membership over an explicit vertex set; the
 exact solve in fractions and its recursion residual; the truncated flip-walk
-expectation by dynamic programming; and the leave-one-out error on fresh draws.
+expectation by dynamic programming; the restarting removal scan of minimizer
+extraction; and the leave-one-out error on fresh draws.
 
 The audit is production code (`oig audit` and the diagnostic pipelines run
 it).  It stays here because it looks up `exact_generating_function` in this
@@ -283,6 +284,27 @@ def brute_erm(concept_class: FiniteTableClass, sample: Sample, loss) -> tuple[Fr
         elif total == best:
             winners.append(idx)
     return best / len(sample), tuple(winners)
+
+
+def restarting_erm_binary(sample: Sample, erm_oracle) -> tuple[int, ...]:
+    """Reference for `ermred.sample_erm_binary`: the greedy removal scan that
+    restarts at the lowest kept index after every removal, so it tries an
+    entry again after each deletion.  At most 2n^2 oracle calls."""
+    def loss_sum(indices):
+        return erm_oracle(sample.subset(indices)) * len(indices) if indices else 0
+
+    kept = list(range(len(sample)))
+    current = loss_sum(kept)
+    removed = True
+    while removed:
+        removed = False
+        for pos in range(len(kept)):
+            value = loss_sum(kept[:pos] + kept[pos + 1:])
+            if value < current:
+                kept.pop(pos)
+                current, removed = value, True
+                break
+    return tuple(0 if i in kept else 1 for i in range(len(sample)))
 
 
 def distribution_opt(concept_class, distribution: FiniteDistribution, loss) -> Fraction:

@@ -246,9 +246,11 @@ class MarginThresholdClass(ConceptClass):
             if y == 1:
                 cap = x - self.margin
                 hi = cap if hi is None or cap < hi else hi
-            else:
+            elif y == 0:
                 cap = x + self.margin
                 lo = cap if lo is None or cap > lo else lo
+            else:
+                return False  # no threshold gives any label but 0 or 1
         idx = 0 if lo is None else bisect_left(self.grid, lo)
         if idx >= len(self.grid):
             return False

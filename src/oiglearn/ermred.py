@@ -17,40 +17,36 @@ from .oracle import ErmValueOracle
 
 
 def sample_erm_binary(sample: Sample, erm_oracle: ErmValueOracle) -> tuple[int, ...]:
-    """Greedy index removal until no single deletion lowers the minimum loss sum.
+    """Greedy index removal in one forward scan.
 
     Returns z with z_i = 1 iff entry i was removed.  The retained entries form
     a maximum realizable subsample, and z equals the loss vector of some
-    empirical minimizer.  Uses at most 2n^2 oracle calls; scans restart at the
-    lowest index after every removal, which fixes the (otherwise arbitrary)
-    choice of removal order.
+    empirical minimizer.  Entry i is tried once, against the entries kept
+    before it and every entry after it, and removed if that lowers the least
+    loss sum.  Deleting i fails to lower the sum exactly when no minimizer of
+    the current sample errs on i, and each later deletion keeps only
+    minimizers of the larger sample, so an entry that once stayed never
+    becomes removable.  The result is therefore the removal vector of the
+    scan that restarts at the lowest index after every removal
+    (`brute.restarting_erm_binary`), from at most n+1 oracle calls.
     """
     n = len(sample)
-    if n == 0:
-        return ()
-    kept = list(range(n))
-    current = erm_oracle.unnormalized(sample)
-    while True:
-        removed = False
-        for pos, i in enumerate(kept):
-            trimmed = kept[:pos] + kept[pos + 1 :]
-            value = _unnormalized_or_zero(erm_oracle, sample, trimmed)
-            if value < current:
-                kept.pop(pos)
-                current = value
-                removed = True
-                break
-        if not removed:
-            break
+    current = _loss_sum(erm_oracle, sample)
+    kept: list[int] = []
+    for i in range(n):
+        value = _loss_sum(erm_oracle, sample.subset(kept + list(range(i + 1, n))))
+        if value < current:
+            current = value
+        else:
+            kept.append(i)
     kept_set = set(kept)
     return tuple(0 if i in kept_set else 1 for i in range(n))
 
 
-def _unnormalized_or_zero(erm_oracle, sample, indices) -> Fraction:
-    # the empty sample's minimum loss sum is vacuously 0; no oracle needed
-    if not indices:
-        return Fraction(0)
-    return erm_oracle.unnormalized(sample.subset(indices))
+def _loss_sum(erm_oracle: ErmValueOracle, sample: Sample) -> Fraction:
+    """The least loss sum, exactly: the oracle's mean times the sample size.
+    The empty sample's sum is vacuously 0 and costs no call."""
+    return erm_oracle(sample) * len(sample) if len(sample) else Fraction(0)
 
 
 def sample_erm_real(sample: Sample, gamma, erm_oracle: ErmValueOracle) -> tuple[Fraction, ...]:
@@ -102,6 +98,4 @@ def sample_con_real(triples, erm_oracle: ErmValueOracle) -> bool:
         pairs.append((x, lo))
         pairs.append((x, hi))
         slack += hi - lo
-    doubled = Sample(pairs)
-    value = erm_oracle(doubled) * len(doubled)
-    return value == slack
+    return _loss_sum(erm_oracle, Sample(pairs)) == slack

@@ -295,6 +295,14 @@ class ExperimentConfig:
         for name in ("eta", "delta", "c1"):
             if not getattr(config, name) > 0:
                 raise ConfigError(f"{name} must be positive")
+        # delta is a failure probability; a delta of 1 or more, or an infinite
+        # eta, can plan ceil(16 log(4n/delta) / eta^2) = 0 boosting rounds,
+        # and an infinite C1 asks the weak learner for infinitely many walks
+        if not config.delta < 1:
+            raise ConfigError("delta must lie in (0, 1)")
+        for name in ("eta", "c1"):
+            if not math.isfinite(getattr(config, name)):
+                raise ConfigError(f"{name} must be finite")
         # beyond [0, 1] an edge mass leaves [0, 1] and the audit no longer
         # describes the learner
         if not 0 <= config.lam <= 1:

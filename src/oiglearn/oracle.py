@@ -122,11 +122,6 @@ class ErmValueOracle:
         self.ledger.charge(len(xs))
         return self.concept_class.erm_value_on(xs, ys, self.loss)
 
-    def unnormalized(self, sample) -> Fraction:
-        """Minimum loss *sum* over the class, reconstructed exactly from the mean."""
-        sample = sample if isinstance(sample, Sample) else Sample(sample)
-        return self(sample) * len(sample)
-
 
 class RangeConsistencyOracle:
     """Callable handle for range consistency: is there a hypothesis with

@@ -225,15 +225,18 @@ def _check_erm_reduction(gen) -> bool:
         sample = Sample(zip(xs, ys))
         ledger = QueryCostLedger()
         z = sample_erm_binary(sample, ErmValueOracle(cls, loss_bin, ledger))
+        if ledger.call_count > n + 1:
+            return False
+        reference = ErmValueOracle(cls, loss_bin, QueryCostLedger())
+        if z != brute.restarting_erm_binary(sample, reference):
+            return False
         value, winners = brute.brute_erm(cls, sample, loss_bin)
         if Fraction(sum(z), n) != value:
             return False
         vectors = {
             tuple(loss_bin(y, cls.value_at(w, x)) for x, y in sample) for w in winners
         }
-        if tuple(z) not in vectors:
-            return False
-        if ledger.call_count > 2 * n * n:
+        if z not in vectors:
             return False
     return True
 
@@ -243,7 +246,7 @@ CHECKS = (
     ("margin-threshold oracles vs materialized table", _check_margin_threshold),
     ("hprime consistency vs materialized window", _check_hprime),
     ("generating-function recursion residuals", _check_recursion),
-    ("weak-ERM minimizer extraction vs enumeration", _check_erm_reduction),
+    ("weak-ERM minimizer extraction vs restarting scan and enumeration", _check_erm_reduction),
     ("finite-table kernel vs row scan", _check_table_kernel),
     ("integer flip-walk solve vs fraction elimination", _check_integer_solve),
     ("threshold ERM sweep vs grid scan", _check_threshold_sweep),

@@ -111,8 +111,7 @@ def test_adaboost_predict_replays_deterministically():
     learner = make_weak_learner(paper_default_params(3), oracle)
     model = adaboost_train(sample, learner, 3, 15, RandomStream(7))
     fresh = BoostedModel(
-        model.sample, model.weak, model.rounds, model.stream, model.weak_sample_size,
-        early_stop=model.early_stop,
+        model.sample, model.weak, model.rounds, model.stream, early_stop=model.early_stop,
     )
     queries = [Fraction(k, 16) for k in range(17)]
     first = [adaboost_predict(model, q) for q in queries]

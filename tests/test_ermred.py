@@ -3,9 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oiglearn.brute import brute_erm
-from oiglearn.classes import FiniteTableClass
-from oiglearn.core import ContractViolation, Sample, loss_abs, loss_bin, loss_mc
+from oiglearn.brute import brute_erm, materialize_thresholds, restarting_erm_binary
+from oiglearn.classes import FiniteTableClass, MarginThresholdClass
+from oiglearn.core import STAR, ContractViolation, Sample, loss_abs, loss_bin, loss_mc
 from oiglearn.ermred import sample_con_real, sample_erm_binary, sample_erm_real
 from oiglearn.oracle import ErmValueOracle, QueryCostLedger
 
@@ -51,7 +51,8 @@ def test_binary_matches_brute_minimizer_random():
         )
         ledger = QueryCostLedger()
         z = sample_erm_binary(sample, ErmValueOracle(cls, loss_bin, ledger))
-        assert ledger.call_count <= 2 * n * n
+        assert ledger.call_count <= n + 1
+        assert z == restarting_erm_binary(sample, _erm(cls, loss_bin))
         value, winners = brute_erm(cls, sample, loss_bin)
         assert Fraction(sum(z), n) == value
         loss_vectors = {
@@ -77,13 +78,39 @@ def test_binary_multiclass_loss_random():
         sample = Sample(
             (int(gen.integers(0, points)), int(gen.integers(1, 4))) for _ in range(n)
         )
-        z = sample_erm_binary(sample, _erm(cls, loss_mc))
+        ledger = QueryCostLedger()
+        z = sample_erm_binary(sample, ErmValueOracle(cls, loss_mc, ledger))
+        assert ledger.call_count <= n + 1
+        assert z == restarting_erm_binary(sample, _erm(cls, loss_mc))
         value, winners = brute_erm(cls, sample, loss_mc)
         assert Fraction(sum(z), n) == value
         vectors = {
             tuple(loss_mc(y, cls.value_at(w, x)) for x, y in sample) for w in winners
         }
         assert z in vectors
+
+
+def test_binary_margin_thresholds_with_stars_and_repeats():
+    # points drawn from a few values, so entries repeat, some with both labels
+    # and some with a * label, which every threshold gets wrong
+    cls = MarginThresholdClass.regular(0, Fraction(1, 8), 9, Fraction(1, 16))
+    gen = np.random.default_rng(89)
+    for _ in range(80):
+        n = int(gen.integers(1, 11))
+        sample = Sample(
+            (Fraction(int(gen.integers(0, 5)), 4), (0, 1, STAR)[int(gen.integers(0, 3))])
+            for _ in range(n)
+        )
+        ledger = QueryCostLedger()
+        z = sample_erm_binary(sample, ErmValueOracle(cls, loss_bin, ledger))
+        assert ledger.call_count <= n + 1
+        assert z == restarting_erm_binary(sample, _erm(cls, loss_bin))
+        table = materialize_thresholds(cls, sorted(set(sample.xs)))
+        value, winners = brute_erm(table, sample, loss_bin)
+        assert Fraction(sum(z), n) == value
+        assert z in {
+            tuple(loss_bin(y, table.value_at(w, x)) for x, y in sample) for w in winners
+        }
 
 
 def test_real_single_point_tie_break():

@@ -3,10 +3,13 @@
 `tests/golden/<config>.csv` and `.jsonl` hold the reports of every file in
 `configs/` with wall time off.  A change that is meant to keep behaviour must
 leave them equal at any `jobs`; a change that moves a report on purpose
-rewrites them with `python tests/test_golden_reports.py` and says why.
+rewrites them with `python tests/test_golden_reports.py` and says why.  That
+script prints, per config, which report columns changed value and in how many
+rows `oracle_calls` or `query_cost` rose.
 """
 
 import io
+import json
 import pathlib
 
 import pytest
@@ -17,6 +20,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 GOLDEN = ROOT / "tests" / "golden"
 FORMATS = ("csv", "jsonl")
+COST_COLUMNS = ("oracle_calls", "query_cost")
 
 
 def _reports(path, jobs=1):
@@ -38,9 +42,30 @@ def test_reports_match_golden(path, jobs):
         assert _emit(reports, fmt) == expected, f"{path.stem}.{fmt} at jobs={jobs}"
 
 
+def _changes(name: str, jsonl: str) -> str:
+    """One line comparing a new JSONL report with the committed copy: the
+    columns whose value moved in some row, and in how many rows each cost
+    column rose."""
+    committed = GOLDEN / f"{name}.jsonl"
+    old = []
+    if committed.exists():
+        old = [json.loads(line) for line in committed.read_text().splitlines()]
+    new = [json.loads(line) for line in jsonl.splitlines()]
+    pairs = list(zip(old, new))
+    columns = list(dict.fromkeys(
+        k for o, r in pairs for k in (*r, *o) if o.get(k) != r.get(k)
+    ))
+    rose = ", ".join(
+        f"{k} {sum(k in o and k in r and r[k] > o[k] for o, r in pairs)}" for k in COST_COLUMNS
+    )
+    rows = "" if len(old) == len(new) else f"; rows {len(old)} -> {len(new)}"
+    return f"{name}: changed {', '.join(columns) or 'nothing'}; rows that rose: {rose}{rows}"
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for path in CONFIGS:
         reports = _reports(path)
+        print(_changes(path.stem, _emit(reports, "jsonl")))
         for fmt in FORMATS:
             (GOLDEN / f"{path.stem}.{fmt}").write_text(_emit(reports, fmt))

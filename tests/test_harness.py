@@ -107,6 +107,9 @@ _OUT_OF_RANGE = (
     {"lambda": 1000}, {"lambda": -2}, {"lambda": 1.01}, {"lambda": "nan"},
     {"gamma": "7"}, {"gamma": "0"}, {"beta": "-3"}, {"beta": 0},
     {"gamma": "1/4", "beta": "1/8"}, {"num_classes": 1}, {"num_classes": 0},
+    # each of these would plan zero boosting rounds or infinitely many walks
+    {"delta": 1}, {"delta": 1000}, {"eta": "inf"}, {"eta": "-inf"}, {"eta": "nan"},
+    {"C1": "inf"},
 )
 
 
@@ -378,6 +381,7 @@ def test_cli_run_and_exit_codes(tmp_path):
         _singleton_config(pipeline="weak_transductive", reps=0),
         _singleton_config(trials=-2),
         _singleton_config(**{"lambda": 1000}),
+        _singleton_config(delta=1000),
     ] + [_singleton_config(trials=1, **bad) for bad in _UNREALIZABLE] + [
         _regression_config(**bad) for bad in _BAD_REGRESSION
     ]

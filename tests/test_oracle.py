@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oiglearn.classes import FiniteTableClass, HPrimeClass
+from oiglearn.classes import FiniteTableClass, HPrimeClass, MarginThresholdClass
 from oiglearn.core import STAR, ContractViolation, Sample, loss_bin
 from oiglearn.oracle import (
     ConsistencyOracle,
@@ -112,6 +112,21 @@ def test_consistency_equals_zero_erm():
         assert con == (erm == 0)
 
 
+def test_margin_threshold_consistency_equals_zero_erm():
+    # labels outside {0, 1} are never consistent, as the ERM value says
+    cls = MarginThresholdClass.regular(0, Fraction(1, 20), 21, Fraction(1, 10))
+    assert not ConsistencyOracle(cls, QueryCostLedger())((Fraction(1, 2),), (2,))
+    gen = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(gen.integers(1, 6))
+        xs = tuple(Fraction(int(v), 8) for v in gen.integers(0, 9, size=n))
+        ys = tuple(int(v) for v in gen.integers(0, 3, size=n))
+        ledger = QueryCostLedger()
+        con = ConsistencyOracle(cls, ledger)(xs, ys)
+        erm = ErmValueOracle(cls, loss_bin, ledger)(Sample(zip(xs, ys)))
+        assert con == (erm == 0) == cls.consistent_on(xs, ys)
+
+
 def test_consistency_monotone_under_extension():
     gen = np.random.default_rng(13)
     for _ in range(100):
@@ -135,5 +150,6 @@ def test_oracle_handles_charge_ledger():
     erm = ErmValueOracle(_zero_class(), loss_bin, ledger)
     erm(Sample([("a", 0), ("b", 1), ("b", 0)]))
     assert ledger.snapshot() == (6, 3)
-    assert erm.unnormalized(Sample([("a", 0), ("b", 1), ("b", 0)])) == 1
+    s = Sample([("a", 0), ("b", 1), ("b", 0)])
+    assert erm(s) * len(s) == 1
     assert ledger.snapshot() == (9, 4)
