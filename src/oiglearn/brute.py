@@ -26,7 +26,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .classes import FiniteTableClass, HPrimeClass, MarginThresholdClass, is_prime, semiprime_split
+from .classes import FiniteTableClass, HPrimeClass, MarginThresholdClass
 from .core import (
     STAR,
     ContractViolation,
@@ -337,9 +337,22 @@ def materialize_thresholds(concept_class: MarginThresholdClass, points) -> Finit
     return FiniteTableClass(points, sorted(rows, key=_star_sort_key), "binary")
 
 
+def _least_factor(n: int) -> int:
+    """The least divisor of n above 1 (n itself when n is prime), by trial
+    division."""
+    return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+
+
+def trial_division_split(n: int) -> tuple[int, int] | None:
+    """(p, q) with p <= q prime and p*q == n, or None, by trial division."""
+    p = _least_factor(n)
+    q = n // p
+    return (p, q) if p < n and _least_factor(q) == q else None
+
+
 def next_prime_above(n: int) -> int:
     k = n + 1
-    while not is_prime(k):
+    while _least_factor(k) != k:
         k += 1
     return k
 
@@ -349,12 +362,14 @@ def materialize_hprime(concept_class: HPrimeClass, points) -> FiniteTableClass:
 
     Pair hypotheses whose members exceed the window are represented by a
     single fresh prime above it; their restrictions collapse to indicator
-    patterns already expressible inside the window.
+    patterns already expressible inside the window.  Primes and products of
+    two primes are found by trial division, not by the class's own number
+    theory.
     """
     points = tuple(points)
     concept_class.check_points(points)
     top = max(points)
-    small_primes = [k for k in range(2, top + 1) if is_prime(k)]
+    small_primes = [k for k in range(2, top + 1) if _least_factor(k) == k]
     big = next_prime_above(top)
     rows = {tuple(0 for _ in points)}  # any hypothesis supported above the window
     candidates = small_primes + [big]
@@ -363,7 +378,7 @@ def materialize_hprime(concept_class: HPrimeClass, points) -> FiniteTableClass:
             ones = {p, q, p * q}
             rows.add(tuple(1 if x in ones else 0 for x in points))
     for n in points:
-        if semiprime_split(n) is None:
+        if trial_division_split(n) is None:
             rows.add(tuple(1 if x == n else 0 for x in points))
     return FiniteTableClass(points, sorted(rows), "binary")
 

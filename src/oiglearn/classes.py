@@ -142,13 +142,13 @@ class FiniteTableClass(ConceptClass):
         over L = lcm(D, label denominators): sum |y*L - (L/D)*(v*D)| per row,
         stopping at the first zero."""
         cols = [self._column(x) for x in xs]
-        ys = [Fraction(y) for y in ys]
-        for y in ys:
-            if not 0 <= y.numerator <= y.denominator:
+        ratios = [y.as_integer_ratio() for y in ys]
+        for (num, den), y in zip(ratios, ys):
+            if not 0 <= num <= den:
                 raise ContractViolation(f"absolute-loss labels must lie in [0,1], got {y}")
         denominator, rows = self._integer_rows()
-        scale = lcm(denominator, *(y.denominator for y in ys))
-        targets = [y.numerator * (scale // y.denominator) for y in ys]
+        scale = lcm(denominator, *(den for _, den in ratios))
+        targets = [num * (scale // den) for num, den in ratios]
         up = scale // denominator
         best = None
         for row in rows:
@@ -324,7 +324,7 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """Some nontrivial factor of composite n (n odd, not a prime power issue-free)."""
+    """Some nontrivial factor of composite n."""
     if n % 2 == 0:
         return 2
     for c in range(1, 64):
@@ -339,31 +339,24 @@ def _pollard_rho(n: int) -> int:
     raise RuntimeError(f"factorization failed for {n}")  # unreachable for 64-bit inputs
 
 
-def prime_factors(n: int) -> list[int]:
-    """Prime factorization with multiplicity."""
-    if n < 2:
-        return []
-    if is_prime(n):
-        return [n]
-    d = _pollard_rho(n)
-    return sorted(prime_factors(d) + prime_factors(n // d))
-
-
 @lru_cache(maxsize=_PRIME_CACHE_SIZE)
 def semiprime_split(n: int) -> tuple[int, int] | None:
-    """(p, q) with p <= q prime and p*q == n, or None if n is not such a product."""
-    factors = prime_factors(n)
-    if len(factors) == 2:
-        return factors[0], factors[1]
-    return None
+    """(p, q) with p <= q prime and p*q == n, or None if n is not such a
+    product.  A composite n is a product of two primes exactly when both parts
+    of any nontrivial split are prime, so one split decides it."""
+    if n < 4 or is_prime(n):
+        return None
+    p = _pollard_rho(n)
+    p, q = sorted((p, n // p))
+    return (p, q) if is_prime(p) and is_prime(q) else None
 
 
 class HPrimeClass(ConceptClass):
     """Indicators of {p, q, pq} for prime pairs, plus point indicators g_n for
     every n that is not a product of two primes.
 
-    Deciding realizability is polynomial-time case analysis over the positive
-    points; returning an actual minimizer would reveal prime factors, so the
+    Deciding realizability takes at most one semiprime split of a positive
+    point; returning an actual minimizer would reveal prime factors, so the
     class offers the consistency oracle only.
     """
 
@@ -382,6 +375,10 @@ class HPrimeClass(ConceptClass):
                 )
 
     def _consistent(self, xs, ys) -> bool:
+        """Some hypothesis is 1 on every positive point and on no zero.  Two
+        or more positives need a pair hypothesis, whose ones {p, q, pq} hold
+        one composite: a positive composite's split fixes the pair, and
+        without one the positive primes are the pair."""
         self.check_points(xs)
         if any(y not in (0, 1) for y in ys):
             raise ContractViolation("labels must be 0 or 1")
@@ -389,43 +386,21 @@ class HPrimeClass(ConceptClass):
         for x, y in zip(xs, ys):
             if assigned.setdefault(x, y) != y:
                 return False  # the same point demanded both labels
-        positives = sorted(x for x, y in assigned.items() if y == 1)
-        zeros = {x for x, y in assigned.items() if y == 0}
-        if not positives:
-            return True
-        if len(positives) == 1:
-            n = positives[0]
-            split = semiprime_split(n)
-            if split is None:
-                # either n is prime (pair it with a fresh large prime) or the
-                # point indicator of n exists; zeros never interfere
+        positives = [x for x, y in assigned.items() if y == 1]
+        if len(positives) < 2:
+            # a lone prime pairs with a fresh prime above the bound, and a
+            # lone n that is not pq has its point indicator
+            pair = semiprime_split(positives[0]) if positives else None
+            if pair is None:
                 return True
-            p, q = split
-            return p not in zeros and q not in zeros
-        # two or more positives: only a pair hypothesis, with ones {p, q, pq},
-        # can cover them
-        if 1 in positives:
-            return False
-        primes = [x for x in positives if is_prime(x)]
-        composites = [x for x in positives if not is_prime(x)]
-        if len(composites) >= 2:
-            return False
-        if len(primes) >= 3:
-            return False
-        if not composites:
-            p, q = primes
-            return (p * q) not in zeros
-        m = composites[0]
-        if len(primes) == 2:
-            p, q = primes
-            return p * q == m
-        p = primes[0]
-        if m % p != 0:
-            return False
-        ratio = m // p
-        if not is_prime(ratio):
-            return False
-        return ratio not in zeros
+        else:
+            composites = [x for x in positives if not is_prime(x)]
+            pair = semiprime_split(composites[0]) if composites else positives[:2]
+            if pair is None:
+                return False
+        p, q = pair
+        ones = {p, q, p * q}
+        return ones.issuperset(positives) and all(assigned.get(x, 1) for x in ones)
 
 
 # per class kind, the labels its hypotheses give and the keys

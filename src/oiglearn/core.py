@@ -182,8 +182,10 @@ class FiniteDistribution:
             start=Fraction(0),
         )
 
-    def with_binary_label_noise(self, rate) -> "FiniteDistribution":
-        """Flip each binary label with probability `rate`, as an exact mixture."""
+    def with_label_noise(self, rate, labels) -> "FiniteDistribution":
+        """Move each label to a uniformly chosen other one of `labels` with
+        probability `rate`, as an exact mixture; on labels (0, 1) that is a
+        flip."""
         rate = as_fraction(rate)
         if not (0 <= rate <= 1):
             raise ContractViolation("noise rate must lie in [0,1]")
@@ -191,24 +193,11 @@ class FiniteDistribution:
             return self
         pairs, weights = [], []
         for (x, y), w in zip(self.support, self.weights):
-            if y not in BINARY_LABELS:
-                raise ContractViolation("binary label noise requires labels in {0,1}")
+            if y not in labels:
+                raise ContractViolation(f"label noise requires labels in {tuple(labels)}")
             pairs.append((x, y))
             weights.append(w * (1 - rate))
-            pairs.append((x, 1 - y))
-            weights.append(w * rate)
-        return FiniteDistribution(tuple(pairs), tuple(weights))
-
-    def with_multiclass_label_noise(self, rate, num_classes: int) -> "FiniteDistribution":
-        """Replace each label by a uniformly random wrong one with probability `rate`."""
-        rate = as_fraction(rate)
-        if rate == 0:
-            return self
-        pairs, weights = [], []
-        for (x, y), w in zip(self.support, self.weights):
-            pairs.append((x, y))
-            weights.append(w * (1 - rate))
-            others = [k for k in range(1, num_classes + 1) if k != y]
+            others = [k for k in labels if k != y]
             for k in others:
                 pairs.append((x, k))
                 weights.append(w * rate / len(others))

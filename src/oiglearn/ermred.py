@@ -28,12 +28,16 @@ def sample_erm_binary(sample: Sample, erm_oracle: ErmValueOracle) -> tuple[int, 
     minimizers of the larger sample, so an entry that once stayed never
     becomes removable.  The result is therefore the removal vector of the
     scan that restarts at the lowest index after every removal
-    (`brute.restarting_erm_binary`), from at most n+1 oracle calls.
+    (`brute.restarting_erm_binary`), from at most n+1 oracle calls, and from
+    one call on a realizable sample.
     """
     n = len(sample)
     current = _loss_sum(erm_oracle, sample)
     kept: list[int] = []
     for i in range(n):
+        if current == 0:  # no deletion lowers a zero sum: keep the rest unasked
+            kept.extend(range(i, n))
+            break
         value = _loss_sum(erm_oracle, sample.subset(kept + list(range(i + 1, n))))
         if value < current:
             current = value
@@ -90,7 +94,7 @@ def sample_con_real(triples, erm_oracle: ErmValueOracle) -> bool:
     if not triples:
         return True
     pairs = []
-    slack = Fraction(0)
+    slack = 0
     for x, lo, hi in triples:
         lo, hi = as_fraction(lo), as_fraction(hi)
         if lo > hi:

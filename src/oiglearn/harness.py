@@ -362,12 +362,9 @@ def build_distribution(config: ExperimentConfig) -> FiniteDistribution:
         dist = FiniteDistribution.uniform(config.support)
     else:
         dist = FiniteDistribution(config.support, config.weights)
-    if config.label_noise != 0:
-        if PIPELINES[config.pipeline].labels == "multiclass":
-            dist = dist.with_multiclass_label_noise(config.label_noise, config.num_classes)
-        else:
-            dist = dist.with_binary_label_noise(config.label_noise)
-    return dist
+    if PIPELINES[config.pipeline].labels == "multiclass":
+        return dist.with_label_noise(config.label_noise, range(1, config.num_classes + 1))
+    return dist.with_label_noise(config.label_noise, (0, 1))
 
 
 def validate_capabilities(config: ExperimentConfig, concept_class) -> None:

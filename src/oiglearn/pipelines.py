@@ -175,23 +175,24 @@ def threshold_grid(gamma) -> tuple[Fraction, ...]:
 def threshold_consistency_oracle(range_query, gamma):
     """Consistency for threshold examples via one range query: bit 1 at
     (x, tau) demands h(x) in [tau+gamma, 1], bit 0 demands [0, tau-gamma].
-    Bands outside [0,1] are unsatisfiable outright."""
+    Bands outside [0,1] are unsatisfiable outright.  The thresholds tau are
+    the grid's `Fraction`s, so the bands are built without parsing."""
     gamma = as_fraction(gamma)
+    zero, one = Fraction(0), Fraction(1)
 
     def threshold_query(xs, ys):
         triples = []
         for (x, tau), b in zip(xs, ys):
-            tau = as_fraction(tau)
             if b == 1:
                 lo = tau + gamma
                 if lo > 1:
                     return False
-                triples.append((x, lo, Fraction(1)))
+                triples.append((x, lo, one))
             else:
                 hi = tau - gamma
                 if hi < 0:
                     return False
-                triples.append((x, Fraction(0), hi))
+                triples.append((x, zero, hi))
         return range_query(triples)
 
     return threshold_query

@@ -102,7 +102,7 @@ def test_distribution_opt():
     cls = FiniteTableClass((0, 1), [(0, 0), (1, 1)], "binary")
     dist = FiniteDistribution.uniform(((0, 0), (1, 1)))
     assert distribution_opt(cls, dist, loss_bin) == Fraction(1, 2)
-    noisy = dist.with_binary_label_noise(Fraction(1, 10))
+    noisy = dist.with_label_noise(Fraction(1, 10), (0, 1))
     assert distribution_opt(cls, noisy, loss_bin) == Fraction(1, 2)
 
 

@@ -11,6 +11,7 @@ from oiglearn.brute import (
     table_erm_scan,
     table_patterns,
     threshold_erm_scan,
+    trial_division_split,
     vc_dimension,
 )
 from oiglearn.classes import (
@@ -19,7 +20,6 @@ from oiglearn.classes import (
     MarginThresholdClass,
     class_from_config,
     is_prime,
-    prime_factors,
     semiprime_split,
 )
 from oiglearn.core import STAR, ContractViolation, loss_abs, loss_bin, loss_mc
@@ -286,13 +286,24 @@ def test_is_prime_examples():
 
 
 def test_factoring_helpers():
-    assert prime_factors(360) == [2, 2, 2, 3, 3, 5]
     assert semiprime_split(15) == (3, 5)
     assert semiprime_split(49) == (7, 7)
     assert semiprime_split(30) is None
     assert semiprime_split(7) is None
     assert semiprime_split(1) is None
+    a, b = 2**31 - 1, 2**61 - 1
+    assert semiprime_split(a * b) == (a, b)
+    assert semiprime_split(a * a) == (a, a)
+    assert semiprime_split(999983 * 1000003) == (999983, 1000003)
+    assert semiprime_split(3 * 5 * 7) is None
+    assert semiprime_split(3 * a * b) is None
+    assert semiprime_split(a * a * a) is None
     assert next_prime_above(13) == 17
+
+
+def test_semiprime_split_matches_trial_division():
+    for n in range(1, 50_000):
+        assert semiprime_split(n) == trial_division_split(n), n
 
 
 def test_hprime_examples():

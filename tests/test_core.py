@@ -117,12 +117,35 @@ def test_distribution_expected_loss_exact():
 
 def test_binary_label_noise_is_exact_mixture():
     dist = FiniteDistribution.uniform(((1, 0), (2, 1)))
-    noisy = dist.with_binary_label_noise(Fraction(1, 10))
+    noisy = dist.with_label_noise(Fraction(1, 10), (0, 1))
     assert sum(noisy.weights) == 1
     mass_clean = sum(
         w for (x, y), w in zip(noisy.support, noisy.weights) if (x, y) in {(1, 0), (2, 1)}
     )
     assert mass_clean == Fraction(9, 10)
+    assert noisy.support == ((1, 0), (1, 1), (2, 1), (2, 0))
+    with pytest.raises(ContractViolation):
+        dist.with_label_noise(Fraction(1, 10), (1, 2))
+
+
+def test_multiclass_label_noise_spreads_over_other_labels():
+    dist = FiniteDistribution(((1, 2), (2, 4)), (Fraction(1, 3), Fraction(2, 3)))
+    rate = Fraction(1, 5)
+    noisy = dist.with_label_noise(rate, range(1, 5))
+    # each label keeps 1 - rate of its mass and gives rate/3 to each other label
+    pairs, weights = [], []
+    for (x, y), w in zip(dist.support, dist.weights):
+        pairs.append((x, y))
+        weights.append(w * (1 - rate))
+        for k in (1, 2, 3, 4):
+            if k != y:
+                pairs.append((x, k))
+                weights.append(w * rate / 3)
+    assert noisy.support == tuple(pairs)
+    assert noisy.weights == tuple(weights)
+    for rate in (-1, Fraction(3, 2)):
+        with pytest.raises(ContractViolation):
+            dist.with_label_noise(rate, range(1, 5))
 
 
 def test_stream_determinism_and_independence():

@@ -17,7 +17,10 @@ def _erm(cls, loss):
 def test_binary_realizable_keeps_everything():
     cls = FiniteTableClass(("a", "b", "c"), [(0, 1, 0)], "binary")
     sample = Sample([("a", 0), ("b", 1), ("c", 0)])
-    assert sample_erm_binary(sample, _erm(cls, loss_bin)) == (0, 0, 0)
+    ledger = QueryCostLedger()
+    z = sample_erm_binary(sample, ErmValueOracle(cls, loss_bin, ledger))
+    assert z == (0, 0, 0) == restarting_erm_binary(sample, _erm(cls, loss_bin))
+    assert ledger.call_count == 1  # the zero sum of the whole sample ends the scan
 
 
 def test_binary_single_constant_hypothesis():
