@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .core import ContractViolation, RandomStream, Sample, loss_bin
 from .oig import MembershipPredicate, WalkParams, default_horizon, estimate_potential, pack
@@ -21,16 +22,18 @@ class WeakLearnerParams:
     """Walk discount/trials plus the orientation sharpness lambda.
 
     The defaults derived by `paper_default_params` scale the discount toward 1
-    and the trial count quadratically with the pattern dimension.
+    and the trial count quadratically with the pattern dimension.  The
+    discount is a `Fraction`: the exact audit solves at it, and the walks at
+    its float, so both describe one learner.
     """
 
-    gamma: float
+    gamma: Fraction
     lam: float
     trials: int
     horizon: int
 
     def walk_params(self) -> WalkParams:
-        return WalkParams(self.gamma, self.horizon, self.trials)
+        return WalkParams(float(self.gamma), self.horizon, self.trials)
 
 
 @dataclass(frozen=True)
@@ -39,23 +42,28 @@ class WeakPrediction:
     sigma_hat: float
 
 
-_GAMMA_FLOOR = 0.5
-_GAMMA_CEIL = 1 - 1e-6
+_GAMMA_FLOOR = Fraction(1, 2)
+_GAMMA_CEIL = Fraction(999999, 10**6)
+# the exact audit's integer elimination grows with the discount's size
+_GAMMA_MAX_DENOMINATOR = 2**16
 
 
 def paper_default_params(m: int, c1: float = 1.0, lam: float = 1.0) -> WeakLearnerParams:
     """Default discount 1 - 1/(c1*m*log m), unit lambda, c1*m^2*log^3 m trials.
 
-    At small m the discount formula exits (0,1), so it is clamped into
-    [1/2, 1-1e-6]; trial counts are rounded up and kept >= 1.
+    The discount is rounded to the nearest `Fraction` with a denominator of
+    at most 2^16, and then clamped into [1/2, 1-1e-6]: at small m the formula
+    exits (0,1), and near 1 the rounding reaches 1.  Trial counts are rounded
+    up and kept >= 1.
     """
     if m < 2:
         raise ContractViolation("weak-learner defaults need m >= 2")
     if c1 <= 0:
         raise ContractViolation("c1 must be positive")
     log_m = math.log(m)
-    gamma = 1 - 1 / (c1 * m * log_m)
-    gamma = min(max(gamma, _GAMMA_FLOOR), _GAMMA_CEIL)
+    # the floor first, in floats: a tiny c1 sends the formula to -inf
+    raw = max(1 - 1 / (c1 * m * log_m), _GAMMA_FLOOR)
+    gamma = min(Fraction(raw).limit_denominator(_GAMMA_MAX_DENOMINATOR), _GAMMA_CEIL)
     trials = max(1, math.ceil(c1 * m * m * log_m**3))
     return WeakLearnerParams(gamma, lam, trials, default_horizon(gamma))
 

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import io
 import json
@@ -6,8 +7,11 @@ import pathlib
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+
+from oiglearn import cli
 
 from oiglearn.harness import (
     CSV_HEADER,
@@ -346,12 +350,22 @@ def test_audit_pipeline_reports_slack():
     assert report.test_err >= 0.0  # nonnegative bound slack
 
 
-def _run_cli(args, config=None, tmp_path=None, env_extra=None):
+def _run_cli(args, env_extra=None):
+    """`oig` in this process: `cli.main(args)` with stdout and stderr captured,
+    as a `CompletedProcess`.  An uncaught exception fails the test, where a
+    separate process would have printed a traceback."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env_extra or {}), \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        returncode = cli.main(args)
+    return subprocess.CompletedProcess(args, returncode, stdout.getvalue(), stderr.getvalue())
+
+
+def _spawn_cli(args):
+    """`python -m oiglearn.cli` in a new process, which pins the entry point
+    and the exit code it hands to `sys.exit`.  One call per command."""
     cmd = [sys.executable, "-m", "oiglearn.cli", *args]
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=300)
 
 
 def test_cli_run_and_exit_codes(tmp_path):
@@ -366,7 +380,7 @@ def test_cli_run_and_exit_codes(tmp_path):
 
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert _run_cli(["run", "--config", str(bad)]).returncode == 3
+    assert _spawn_cli(["run", "--config", str(bad)]).returncode == 3
 
     missing = tmp_path / "missing.json"
     assert _run_cli(["run", "--config", str(missing)]).returncode == 3
@@ -463,7 +477,7 @@ def test_cli_audit_runs(tmp_path):
 
     # `oig audit` audits trial 0's sample at the audit pipeline's discount
     shipped = str(CONFIGS_DIR / "threshold_audit.json")
-    proc = _run_cli(["audit", "--config", shipped])
+    proc = _spawn_cli(["audit", "--config", shipped])
     assert proc.returncode == 0, proc.stderr
     report = run_experiment(ExperimentConfig.from_file(shipped), measure_wall=False)[0]
     lazy = next(line for line in proc.stdout.splitlines() if line.startswith("walk=lazy"))
@@ -472,6 +486,6 @@ def test_cli_audit_runs(tmp_path):
 
 
 def test_cli_selftest_passes():
-    proc = _run_cli(["selftest"])
+    proc = _spawn_cli(["selftest"])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "FAIL" not in proc.stdout

@@ -5,10 +5,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oiglearn.brute import exact_transductive_audit
+from oiglearn.brute import AUDIT_MAX_POINTS, exact_transductive_audit
 from oiglearn.classes import FiniteTableClass, MarginThresholdClass
 from oiglearn.core import ContractViolation, RandomStream, Sample
-from oiglearn.oig import MembershipPredicate, exact_generating_function, neighbors
+from oiglearn.oig import MembershipPredicate, exact_generating_function, lazy_discount, neighbors
 from oiglearn.oracle import ConsistencyOracle, QueryCostLedger
 from oiglearn.weak import (
     WeakLearnerParams,
@@ -56,6 +56,33 @@ def test_paper_default_params_scaling():
     assert abs(doubled.trials - 2 * base.trials) <= 1
     # horizon obeys its defining inequality
     assert base.gamma ** base.horizon <= (1 - base.gamma) / (32 * math.e)
+
+
+@pytest.mark.parametrize("c1", [0.5, 1.0, 2.0, 4.0])
+def test_paper_default_discount_is_a_small_fraction(c1):
+    for m in range(2, 257):
+        p = paper_default_params(m, c1)
+        formula = min(max(1 - 1 / (c1 * m * math.log(m)), 0.5), 1 - 1e-6)
+        assert isinstance(p.gamma, Fraction) and 0 < p.gamma < 1
+        assert p.gamma.denominator <= 2**16
+        assert abs(p.gamma - Fraction(formula)) < 1e-7
+        # the walks run at the float of the discount the audit solves at
+        assert p.walk_params().gamma == float(p.gamma)
+
+
+def test_paper_default_discount_rounds_then_clamps_at_the_ceiling():
+    # 1 - 1/(c1*m*ln m) lies within 1e-6 of 1, and a denominator of at most
+    # 2^16 rounds it to 1; the exact ceiling keeps it inside (0, 1)
+    p = paper_default_params(2, 1e7)
+    assert isinstance(p.gamma, Fraction) and 0 < p.gamma < 1
+    assert p.gamma == Fraction(999999, 10**6)
+    assert p.walk_params().gamma == float(p.gamma)
+
+
+def test_audit_discount_stays_small():
+    # the flip-walk audit solves at 2g/(1+g), whose denominator is at most p+q
+    for n in range(2, AUDIT_MAX_POINTS + 1):
+        assert lazy_discount(paper_default_params(n).gamma).denominator < 2**18
 
 
 def test_weak_realizable_forced_by_consistency():
