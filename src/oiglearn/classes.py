@@ -10,6 +10,7 @@ integers.  Every oracle answer is exact and cross-checkable by enumeration.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -403,42 +404,45 @@ class HPrimeClass(ConceptClass):
         return ones.issuperset(positives) and all(assigned.get(x, 1) for x in ones)
 
 
-# per class kind, the labels its hypotheses give and the keys
-# `class_from_config` reads
+def _binary_table(spec) -> ConceptClass:
+    table = [[_parse_binary_label(v) for v in row] for row in spec["table"]]
+    return FiniteTableClass(parse_points(spec["domain"]), table, "binary")
+
+
+def _margin_threshold(spec) -> ConceptClass:
+    grid = spec["grid"]
+    if isinstance(grid, (list, tuple)) and len(grid) == 3 and isinstance(grid[2], int):
+        return MarginThresholdClass.regular(*grid, spec["margin"])
+    return MarginThresholdClass([as_fraction(t) for t in grid], spec["margin"])
+
+
+# per class kind: the labels its hypotheses give, the keys its description
+# takes, and the builder that reads them
+ClassKind = namedtuple("ClassKind", "labels keys build")
 CLASS_KINDS = {
-    "finite_table": ("binary", frozenset({"kind", "domain", "table"})),
-    "finite_multiclass": ("multiclass", frozenset({"kind", "domain", "table", "num_classes"})),
-    "finite_real": ("real", frozenset({"kind", "domain", "table"})),
-    "margin_threshold": ("binary", frozenset({"kind", "grid", "margin"})),
-    "hprime": ("binary", frozenset({"kind", "bound"})),
+    "finite_table": ClassKind("binary", {"kind", "domain", "table"}, _binary_table),
+    "finite_multiclass": ClassKind(
+        "multiclass", {"kind", "domain", "table", "num_classes"},
+        lambda spec: FiniteTableClass(parse_points(spec["domain"]), spec["table"], "multiclass",
+                                      num_classes=spec["num_classes"]),
+    ),
+    # the table converts its own entries to fractions
+    "finite_real": ClassKind(
+        "real", {"kind", "domain", "table"},
+        lambda spec: FiniteTableClass(parse_points(spec["domain"]), spec["table"], "real"),
+    ),
+    "margin_threshold": ClassKind("binary", {"kind", "grid", "margin"}, _margin_threshold),
+    "hprime": ClassKind("binary", {"kind", "bound"}, lambda spec: HPrimeClass(spec["bound"])),
 }
 
 
 def class_from_config(spec: dict) -> ConceptClass:
     """Build a concept class from its structured-text description."""
-    try:
-        kind = spec["kind"]
-    except (KeyError, TypeError):
-        raise ContractViolation("class config needs a 'kind' tag") from None
-    if kind == "finite_table":
-        table = [[_parse_binary_label(v) for v in row] for row in spec["table"]]
-        return FiniteTableClass(parse_points(spec["domain"]), table, "binary")
-    if kind == "finite_multiclass":
-        return FiniteTableClass(
-            parse_points(spec["domain"]), spec["table"], "multiclass", num_classes=spec["num_classes"]
-        )
-    if kind == "finite_real":
-        table = [[as_fraction(v) for v in row] for row in spec["table"]]
-        return FiniteTableClass(parse_points(spec["domain"]), table, "real")
-    if kind == "margin_threshold":
-        grid = spec["grid"]
-        if isinstance(grid, (list, tuple)) and len(grid) == 3 and isinstance(grid[2], int):
-            start, step, count = grid
-            return MarginThresholdClass.regular(start, step, count, spec["margin"])
-        return MarginThresholdClass([as_fraction(t) for t in grid], spec["margin"])
-    if kind == "hprime":
-        return HPrimeClass(spec["bound"])
-    raise ContractViolation(f"unknown class kind {kind!r}")
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    entry = CLASS_KINDS.get(kind) if isinstance(kind, str) else None
+    if entry is None:
+        raise ContractViolation(f"class config needs a known 'kind' tag, got {kind!r}")
+    return entry.build(spec)
 
 
 def _parse_binary_label(v):
@@ -450,12 +454,4 @@ def _parse_binary_label(v):
 
 
 def parse_points(values):
-    out = []
-    for v in values:
-        if isinstance(v, str):
-            out.append(as_fraction(v))
-        elif isinstance(v, float):
-            out.append(as_fraction(v))
-        else:
-            out.append(v)
-    return tuple(out)
+    return tuple(as_fraction(v) if isinstance(v, (str, float)) else v for v in values)

@@ -74,9 +74,9 @@ def _load_config(path) -> ExperimentConfig:
     env_seed = os.environ.get("OIG_SEED")
     if env_seed is not None:
         try:
-            config = config.with_seed(int(env_seed))
-        except ValueError:
-            raise ConfigError(f"OIG_SEED must be an integer, got {env_seed!r}") from None
+            config = config.with_seed(env_seed)
+        except ConfigError as exc:
+            raise ConfigError(f"OIG_SEED {env_seed!r}: {exc}") from None
     return config
 
 

@@ -15,7 +15,8 @@ import functools
 import json
 import math
 import time
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import IO, Callable
 
@@ -45,6 +46,7 @@ from .oracle import (
 )
 from .pipelines import (
     WeakSpec,
+    boosting_rounds,
     fit_agnostic_partial,
     fit_multiclass_agnostic,
     fit_multiclass_realizable,
@@ -174,11 +176,65 @@ PIPELINES = {
 }
 
 
-_CONFIG_KEYS = frozenset({
-    "pipeline", "class", "distribution", "m", "eta", "gamma", "beta", "num_classes",
-    "n", "C1", "c1", "lambda", "delta", "trials", "seed", "reps",
-})
+_REQUIRED = object()
+
+
+def _integer(value) -> int:
+    # int() would run 2.7 as 2 and true as 1
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+# One row per top-level scalar key: the key, the attribute it sets, its
+# parser, its default (`_REQUIRED` if none), and the range a value must meet,
+# as `holds(v)`, which NaN fails, and in words.  A given value is checked even
+# where the pipeline does not read it, so a bad grid fails before any trial.
+# A null value leaves a field whose default is None unset.
+_Field = namedtuple("_Field", "key attr parse default holds rule")
+_FIELDS = (
+    _Field("n", "n", _integer, 10, lambda v: v >= 1, "at least 1"),
+    _Field("m", "m", _integer, 3, lambda v: v >= 2, "at least 2"),
+    # unset, it is 1/(m ln m)
+    _Field("eta", "eta", float, None, lambda v: 0 < v < math.inf, "positive and finite"),
+    # a failure probability: at 1 or more, boosting could plan zero rounds
+    _Field("delta", "delta", float, 0.2, lambda v: 0 < v < 1, "in (0, 1)"),
+    # two names of one constant, which must agree when both are given
+    _Field("C1", "c1", float, 1.0, lambda v: 0 < v < math.inf, "positive and finite"),
+    _Field("c1", "c1", float, 1.0, lambda v: 0 < v < math.inf, "positive and finite"),
+    # beyond [0, 1] an edge mass leaves [0, 1] and the audit no longer
+    # describes the learner
+    _Field("lambda", "lam", float, 1.0, lambda v: 0 <= v <= 1, "in [0, 1]"),
+    _Field("gamma", "gamma", as_fraction, None, lambda v: 0 < v < 1, "in (0, 1)"),
+    _Field("beta", "beta", as_fraction, None, lambda v: v > 0, "positive"),
+    _Field("num_classes", "num_classes", _integer, None, lambda v: v >= 2, "at least 2"),
+    _Field("trials", "trials", _integer, 1, lambda v: v >= 0, "at least 0"),
+    _Field("seed", "seed", _integer, _REQUIRED, lambda v: v >= 0, "at least 0"),
+    _Field("reps", "reps", _integer, 50, lambda v: v >= 1, "at least 1"),
+)
+_CONFIG_KEYS = frozenset({"pipeline", "class", "distribution", *(row.key for row in _FIELDS)})
 _DISTRIBUTION_KEYS = frozenset({"support", "weights", "label_noise"})
+
+
+def _parse_fields(raw: dict) -> dict:
+    """The attributes the rows of `_FIELDS` set: each given value parsed and
+    checked by its row, the defaults for the rest."""
+    given = {}
+    for row in _FIELDS:
+        if row.key in raw and (raw[row.key] is not None or row.default is not None):
+            try:
+                value = row.parse(raw[row.key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad {row.key}: {exc}") from exc
+            if not row.holds(value):
+                raise ConfigError(f"{row.key} must be {row.rule}, got {value!r}")
+            if given.setdefault(row.attr, value) != value:
+                raise ConfigError(f"{row.key} {value!r} differs from {given[row.attr]!r}")
+    for row in _FIELDS:
+        if given.setdefault(row.attr, row.default) is _REQUIRED:
+            raise ConfigError(f"config needs {row.key}")
+    given["eta"] = given["eta"] or 1.0 / (given["m"] * math.log(given["m"]))
+    return given
 
 
 def _reject_unknown_keys(raw: dict, allowed: frozenset, where: str) -> None:
@@ -210,14 +266,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """Parse a config: the `_FIELDS` rows, then the rules across fields."""
         try:
             pipeline = raw["pipeline"]
             _reject_unknown_keys(raw, _CONFIG_KEYS, "config")
             if pipeline not in PIPELINES:
                 raise ConfigError(f"unknown pipeline {pipeline!r}")
             entry = PIPELINES[pipeline]
+            values = _parse_fields(raw)
             _, required = _LABEL_KINDS[entry.labels]
-            if required is not None and raw.get(required) is None:
+            if required is not None and values[required] is None:
                 raise ConfigError(f"pipeline {pipeline} needs {required}")
             class_spec = raw["class"]
             if not isinstance(class_spec, dict):
@@ -225,100 +283,47 @@ class ExperimentConfig:
             # an unknown kind is left to class_from_config, which names it
             class_kind = CLASS_KINDS.get(class_spec.get("kind"))
             if class_kind is not None:
-                class_labels, class_keys = class_kind
-                _reject_unknown_keys(class_spec, class_keys, f"{class_spec['kind']} class")
-                if class_labels != entry.labels:
+                _reject_unknown_keys(class_spec, class_kind.keys, f"{class_spec['kind']} class")
+                if class_kind.labels != entry.labels:
                     raise ConfigError(
                         f"pipeline {pipeline} takes {entry.labels} labels, but a "
-                        f"{class_spec['kind']} class gives {class_labels} labels"
+                        f"{class_spec['kind']} class gives {class_kind.labels} labels"
                     )
-            dist = raw["distribution"]
-            _reject_unknown_keys(dist, _DISTRIBUTION_KEYS, "distribution")
-            # int() would run 2.7 as 2 and true as 1
-            for name in ("n", "m", "trials", "seed", "reps", "num_classes"):
-                if isinstance(raw.get(name), (bool, float)):
-                    raise ConfigError(f"{name} must be an integer, got {raw[name]!r}")
-            if raw.get("num_classes") is not None and int(raw["num_classes"]) < 2:
-                raise ConfigError("num_classes must be at least 2")
             # labels the class cannot give would widen the menus and the decoder
             if (entry.labels == "multiclass" and class_spec.get("kind") == "finite_multiclass"
-                    and class_spec.get("num_classes") != int(raw["num_classes"])):
-                raise ConfigError(
-                    f"num_classes {raw['num_classes']} differs from the class's "
-                    f"num_classes {class_spec.get('num_classes')!r}"
-                )
+                    and class_spec.get("num_classes") != values["num_classes"]):
+                raise ConfigError(f"num_classes {values['num_classes']} differs from the "
+                                  f"class's {class_spec.get('num_classes')!r}")
+            dist = raw["distribution"]
+            _reject_unknown_keys(dist, _DISTRIBUTION_KEYS, "distribution")
             parse_label = as_fraction if entry.labels == "real" else int
-            support = tuple((_parse_point(x), parse_label(y)) for x, y in dist["support"])
-            low, high = (1, int(raw["num_classes"])) if entry.labels == "multiclass" else (0, 1)
+            support = tuple((*parse_points([x]), parse_label(y)) for x, y in dist["support"])
+            low, high = (1, values["num_classes"]) if entry.labels == "multiclass" else (0, 1)
             if any(not low <= y <= high for _, y in support):
                 raise ConfigError(f"{entry.labels} support labels must lie in [{low}, {high}]")
             weights = dist.get("weights")
             if weights is not None:
                 weights = tuple(as_fraction(w) for w in weights)
-            m = int(raw.get("m", 3))
-            if m < 2:
-                raise ConfigError("weak sample size m must be at least 2")
-            eta = raw.get("eta")
-            eta = float(eta) if eta is not None else 1.0 / (m * math.log(m))
-            gamma = raw.get("gamma")
-            beta = raw.get("beta")
-            num_classes = raw.get("num_classes")
-            c1 = float(raw.get("C1", raw.get("c1", 1.0)))
-            if "c1" in raw and float(raw["c1"]) != c1:
-                raise ConfigError(f"C1 {raw['C1']!r} and c1 {raw['c1']!r} differ")
-            config = cls(
-                class_spec=class_spec,
-                support=support,
-                weights=weights,
-                label_noise=as_fraction(dist.get("label_noise", 0)),
-                pipeline=pipeline,
-                n=int(raw.get("n", 10)),
-                m=m,
-                c1=c1,
-                lam=float(raw.get("lambda", 1.0)),
-                eta=eta,
-                delta=float(raw.get("delta", 0.2)),
-                gamma=as_fraction(gamma) if gamma is not None else None,
-                beta=as_fraction(beta) if beta is not None else None,
-                num_classes=int(num_classes) if num_classes is not None else None,
-                trials=int(raw.get("trials", 1)),
-                seed=int(raw["seed"]),
-                reps=int(raw.get("reps", 50)),
-            )
+            noise = as_fraction(dist.get("label_noise", 0))
+            config = cls(class_spec, support, weights, noise, pipeline, **values)
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError, ContractViolation) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
-        for name, low in (("n", entry.min_n), ("reps", 1), ("trials", 0)):
-            if getattr(config, name) < low:
-                raise ConfigError(f"{name} must be at least {low}")
-        for name in ("eta", "delta", "c1"):
-            if not getattr(config, name) > 0:
-                raise ConfigError(f"{name} must be positive")
-        # delta is a failure probability; a delta of 1 or more, or an infinite
-        # eta, can plan ceil(16 log(4n/delta) / eta^2) = 0 boosting rounds,
-        # and an infinite C1 asks the weak learner for infinitely many walks
-        if not config.delta < 1:
-            raise ConfigError("delta must lie in (0, 1)")
-        for name in ("eta", "c1"):
-            if not math.isfinite(getattr(config, name)):
-                raise ConfigError(f"{name} must be finite")
-        # beyond [0, 1] an edge mass leaves [0, 1] and the audit no longer
-        # describes the learner
-        if not 0 <= config.lam <= 1:
-            raise ConfigError("lambda must lie in [0, 1]")
-        if entry.max_n is not None and config.n > entry.max_n:
-            raise ConfigError(f"pipeline {pipeline} takes at most n = {entry.max_n} points")
-        # a given field is checked by the rule of the pipelines that read it,
-        # whether or not this pipeline does, so a bad grid fails before any trial
-        if config.gamma is not None and not (0 < config.gamma < 1):
-            raise ConfigError("gamma must lie strictly between 0 and 1")
-        if config.beta is not None and not config.beta > 0:
-            raise ConfigError("beta must be positive")
+        if not entry.min_n <= config.n <= (entry.max_n or config.n):
+            raise ConfigError(f"pipeline {pipeline} takes n from {entry.min_n} "
+                              f"to {entry.max_n or 'any'}")
         if config.gamma is not None and config.beta is not None and config.beta < config.gamma:
             raise ConfigError("beta must be at least gamma")
         if pipeline == "reg_agnostic" and config.gamma.numerator != 1:
             raise ConfigError("reg_agnostic needs gamma = 1/G for an integer G")
+        # the most rounds a learner plans, the agnostic binary one's or the
+        # multiclass menus', must be a finite count
+        factor = max(6, 4 * (config.num_classes or 1))
+        try:
+            boosting_rounds(config.n * factor, config.delta, config.eta, 1)
+        except (ZeroDivisionError, OverflowError):
+            raise ConfigError(f"eta {config.eta!r} plans no finite boosting round count") from None
         return config
 
     @classmethod
@@ -330,8 +335,9 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(raw)
 
-    def with_seed(self, seed: int) -> "ExperimentConfig":
-        return ExperimentConfig(**{**self.__dict__, "seed": seed})
+    def with_seed(self, seed) -> "ExperimentConfig":
+        """This config at another seed, which the seed row parses and checks."""
+        return replace(self, seed=_parse_fields({"seed": seed})["seed"])
 
     def weak_spec(self) -> WeakSpec:
         return WeakSpec(self.m, self.c1, self.lam)
@@ -340,10 +346,6 @@ class ExperimentConfig:
         """The walk of the leave-one-out diagnostics.  Their contexts have size
         n-1, so it comes from the sample size, not the weak-sample size m."""
         return paper_default_params(self.n, self.c1, self.lam)
-
-
-def _parse_point(x):
-    return parse_points([x])[0]
 
 
 @dataclass(frozen=True)

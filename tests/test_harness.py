@@ -18,7 +18,10 @@ from oiglearn.harness import (
     PIPELINES,
     ConfigError,
     ExperimentConfig,
+    _FIELDS,
+    _REQUIRED,
     build_distribution,
+    draw_trial,
     emit_report,
     run_experiment,
     setup_experiment,
@@ -114,6 +117,11 @@ _OUT_OF_RANGE = (
     # each of these would plan zero boosting rounds or infinitely many walks
     {"delta": 1}, {"delta": 1000}, {"eta": "inf"}, {"eta": "-inf"}, {"eta": "nan"},
     {"C1": "inf"},
+    # a random stream needs a non-negative seed
+    {"seed": -1},
+    # 16 ln(f n / delta) / eta^2 boosting rounds: eta^2 underflows to 0, or
+    # the count overflows to inf
+    {"eta": 1e-300}, {"eta": 1e-160},
 )
 
 
@@ -204,6 +212,9 @@ def test_config_errors():
     # in range, so accepted, although this binary pipeline reads none of them
     for good in ({"lambda": 0}, {"gamma": "1/4", "beta": "1/2", "num_classes": 9}):
         ExperimentConfig.from_dict(_singleton_config(**good))
+    # eta 1e-150 plans about 1e302 boosting rounds, a finite count, and the
+    # boosting stops early
+    run_experiment(ExperimentConfig.from_dict(_singleton_config(eta=1e-150)), measure_wall=False)
     for good in ({"pipeline": "reg_agnostic", "gamma": "1/4"},
                  {"pipeline": "reg_realizable", "gamma": "2/5", "beta": "1/2"}):
         ExperimentConfig.from_dict(_regression_config(**good))
@@ -212,6 +223,23 @@ def test_config_errors():
         config = ExperimentConfig.from_dict(_singleton_config(**bad_setup))
         with pytest.raises(ConfigError):
             run_experiment(config, measure_wall=False)
+
+
+def test_every_field_default_meets_its_range():
+    for row in _FIELDS:
+        if row.default is not None and row.default is not _REQUIRED:
+            assert row.holds(row.parse(row.default)), row.key
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_config_table_lists_the_fields():
+    # the first column of the README's config-key table, one key per row
+    text = README.read_text().split("### Config format", 1)[1]
+    table = text.split("| key |", 1)[1].split("\n\n", 1)[0]
+    keys = [line.split("|")[1].strip().strip("`") for line in table.splitlines()[2:]]
+    assert keys == [row.key for row in _FIELDS]
 
 
 def test_capability_validation():
@@ -268,7 +296,10 @@ def test_config_fuzz_fails_only_with_config_errors():
         swapped = [{**base, "pipeline": name} for name in sorted(PIPELINES)]
         for raw in swapped + [_mutate(rand.choice(swapped), rand) for _ in range(80)]:
             try:
-                setup_experiment(ExperimentConfig.from_dict(raw))
+                config = ExperimentConfig.from_dict(raw)
+                _, distribution = setup_experiment(config)
+                # the first trial's draw, which a config that parses must allow
+                draw_trial(config, distribution, 0)
                 outcomes["ok"] += 1
             except (ConfigError, OracleCapabilityError):
                 outcomes["rejected"] += 1
@@ -396,6 +427,8 @@ def test_cli_run_and_exit_codes(tmp_path):
         _singleton_config(trials=-2),
         _singleton_config(**{"lambda": 1000}),
         _singleton_config(delta=1000),
+        _singleton_config(seed=-1),
+        _singleton_config(eta=1e-160),
     ] + [_singleton_config(trials=1, **bad) for bad in _UNREALIZABLE] + [
         _regression_config(**bad) for bad in _BAD_REGRESSION
     ]
@@ -419,6 +452,12 @@ def test_cli_run_and_exit_codes(tmp_path):
     sink = tmp_path / "nodir" / "report.csv"
     proc = _run_cli(["run", "--config", str(config_path), "--out", str(sink)])
     assert proc.returncode == 4
+
+    # the OIG_SEED override is checked by the seed row of the config
+    for env_seed in ("-5", "x", "2.5"):
+        proc = _run_cli(["run", "--config", str(config_path)], env_extra={"OIG_SEED": env_seed})
+        assert proc.returncode == 3, proc.stderr
+        assert "OIG_SEED" in proc.stderr
 
 
 def test_cli_runs_where_no_hypothesis_is_defined(tmp_path):
