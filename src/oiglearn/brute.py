@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -244,7 +244,7 @@ def _fat_witness_exists(concept_class, d, gamma) -> bool:
         candidate_levels = [_level_candidates(concept_class, x) for x in xs]
         cols = [concept_class._column(x) for x in xs]
         rows = [[row[c] for c in cols] for row in concept_class.table]
-        for levels in _product(candidate_levels):
+        for levels in product(*candidate_levels):
             patterns = set()
             for row in rows:
                 bits = []
@@ -260,15 +260,6 @@ def _fat_witness_exists(concept_class, d, gamma) -> bool:
             if len(patterns) == full:
                 return True
     return False
-
-
-def _product(lists):
-    if not lists:
-        yield ()
-        return
-    for head in lists[0]:
-        for rest in _product(lists[1:]):
-            yield (head,) + rest
 
 
 def brute_erm(concept_class: FiniteTableClass, sample: Sample, loss) -> tuple[Fraction, tuple[int, ...]]:

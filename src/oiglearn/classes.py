@@ -19,23 +19,22 @@ from typing import Any, Iterable, Sequence
 
 _PRIME_CACHE_SIZE = 1 << 16
 
-from .core import STAR, ContractViolation, as_fraction, loss_abs, loss_bin
+from .core import LABEL_KINDS, STAR, ContractViolation, as_fraction, check_labels, loss_abs, loss_bin
 from .oracle import (
     CONSISTENCY,
     ERM_VALUE,
+    PROJECTION,
     RANGE_CONSISTENCY,
     ConceptClass,
     OracleCapabilityError,
 )
 
-_BINARY_ENTRIES = frozenset({0, 1, STAR})
-
 
 class FiniteTableClass(ConceptClass):
     """A concept class given by an explicit (hypothesis x domain point) table.
 
-    kind is one of 'binary' (labels 0/1/STAR), 'multiclass' (labels 1..K) or
-    'real' (rational labels in [0,1]).  All three oracles answer exactly.
+    kind is a key of LABEL_KINDS, whose row parses and bounds the entries; a
+    binary entry may be STAR.  All three oracles answer exactly.
     Consistency and projection work on one bitset of rows per (column,
     label), so they cost one AND or split per query point.  The bitsets of a
     column hold one bit per row for each distinct label in it.  ERM under
@@ -45,10 +44,11 @@ class FiniteTableClass(ConceptClass):
     the range oracle scan the rows in fractions.
     """
 
-    capabilities = frozenset({CONSISTENCY, ERM_VALUE, RANGE_CONSISTENCY})
+    capabilities = frozenset({CONSISTENCY, ERM_VALUE, RANGE_CONSISTENCY, PROJECTION})
 
     def __init__(self, domain: Sequence, table: Sequence[Sequence], kind: str, num_classes: int | None = None):
-        if kind not in ("binary", "multiclass", "real"):
+        label = LABEL_KINDS.get(kind)
+        if label is None:
             raise ContractViolation(f"unknown table kind {kind!r}")
         self.domain = tuple(domain)
         if not self.domain:
@@ -57,21 +57,14 @@ class FiniteTableClass(ConceptClass):
         self.num_classes = num_classes
         rows = []
         for row in table:
+            # a row whose entries all have the kind's type is kept as it is,
+            # so a large table is checked by type and by its set of labels
             row = tuple(row)
+            if not {label.type}.issuperset(map(type, row)):
+                row = tuple(map(label.parse, row))
             if len(row) != len(self.domain):
                 raise ContractViolation("table row length must match the domain")
-            if kind == "binary":
-                if not set(row) <= _BINARY_ENTRIES:
-                    raise ContractViolation("binary table entries must be 0, 1 or STAR")
-            elif kind == "multiclass":
-                if num_classes is None:
-                    raise ContractViolation("multiclass tables need num_classes")
-                if any(not (1 <= v <= num_classes) for v in row):
-                    raise ContractViolation("multiclass labels must lie in 1..K")
-            else:
-                row = tuple(as_fraction(v) for v in row)
-                if any(not (0 <= v <= 1) for v in row):
-                    raise ContractViolation("real labels must lie in [0,1]")
+            check_labels(kind, set(row).difference((STAR,)), num_classes)
             rows.append(row)
         if len(set(rows)) != len(rows):
             raise ContractViolation("table hypotheses must be distinct")
@@ -213,7 +206,7 @@ class MarginThresholdClass(ConceptClass):
     grid so that consistency and ERM values stay exactly computable.
     """
 
-    capabilities = frozenset({CONSISTENCY, ERM_VALUE})
+    capabilities = frozenset({CONSISTENCY, ERM_VALUE, PROJECTION})
 
     def __init__(self, grid: Iterable, margin):
         self.grid = tuple(sorted(as_fraction(t) for t in grid))
@@ -404,11 +397,6 @@ class HPrimeClass(ConceptClass):
         return ones.issuperset(positives) and all(assigned.get(x, 1) for x in ones)
 
 
-def _binary_table(spec) -> ConceptClass:
-    table = [[_parse_binary_label(v) for v in row] for row in spec["table"]]
-    return FiniteTableClass(parse_points(spec["domain"]), table, "binary")
-
-
 def _margin_threshold(spec) -> ConceptClass:
     grid = spec["grid"]
     if isinstance(grid, (list, tuple)) and len(grid) == 3 and isinstance(grid[2], int):
@@ -416,21 +404,19 @@ def _margin_threshold(spec) -> ConceptClass:
     return MarginThresholdClass([as_fraction(t) for t in grid], spec["margin"])
 
 
+def _table(labels):
+    return lambda spec: FiniteTableClass(parse_points(spec["domain"]), spec["table"], labels,
+                                         num_classes=spec.get("num_classes"))
+
+
 # per class kind: the labels its hypotheses give, the keys its description
 # takes, and the builder that reads them
 ClassKind = namedtuple("ClassKind", "labels keys build")
 CLASS_KINDS = {
-    "finite_table": ClassKind("binary", {"kind", "domain", "table"}, _binary_table),
-    "finite_multiclass": ClassKind(
-        "multiclass", {"kind", "domain", "table", "num_classes"},
-        lambda spec: FiniteTableClass(parse_points(spec["domain"]), spec["table"], "multiclass",
-                                      num_classes=spec["num_classes"]),
-    ),
-    # the table converts its own entries to fractions
-    "finite_real": ClassKind(
-        "real", {"kind", "domain", "table"},
-        lambda spec: FiniteTableClass(parse_points(spec["domain"]), spec["table"], "real"),
-    ),
+    "finite_table": ClassKind("binary", {"kind", "domain", "table"}, _table("binary")),
+    "finite_multiclass": ClassKind("multiclass", {"kind", "domain", "table", "num_classes"},
+                                   _table("multiclass")),
+    "finite_real": ClassKind("real", {"kind", "domain", "table"}, _table("real")),
     "margin_threshold": ClassKind("binary", {"kind", "grid", "margin"}, _margin_threshold),
     "hprime": ClassKind("binary", {"kind", "bound"}, lambda spec: HPrimeClass(spec["bound"])),
 }
@@ -443,14 +429,6 @@ def class_from_config(spec: dict) -> ConceptClass:
     if entry is None:
         raise ContractViolation(f"class config needs a known 'kind' tag, got {kind!r}")
     return entry.build(spec)
-
-
-def _parse_binary_label(v):
-    if v in (0, 1):
-        return v
-    if v in ("*", None):
-        return STAR
-    raise ContractViolation(f"binary table entries must be 0, 1 or '*', got {v!r}")
 
 
 def parse_points(values):

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Integral
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -34,8 +36,6 @@ class _Star:
 
 
 STAR = _Star()
-
-BINARY_LABELS = (0, 1)
 
 
 def loss_bin(y, y_pred) -> int:
@@ -128,8 +128,45 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(repr(value))
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ContractViolation(f"{value!r} has a zero denominator") from None
     raise ContractViolation(f"cannot interpret {value!r} as a rational")
+
+
+def as_integer(value) -> int:
+    """Parse integers and decimal strings; int() would run true as 1 and 2.7 as 2."""
+    if isinstance(value, bool) or not isinstance(value, (str, Integral)):
+        raise TypeError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _binary_label(value):
+    # a table writes an undefined entry as "*" or null
+    return STAR if value is STAR or value is None or value == "*" else as_integer(value)
+
+
+# One row per label kind: its learners' loss, the type its labels parse to and
+# the parser of one, the least and greatest label at num_classes K (label noise
+# moves a label to another integer between them), and its pipelines' key.
+LabelKind = namedtuple("LabelKind", "loss type parse bounds requires")
+LABEL_KINDS = {
+    "binary": LabelKind(loss_bin, int, _binary_label, lambda k: (0, 1), None),
+    "multiclass": LabelKind(loss_mc, int, as_integer, lambda k: (1, k), "num_classes"),
+    "real": LabelKind(loss_abs, Fraction, as_fraction, lambda k: (0, 1), "gamma"),
+}
+
+
+def check_labels(kind: str, labels, num_classes=None) -> None:
+    """Raise ContractViolation naming a parsed label outside its kind's bounds."""
+    row = LABEL_KINDS[kind]
+    low, high = row.bounds(num_classes)
+    if high is None:
+        raise ContractViolation(f"{kind} labels need {row.requires}")
+    for y in set(labels):
+        if y is STAR or not low <= y <= high:
+            raise ContractViolation(f"{kind} labels must lie in [{low}, {high}], got {y}")
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,14 @@ from typing import IO, Callable
 from .brute import AUDIT_MAX_POINTS, exact_transductive_audit
 from .classes import CLASS_KINDS, class_from_config, parse_points
 from .core import (
+    LABEL_KINDS,
     ContractViolation,
     FiniteDistribution,
     RandomStream,
     Sample,
     as_fraction,
+    as_integer,
+    check_labels,
     empirical_error,
     loss_abs,
     loss_bin,
@@ -36,6 +39,7 @@ from .core import (
 from .oracle import (
     CONSISTENCY,
     ERM_VALUE,
+    PROJECTION,
     RANGE_CONSISTENCY,
     ConceptClass,
     ConsistencyOracle,
@@ -108,13 +112,14 @@ def _reg_agnostic(config, concept_class, sample, ledger, rng):
 
 def audit_sample(config, concept_class, sample, walk):
     """The exact leave-one-out audit of a drawn sample at the diagnostics'
-    discount.  A sample the audit cannot take (an unrealizable labeling, or
-    more patterns than the exact solve allows, or too few points for the
-    discount) is a config error."""
+    discount, for a class with projection.  A sample the audit cannot take
+    (an unrealizable labeling, more patterns than the exact solve allows, or
+    a size whose walk count overflows at C1) is a config error."""
+    concept_class.require(PROJECTION)
     try:
         gamma = config.transductive_params().gamma
         return exact_transductive_audit(concept_class, sample, gamma, config.lam, walk=walk)
-    except ContractViolation as exc:
+    except (ContractViolation, OverflowError) as exc:
         raise ConfigError(f"cannot audit the drawn sample: {exc}") from exc
 
 
@@ -132,22 +137,11 @@ def _audit(config, concept_class, sample, ledger, rng):
     return audit.loo_error, audit.slack
 
 
-# per label kind: the loss a learner's errors are measured in, and the config
-# field its pipelines require
-_LABEL_KINDS = {
-    "binary": (loss_bin, None),
-    "multiclass": (loss_mc, "num_classes"),
-    "real": (loss_abs, "gamma"),
-}
-
-
 @dataclass(frozen=True)
 class Pipeline:
-    """The oracles a pipeline needs, its label kind ("binary", "multiclass" or
-    "real": how support labels parse, which label noise applies, and through
-    `_LABEL_KINDS` which loss scores the learner and which config field it
-    requires), its trial body and the sample sizes n it takes.  A diagnostic's
-    trial body reports its own two values instead of a predictor to score."""
+    """The oracles a pipeline needs, its label kind (a key of `LABEL_KINDS`),
+    its trial body and the sample sizes n it takes.  A diagnostic's trial
+    body reports its own two values instead of a predictor to score."""
 
     capabilities: tuple
     labels: str
@@ -167,23 +161,13 @@ PIPELINES = {
     # diagnostics: train_err/test_err are the Monte-Carlo and the exact flip-walk
     # leave-one-out error, or the exact lazy-walk leave-one-out error and the bound
     # slack; their walk comes from n (`transductive_params`), which needs n >= 2
-    "weak_transductive": Pipeline(
-        (CONSISTENCY,), "binary", _weak_transductive, AUDIT_MAX_POINTS, min_n=2, diagnostic=True
-    ),
-    "audit": Pipeline(
-        (CONSISTENCY,), "binary", _audit, AUDIT_MAX_POINTS, min_n=2, diagnostic=True
-    ),
+    "weak_transductive": Pipeline((CONSISTENCY, PROJECTION), "binary", _weak_transductive,
+                                  AUDIT_MAX_POINTS, min_n=2, diagnostic=True),
+    "audit": Pipeline((PROJECTION,), "binary", _audit, AUDIT_MAX_POINTS, min_n=2, diagnostic=True),
 }
 
 
 _REQUIRED = object()
-
-
-def _integer(value) -> int:
-    # int() would run 2.7 as 2 and true as 1
-    if isinstance(value, (bool, float)):
-        raise TypeError(f"must be an integer, got {value!r}")
-    return int(value)
 
 
 # One row per top-level scalar key: the key, the attribute it sets, its
@@ -193,8 +177,8 @@ def _integer(value) -> int:
 # A null value leaves a field whose default is None unset.
 _Field = namedtuple("_Field", "key attr parse default holds rule")
 _FIELDS = (
-    _Field("n", "n", _integer, 10, lambda v: v >= 1, "at least 1"),
-    _Field("m", "m", _integer, 3, lambda v: v >= 2, "at least 2"),
+    _Field("n", "n", as_integer, 10, lambda v: v >= 1, "at least 1"),
+    _Field("m", "m", as_integer, 3, lambda v: v >= 2, "at least 2"),
     # unset, it is 1/(m ln m)
     _Field("eta", "eta", float, None, lambda v: 0 < v < math.inf, "positive and finite"),
     # a failure probability: at 1 or more, boosting could plan zero rounds
@@ -207,10 +191,10 @@ _FIELDS = (
     _Field("lambda", "lam", float, 1.0, lambda v: 0 <= v <= 1, "in [0, 1]"),
     _Field("gamma", "gamma", as_fraction, None, lambda v: 0 < v < 1, "in (0, 1)"),
     _Field("beta", "beta", as_fraction, None, lambda v: v > 0, "positive"),
-    _Field("num_classes", "num_classes", _integer, None, lambda v: v >= 2, "at least 2"),
-    _Field("trials", "trials", _integer, 1, lambda v: v >= 0, "at least 0"),
-    _Field("seed", "seed", _integer, _REQUIRED, lambda v: v >= 0, "at least 0"),
-    _Field("reps", "reps", _integer, 50, lambda v: v >= 1, "at least 1"),
+    _Field("num_classes", "num_classes", as_integer, None, lambda v: v >= 2, "at least 2"),
+    _Field("trials", "trials", as_integer, 1, lambda v: v >= 0, "at least 0"),
+    _Field("seed", "seed", as_integer, _REQUIRED, lambda v: v >= 0, "at least 0"),
+    _Field("reps", "reps", as_integer, 50, lambda v: v >= 1, "at least 1"),
 )
 _CONFIG_KEYS = frozenset({"pipeline", "class", "distribution", *(row.key for row in _FIELDS)})
 _DISTRIBUTION_KEYS = frozenset({"support", "weights", "label_noise"})
@@ -224,7 +208,7 @@ def _parse_fields(raw: dict) -> dict:
         if row.key in raw and (raw[row.key] is not None or row.default is not None):
             try:
                 value = row.parse(raw[row.key])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, ArithmeticError) as exc:
                 raise ConfigError(f"bad {row.key}: {exc}") from exc
             if not row.holds(value):
                 raise ConfigError(f"{row.key} must be {row.rule}, got {value!r}")
@@ -274,9 +258,9 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown pipeline {pipeline!r}")
             entry = PIPELINES[pipeline]
             values = _parse_fields(raw)
-            _, required = _LABEL_KINDS[entry.labels]
-            if required is not None and values[required] is None:
-                raise ConfigError(f"pipeline {pipeline} needs {required}")
+            label = LABEL_KINDS[entry.labels]
+            if label.requires is not None and values[label.requires] is None:
+                raise ConfigError(f"pipeline {pipeline} needs {label.requires}")
             class_spec = raw["class"]
             if not isinstance(class_spec, dict):
                 raise ConfigError("class must be an object")
@@ -289,26 +273,22 @@ class ExperimentConfig:
                         f"pipeline {pipeline} takes {entry.labels} labels, but a "
                         f"{class_spec['kind']} class gives {class_kind.labels} labels"
                     )
-            # labels the class cannot give would widen the menus and the decoder
-            if (entry.labels == "multiclass" and class_spec.get("kind") == "finite_multiclass"
-                    and class_spec.get("num_classes") != values["num_classes"]):
-                raise ConfigError(f"num_classes {values['num_classes']} differs from the "
-                                  f"class's {class_spec.get('num_classes')!r}")
+                # labels the class cannot give would widen the menus and the decoder
+                key = label.requires
+                if key in class_kind.keys and class_spec.get(key) != values[key]:
+                    raise ConfigError(f"{key} {values[key]} differs from the class's "
+                                      f"{class_spec.get(key)!r}")
             dist = raw["distribution"]
             _reject_unknown_keys(dist, _DISTRIBUTION_KEYS, "distribution")
-            parse_label = as_fraction if entry.labels == "real" else int
-            support = tuple((*parse_points([x]), parse_label(y)) for x, y in dist["support"])
-            low, high = (1, values["num_classes"]) if entry.labels == "multiclass" else (0, 1)
-            if any(not low <= y <= high for _, y in support):
-                raise ConfigError(f"{entry.labels} support labels must lie in [{low}, {high}]")
+            support = tuple((*parse_points([x]), label.parse(y)) for x, y in dist["support"])
+            check_labels(entry.labels, (y for _, y in support), values["num_classes"])
             weights = dist.get("weights")
-            if weights is not None:
-                weights = tuple(as_fraction(w) for w in weights)
+            weights = weights if weights is None else tuple(map(as_fraction, weights))
             noise = as_fraction(dist.get("label_noise", 0))
             config = cls(class_spec, support, weights, noise, pipeline, **values)
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError, ContractViolation) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
         if not entry.min_n <= config.n <= (entry.max_n or config.n):
             raise ConfigError(f"pipeline {pipeline} takes n from {entry.min_n} "
@@ -318,12 +298,17 @@ class ExperimentConfig:
         if pipeline == "reg_agnostic" and config.gamma.numerator != 1:
             raise ConfigError("reg_agnostic needs gamma = 1/G for an integer G")
         # the most rounds a learner plans, the agnostic binary one's or the
-        # multiclass menus', must be a finite count
+        # multiclass menus', must be a finite count, and so must the weak
+        # learner's walk count C1 m^2 ln^3 m at m, and at n for the diagnostics
         factor = max(6, 4 * (config.num_classes or 1))
         try:
             boosting_rounds(config.n * factor, config.delta, config.eta, 1)
+            paper_default_params(config.m, config.c1, config.lam)
+            if entry.diagnostic:
+                config.transductive_params()
         except (ZeroDivisionError, OverflowError):
-            raise ConfigError(f"eta {config.eta!r} plans no finite boosting round count") from None
+            raise ConfigError(f"eta {config.eta!r}, C1 {config.c1!r} and m {config.m} plan no "
+                              "finite boosting round or walk count") from None
         return config
 
     @classmethod
@@ -364,9 +349,8 @@ def build_distribution(config: ExperimentConfig) -> FiniteDistribution:
         dist = FiniteDistribution.uniform(config.support)
     else:
         dist = FiniteDistribution(config.support, config.weights)
-    if PIPELINES[config.pipeline].labels == "multiclass":
-        return dist.with_label_noise(config.label_noise, range(1, config.num_classes + 1))
-    return dist.with_label_noise(config.label_noise, (0, 1))
+    low, high = LABEL_KINDS[PIPELINES[config.pipeline].labels].bounds(config.num_classes)
+    return dist.with_label_noise(config.label_noise, range(low, high + 1))
 
 
 def validate_capabilities(config: ExperimentConfig, concept_class) -> None:
@@ -388,7 +372,7 @@ def setup_experiment(config: ExperimentConfig) -> tuple[ConceptClass, FiniteDist
         validate_capabilities(config, concept_class)
         concept_class.check_points([x for x, _ in config.support])
         distribution = build_distribution(config)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc
     return concept_class, distribution
 
@@ -409,7 +393,7 @@ def run_trial(config: ExperimentConfig, concept_class, distribution, trial: int,
     if entry.diagnostic:
         train_err, test_err = fitted
     else:
-        loss, _ = _LABEL_KINDS[entry.labels]
+        loss = LABEL_KINDS[entry.labels].loss
         train_err = empirical_error(sample, fitted.predict, loss)
         test_err = distribution.expected_loss(fitted.predict, loss)
     wall_ms = int(round((time.perf_counter() - started) * 1000)) if measure_wall else 0

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import STAR, BINARY_LABELS, ContractViolation, Sample
+from .core import STAR, ContractViolation, Sample
 
 # capability tags a concept class may advertise
 CONSISTENCY = "consistency"
 ERM_VALUE = "erm_value"
 RANGE_CONSISTENCY = "range_consistency"
+PROJECTION = "projection"
 
 
 class OracleCapabilityError(RuntimeError):
@@ -97,7 +98,7 @@ class ConsistencyOracle:
         for y in ys:
             if y is STAR:
                 raise ContractViolation("consistency queries must not contain * labels")
-            if y not in BINARY_LABELS and not isinstance(y, int):
+            if y not in (0, 1) and not isinstance(y, int):
                 raise ContractViolation(f"unexpected query label {y!r}")
         self.ledger.charge(len(xs))
         return self.concept_class.consistent_on(xs, ys)

@@ -50,6 +50,32 @@ def test_finite_table_validation():
         FiniteTableClass(("a",), [(2,)], "binary")
     with pytest.raises(ContractViolation):
         FiniteTableClass(("a", "a"), [(0, 0)], "binary")  # duplicate points
+    with pytest.raises(ContractViolation, match="unknown table kind"):
+        FiniteTableClass(("a",), [(0,)], "ternary")
+    with pytest.raises(ContractViolation, match="need num_classes"):
+        FiniteTableClass(("a",), [(1,)], "multiclass")
+    with pytest.raises(ContractViolation, match="got 4"):
+        FiniteTableClass(("a", "b"), [(1, 4)], "multiclass", num_classes=3)
+    with pytest.raises(ContractViolation, match="got 3/2"):
+        FiniteTableClass(("a",), [("3/2",)], "real")
+    # an integer label given as a bool or a fractional number is rejected,
+    # not read as the integer it equals or truncates to
+    for kind, entry in (("binary", True), ("binary", 1.0), ("binary", Fraction(1, 2)),
+                        ("multiclass", 1.5), ("multiclass", True), ("multiclass", Fraction(2))):
+        with pytest.raises(TypeError, match="must be an integer"):
+            FiniteTableClass(("a", "b"), [(1, entry)], kind, num_classes=3)
+
+
+def test_finite_table_parses_entries_by_label_kind():
+    # "*", null and STAR are one undefined entry; real entries become fractions
+    written = FiniteTableClass(("a", "b", "c"), [("*", None, 1), (STAR, 0, "1")], "binary")
+    assert written.table == ((STAR, STAR, 1), (STAR, 0, 1))
+    reals = FiniteTableClass(("a", "b"), [(0, "1/4"), (1, 0.5)], "real")
+    assert reals.table == ((0, Fraction(1, 4)), (1, Fraction(1, 2)))
+    assert all(type(v) is Fraction for row in reals.table for v in row)
+    # a row of exact ints is kept as the very tuple given
+    row = (1, 0, 1)
+    assert FiniteTableClass((0, 1, 2), [row], "binary").table[0] is row
 
 
 def _interval_class(domain_size):

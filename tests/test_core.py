@@ -10,6 +10,7 @@ from oiglearn.core import (
     RandomStream,
     Sample,
     as_fraction,
+    as_integer,
     empirical_error,
     loss_abs,
     loss_bin,
@@ -176,3 +177,16 @@ def test_as_fraction_parsing():
     assert as_fraction(3) == Fraction(3)
     with pytest.raises(ContractViolation):
         as_fraction(object())
+    # a zero denominator is a rational that does not exist, not an arithmetic fault
+    with pytest.raises(ContractViolation, match="zero denominator"):
+        as_fraction("1/0")
+
+
+def test_as_integer_rejects_what_int_would_truncate():
+    assert as_integer(7) == 7 and as_integer("12") == 12 and as_integer(np.int64(3)) == 3
+    assert type(as_integer(np.int64(3))) is int
+    for bad in (True, 2.7, 2.0, Fraction(5, 2), Fraction(2), None, [1]):
+        with pytest.raises(TypeError, match="must be an integer"):
+            as_integer(bad)
+    with pytest.raises(ValueError):
+        as_integer("2.5")

@@ -27,7 +27,8 @@ from oiglearn.harness import (
     setup_experiment,
     validate_capabilities,
 )
-from oiglearn.classes import class_from_config
+from oiglearn.classes import CLASS_KINDS, class_from_config
+from oiglearn.core import LABEL_KINDS
 from oiglearn.oracle import OracleCapabilityError
 
 
@@ -242,6 +243,17 @@ def test_readme_config_table_lists_the_fields():
     assert keys == [row.key for row in _FIELDS]
 
 
+def test_readme_label_kind_table_lists_the_kinds():
+    # the README's label-kind table: kind, values, noise labels, loss, required key
+    text = README.read_text().split("### Config format", 1)[1]
+    table = text.split("| label kind |", 1)[1].split("\n\n", 1)[0]
+    rows = [[cell.strip() for cell in line.split("|")[1:-1]] for line in table.splitlines()[2:]]
+    assert [row[0].strip("`") for row in rows] == list(LABEL_KINDS)
+    for (kind, _, _, loss, key), label in zip(rows, LABEL_KINDS.values()):
+        assert loss.startswith(f"`{label.loss.__name__}`"), kind
+        assert key == (f"`{label.requires}`" if label.requires else ""), kind
+
+
 def test_capability_validation():
     config = ExperimentConfig.from_dict(
         _singleton_config(
@@ -392,6 +404,23 @@ def _run_cli(args, env_extra=None):
     return subprocess.CompletedProcess(args, returncode, stdout.getvalue(), stderr.getvalue())
 
 
+# a rational with a zero denominator, or an integer too large for a float
+_ARITHMETIC_FAULTS = (
+    {"gamma": "1/0"},
+    {"distribution": {"support": [[0, 1], [1, 0]], "weights": ["1/0", "1/2"]}},
+    {"distribution": {"support": [[0, 1], [1, 0]], "label_noise": "1/0"}},
+    {"class": _THRESHOLD_CLASS, "distribution": {"support": [["1/0", 0], ["63/64", 1]]}},
+    {"class": {**_THRESHOLD_CLASS, "margin": "1/0"},
+     "distribution": {"support": [["1/64", 0], ["63/64", 1]]}},
+    {"m": 10**400},
+    {"eta": 10**400},
+    # the weak learner's walk count C1 m^2 ln^3 m overflows at m, or at n
+    # for a diagnostic
+    {"C1": 1e308, "m": 3},
+    {"C1": 1e308, "pipeline": "audit", "n": 4},
+)
+
+
 def _spawn_cli(args):
     """`python -m oiglearn.cli` in a new process, which pins the entry point
     and the exit code it hands to `sys.exit`.  One call per command."""
@@ -429,7 +458,7 @@ def test_cli_run_and_exit_codes(tmp_path):
         _singleton_config(delta=1000),
         _singleton_config(seed=-1),
         _singleton_config(eta=1e-160),
-    ] + [_singleton_config(trials=1, **bad) for bad in _UNREALIZABLE] + [
+    ] + [_singleton_config(trials=1, **bad) for bad in _UNREALIZABLE + _ARITHMETIC_FAULTS] + [
         _regression_config(**bad) for bad in _BAD_REGRESSION
     ]
     for k, raw in enumerate(bad_configs):
@@ -513,6 +542,10 @@ def test_cli_audit_runs(tmp_path):
     proc = _run_cli(["audit", "--config", str(CONFIGS_DIR / "threshold_agnostic.json")])
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
+    # a learner's config whose walk count overflows at n, though not at m
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(_singleton_config(n=4, trials=1, C1=1e307)))
+    assert _run_cli(["audit", "--config", str(path)]).returncode == 3
 
     # `oig audit` audits trial 0's sample at the audit pipeline's discount
     shipped = str(CONFIGS_DIR / "threshold_audit.json")
@@ -522,6 +555,77 @@ def test_cli_audit_runs(tmp_path):
     lazy = next(line for line in proc.stdout.splitlines() if line.startswith("walk=lazy"))
     assert f"loo_error={report.train_err:.6f}" in lazy
     assert f"slack={report.test_err:.6g}" in lazy
+
+
+# labels that are not integers, which int() would truncate: the support
+# labels fail the parser, the table entries the class set-up; each message
+# names the label
+_NOT_INTEGER_LABELS = (
+    (_singleton_config(**{"distribution": {"support": [[0, 0.7], [1, 0]]}}), "0.7"),
+    (_singleton_config(**{"distribution": {"support": [[0, 1], [1, True]]}}), "True"),
+    *((_singleton_config(**{
+        "pipeline": "multiclass_realizable", "num_classes": 4,
+        "class": {**_MULTICLASS_CLASS, "table": [[1, 2, 3], [2, entry, 4]]},
+        "distribution": {"support": [[0, 1], [1, 2], [2, 3]]}}), shown)
+      for entry, shown in ((1.5, "1.5"), (True, "True"))),
+)
+
+
+def test_cli_rejects_labels_that_are_not_integers(tmp_path):
+    for k, (raw, shown) in enumerate(_NOT_INTEGER_LABELS):
+        path = tmp_path / f"label{k}.json"
+        path.write_text(json.dumps(raw))
+        proc = _run_cli(["run", "--config", str(path)])
+        assert proc.returncode == 3, proc.stderr
+        assert f"got {shown}" in proc.stderr
+
+
+def test_diagnostics_need_projection(tmp_path):
+    # HPrimeClass answers consistency but cannot list its patterns, which
+    # the exact audit enumerates
+    hprime = {"class": {"kind": "hprime", "bound": 100}, "n": 4, "trials": 1, "seed": 3,
+              "distribution": {"support": [[6, 1], [2, 1], [3, 1], [5, 0], [7, 0], [9, 0]]}}
+    for pipeline, command in (("audit", "run"), ("weak_transductive", "run"),
+                              ("realizable_partial", "audit")):
+        path = tmp_path / f"{pipeline}.json"
+        path.write_text(json.dumps({**hprime, "pipeline": pipeline}))
+        proc = _run_cli([command, "--config", str(path)])
+        assert proc.returncode == 2, proc.stderr
+        assert "projection" in proc.stderr
+
+
+# one small class of each kind, with support points its hypotheses label
+_EVERY_CLASS_KIND = {
+    "finite_table": ({"kind": "finite_table", "domain": [0, 1, 2],
+                      "table": [[1, 0, 1], [0, 0, 1]]}, [[0, 1], [1, 0], [2, 1]]),
+    "finite_multiclass": ({"kind": "finite_multiclass", "domain": [0, 1, 2], "num_classes": 2,
+                           "table": [[1, 2, 1], [2, 2, 1]]}, [[0, 1], [1, 2], [2, 1]]),
+    "finite_real": ({"kind": "finite_real", "domain": [0, 1, 2],
+                     "table": [["1/2", 0, 1], [0, 0, 1]]}, [[0, "1/2"], [1, 0], [2, 1]]),
+    "margin_threshold": (_THRESHOLD_CLASS, [["1/64", 0], ["63/64", 1]]),
+    "hprime": ({"kind": "hprime", "bound": 100},
+               [[6, 1], [2, 1], [3, 1], [5, 0], [7, 0], [9, 0]]),
+}
+
+
+def test_every_pipeline_on_every_class_kind_exits_cleanly(tmp_path):
+    # each pair runs, or is refused with a capability (2) or config (3)
+    # error, and `oig audit` likewise; none ends in an uncaught exception
+    assert set(_EVERY_CLASS_KIND) == set(CLASS_KINDS)
+    codes = set()
+    for kind, (spec, support) in _EVERY_CLASS_KIND.items():
+        for pipeline in PIPELINES:
+            raw = {"class": spec, "distribution": {"support": support}, "pipeline": pipeline,
+                   "n": 4, "m": 2, "eta": 8, "reps": 1, "trials": 1, "seed": 3,
+                   "num_classes": 2, "gamma": "1/2"}
+            path = tmp_path / f"{kind}-{pipeline}.json"
+            path.write_text(json.dumps(raw))
+            for command in ("run", "audit"):
+                proc = _run_cli([command, "--config", str(path)])
+                assert proc.returncode in (0, 2, 3), (kind, pipeline, command, proc.stderr)
+                assert "Traceback" not in proc.stderr
+                codes.add(proc.returncode)
+    assert codes == {0, 2, 3}
 
 
 def test_cli_selftest_passes():
