@@ -7,9 +7,11 @@ function.  Instance-size ceilings are hard contracts, not silent truncations.
 The references the tests check the learner against live here too: the margin
 thresholds and the hprime class on a finite window, and the menu and threshold
 encodings, as explicit tables; membership over an explicit vertex set; the
-exact solve in fractions and its recursion residual; the truncated flip-walk
-expectation by dynamic programming; the restarting removal scan of minimizer
-extraction; and the leave-one-out error on fresh draws.
+exact solve in fractions and its recursion residual; the one-generator
+vectorized rollouts, which the lockstep engine must match draw for draw; the
+truncated flip-walk expectation by dynamic programming; the restarting
+removal scan of minimizer extraction; and the leave-one-out error on fresh
+draws.
 
 The audit is production code (`oig audit` and the diagnostic pipelines run
 it).  It stays here because it looks up `exact_generating_function` in this
@@ -432,6 +434,39 @@ def membership_from_set(inside, m: int) -> MembershipPredicate:
     return MembershipPredicate(m, lambda code: code in packed)
 
 
+def vectorized_rollouts(y: Vertex, membership: MembershipPredicate, params, gen) -> float:
+    """Reference for the lockstep rollout engine: the truncated rollouts of
+    one generator, advanced together.  Each step asks membership of every
+    live rollout in one batch and, unless none is live or t is the horizon,
+    draws one coordinate per live rollout in one call, in ascending order."""
+    m = len(y)
+    L, U = params.horizon, params.trials
+    codes = np.full(U, pack(y), dtype=np.uint64)
+    stop_t = np.full(U, L, dtype=np.int64)
+    alive = np.arange(U)
+    for t in range(L + 1):
+        inside = membership.query_packed_batch(codes[alive])
+        exited = alive[~inside]
+        stop_t[exited] = t
+        alive = alive[inside]
+        if t == L or len(alive) == 0:
+            break
+        coords = gen.integers(0, m, size=len(alive)).astype(np.uint64)
+        codes[alive] ^= np.uint64(1) << coords
+    return float(np.mean(params.gamma ** stop_t.astype(np.float64)))
+
+
+def same_generator_state(a: np.random.Generator, b: np.random.Generator) -> bool:
+    """Whether two generators stand at the same point of the same stream."""
+
+    def same(x, y):
+        if isinstance(x, dict):
+            return x.keys() == y.keys() and all(same(x[k], y[k]) for k in x)
+        return np.array_equal(x, y)
+
+    return same(a.bit_generator.state, b.bit_generator.state)
+
+
 def exact_truncated_flip_expectation(
     inside, y: Vertex, gamma: float, horizon: int, m: int | None = None
 ) -> float:
@@ -489,7 +524,7 @@ def loo_distributional_error(
         drawn = distribution.draw(gen, m)
         context = Sample(drawn.pairs[: m - 1])
         x, y = drawn.pairs[m - 1]
-        pred = weak_realizable(context, x, params, con_oracle, rep_stream.child(1))
+        pred = weak_realizable(context, x, params, con_oracle, (rep_stream.child(1),))[0]
         total += loss_bin(y, pred.bit)
     return total / reps
 

@@ -114,7 +114,14 @@ def audit_sample(config, concept_class, sample, walk):
     """The exact leave-one-out audit of a drawn sample at the diagnostics'
     discount, for a class with projection.  A sample the audit cannot take
     (an unrealizable labeling, more patterns than the exact solve allows, or
-    a size whose walk count overflows at C1) is a config error."""
+    a size whose walk count overflows at C1) is a config error, and so is a
+    pipeline whose labels are not the integers 0 and 1: the audit flips a
+    label as 1 - y."""
+    labels = PIPELINES[config.pipeline].labels
+    kind = LABEL_KINDS[labels]
+    if kind.type is not int or kind.bounds(config.num_classes) != (0, 1):
+        raise ConfigError(f"the exact audit takes binary labels; pipeline {config.pipeline} "
+                          f"takes {labels} labels")
     concept_class.require(PROJECTION)
     try:
         gamma = config.transductive_params().gamma
@@ -168,6 +175,8 @@ PIPELINES = {
 
 
 _REQUIRED = object()
+# the largest sample size n: a trial draws and holds all n points
+_MAX_N = 10**6
 
 
 # One row per top-level scalar key: the key, the attribute it sets, its
@@ -177,7 +186,7 @@ _REQUIRED = object()
 # A null value leaves a field whose default is None unset.
 _Field = namedtuple("_Field", "key attr parse default holds rule")
 _FIELDS = (
-    _Field("n", "n", as_integer, 10, lambda v: v >= 1, "at least 1"),
+    _Field("n", "n", as_integer, 10, lambda v: 1 <= v <= _MAX_N, "from 1 to 10^6"),
     _Field("m", "m", as_integer, 3, lambda v: v >= 2, "at least 2"),
     # unset, it is 1/(m ln m)
     _Field("eta", "eta", float, None, lambda v: 0 < v < math.inf, "positive and finite"),

@@ -7,6 +7,12 @@ orientation of the one-inclusion graph.  This module provides the Monte-Carlo
 estimator and an exact linear-system solver for the walk's generating
 function; the references they are checked against live in `brute.py`.
 
+The estimator takes one generator per repetition: the repetitions of one
+leave-one-out context walk from the same vertex on the same memo, so from
+512 trials they walk in lockstep, one batch membership query per step for
+all of them, while each draws its coordinates from its own generator exactly
+as it would walking alone.
+
 Two walk conventions coexist.  Rollouts flip a uniformly random coordinate
 every step; the closed-form recursion solved by `exact_generating_function`
 describes the lazy walk that holds with probability 1/2.  The two are linked
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -142,23 +148,26 @@ def estimate_potential(
     membership: MembershipPredicate,
     y: Vertex,
     params: WalkParams,
-    gen: np.random.Generator,
-) -> float:
-    """Monte-Carlo estimate of E[gamma^(horizon ∧ exit time)] from vertex y.
+    gens: Sequence[np.random.Generator],
+) -> list[float]:
+    """Monte-Carlo estimates of E[gamma^(horizon ∧ exit time)] from vertex y,
+    one per generator.
 
-    Runs `params.trials` independent truncated rollouts of the coordinate-flip
-    walk, probing membership of the current vertex at every step.  Returns the
-    mean discounted (truncated) hitting time; the value is exactly 1 iff y
-    itself is not realizable.
+    Each generator drives `params.trials` independent truncated rollouts of
+    the coordinate-flip walk, probing membership of the current vertex at
+    every step.  Each estimate is the mean discounted (truncated) hitting
+    time; it is exactly 1 iff y itself is not realizable.  A generator makes
+    the same calls, and so gives the same estimate, whatever generators walk
+    beside it.
     """
     if len(y) != membership.m:
         raise ContractViolation("vertex length must match the point sequence")
     if params.trials >= _VECTOR_TRIALS:
-        return _rollouts_vectorized(y, membership, params, gen)
-    return _rollouts_sequential(y, membership, params, gen)
+        return _rollouts_lockstep(y, membership, params, gens)
+    return _rollouts_sequential(y, membership, params, gens)
 
 
-def _rollouts_sequential(y, membership, params, gen) -> float:
+def _rollouts_sequential(y, membership, params, gens) -> list[float]:
     m = len(y)
     L, U = params.horizon, params.trials
     gamma_pow = [1.0]
@@ -166,44 +175,59 @@ def _rollouts_sequential(y, membership, params, gen) -> float:
         gamma_pow.append(gamma_pow[-1] * params.gamma)
     start = pack(y)
     query = membership.query_packed
-    # buffered coordinate draws keep generator overhead off the inner loop
-    buf = gen.integers(0, m, size=max(64, 4 * U)).tolist()
-    pos = 0
-    total = 0.0
-    for _ in range(U):
-        code = start
-        t = 0
-        while True:
-            if not query(code):
-                break
-            if t == L:
-                break
-            if pos == len(buf):
-                buf = gen.integers(0, m, size=len(buf)).tolist()
-                pos = 0
-            code ^= 1 << buf[pos]
-            pos += 1
-            t += 1
-        total += gamma_pow[t]
-    return total / U
+    estimates = []
+    for gen in gens:
+        # buffered coordinate draws keep generator overhead off the inner loop
+        buf = gen.integers(0, m, size=max(64, 4 * U)).tolist()
+        pos = 0
+        total = 0.0
+        for _ in range(U):
+            code = start
+            t = 0
+            while True:
+                if not query(code):
+                    break
+                if t == L:
+                    break
+                if pos == len(buf):
+                    buf = gen.integers(0, m, size=len(buf)).tolist()
+                    pos = 0
+                code ^= 1 << buf[pos]
+                pos += 1
+                t += 1
+            total += gamma_pow[t]
+        estimates.append(total / U)
+    return estimates
 
 
-def _rollouts_vectorized(y, membership, params, gen) -> float:
+def _rollouts_lockstep(y, membership, params, gens) -> list[float]:
+    """The rollouts of every generator, one row of `trials` each, advanced
+    together: one batch query per step for all live rollouts, and per row
+    with live rollouts one draw of a coordinate for each, in ascending order
+    (`brute.vectorized_rollouts` is the one-row reference)."""
     m = len(y)
-    L, U = params.horizon, params.trials
-    codes = np.full(U, pack(y), dtype=np.uint64)
-    stop_t = np.full(U, L, dtype=np.int64)
-    alive = np.arange(U)
+    L, U, R = params.horizon, params.trials, len(gens)
+    codes = np.full(R * U, pack(y), dtype=np.uint64)
+    stop_t = np.full(R * U, L, dtype=np.int64)
+    alive = np.arange(R * U)
+    row_starts = np.arange(R + 1) * U
     for t in range(L + 1):
         inside = membership.query_packed_batch(codes[alive])
-        exited = alive[~inside]
-        stop_t[exited] = t
+        stop_t[alive[~inside]] = t
         alive = alive[inside]
         if t == L or len(alive) == 0:
             break
-        coords = gen.integers(0, m, size=len(alive)).astype(np.uint64)
+        # alive stays ascending, so each row's live rollouts are one run
+        bounds = np.searchsorted(alive, row_starts).tolist()
+        coords = np.empty(len(alive), dtype=np.uint64)
+        for gen, lo, hi in zip(gens, bounds, bounds[1:]):
+            if hi > lo:
+                coords[lo:hi] = gen.integers(0, m, size=hi - lo)
         codes[alive] ^= np.uint64(1) << coords
-    return float(np.mean(params.gamma ** stop_t.astype(np.float64)))
+    return [
+        float(np.mean(params.gamma ** stop_t[r * U : (r + 1) * U].astype(np.float64)))
+        for r in range(R)
+    ]
 
 
 class PotentialTable:

@@ -45,7 +45,7 @@ def boosting_rounds(n: int, delta: float, eta: float, log_factor: int) -> int:
 
 def make_weak_learner(params: WeakLearnerParams, con_oracle):
     def learner(round_sample: Sample, x, stream: RandomStream) -> int:
-        return weak_realizable(round_sample, x, params, con_oracle, stream).bit
+        return weak_realizable(round_sample, x, params, con_oracle, (stream,))[0].bit
 
     return learner
 

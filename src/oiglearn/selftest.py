@@ -14,7 +14,14 @@ from . import brute
 from .classes import FiniteTableClass, HPrimeClass, MarginThresholdClass
 from .core import STAR, RandomStream, Sample, loss_abs, loss_bin
 from .ermred import sample_erm_binary
-from .oig import MembershipPredicate, exact_generating_function, lazy_discount, unpack
+from .oig import (
+    MembershipPredicate,
+    WalkParams,
+    estimate_potential,
+    exact_generating_function,
+    lazy_discount,
+    unpack,
+)
 from .oracle import ErmValueOracle, QueryCostLedger
 from .weak import paper_default_params
 
@@ -192,6 +199,35 @@ def _check_membership_table(gen) -> bool:
     return True
 
 
+def _check_lockstep_rollouts(gen) -> bool:
+    """The lockstep rollout engine against brute's one-generator loop, on
+    random vertex sets and starts (some outside the set, some sets the whole
+    cube): each generator's estimate, and its state afterwards, must equal
+    those of the reference run on a generator of the same seed."""
+    for _ in range(24):
+        m = int(gen.integers(6, 13))
+        rows = int(gen.integers(1, 9))
+        density = (0.3, 0.6, 0.9, 1.0)[int(gen.integers(0, 4))]
+        inside = frozenset(np.flatnonzero(gen.random(2**m) < density).tolist())
+        start = unpack(int(gen.integers(0, 2**m)), m)
+        params = WalkParams(0.5 + 0.45 * float(gen.random()), int(gen.integers(1, 30)),
+                            int(gen.integers(512, 1025)))
+        seeds = gen.integers(0, 2**32, size=rows).tolist()
+        gens = [RandomStream(s).generator() for s in seeds]
+        estimates = estimate_potential(MembershipPredicate(m, inside.__contains__), start,
+                                       params, gens)
+        for seed, lockstep_gen, estimate in zip(seeds, gens, estimates):
+            reference_gen = RandomStream(seed).generator()
+            reference = brute.vectorized_rollouts(
+                start, MembershipPredicate(m, inside.__contains__), params, reference_gen
+            )
+            if estimate != reference:
+                return False
+            if not brute.same_generator_state(lockstep_gen, reference_gen):
+                return False
+    return True
+
+
 def _check_abs_erm(gen) -> bool:
     """erm_value_on under loss_abs on real tables against brute's Fraction
     scan.  The table entries are k/4 or k/6 and the query labels have
@@ -252,6 +288,7 @@ CHECKS = (
     ("threshold ERM sweep vs grid scan", _check_threshold_sweep),
     ("membership table vs per-code memo", _check_membership_table),
     ("real-table absolute-loss ERM vs Fraction scan", _check_abs_erm),
+    ("lockstep rollouts vs one-generator rollouts", _check_lockstep_rollouts),
 )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .core import ContractViolation, RandomStream, Sample, loss_bin
 from .oig import MembershipPredicate, WalkParams, default_horizon, estimate_potential, pack
@@ -83,17 +84,19 @@ def weak_realizable(
     x,
     params: WeakLearnerParams,
     con_oracle,
-    rng: RandomStream,
+    streams: Sequence[RandomStream],
     membership: MembershipPredicate | None = None,
-) -> WeakPrediction:
-    """Predict the label of x from a realizable sample, via one oracle-driven
-    edge orientation.
+) -> list[WeakPrediction]:
+    """Predict the label of x from a realizable sample, once per stream, each
+    via one oracle-driven edge orientation.
 
-    The stream is re-keyed by a stable hash of x, so repeated evaluations of
+    Each stream is re-keyed by a stable hash of x, so repeated evaluations of
     the same fitted hypothesis at the same point replay identically while
     distinct points stay independent.  The bit is 1 with probability
     `edge_mass(f1, f0, lam)`, where f0 and f1 are the Monte-Carlo potentials
-    of the 0- and 1-completions.
+    of the 0- and 1-completions.  The streams' walks run together, and each
+    stream's generator draws as it would for that stream alone: its f0
+    rollouts, its f1 rollouts, then its bit.
 
     A rejected 0-completion answers 1 and a rejected 1-completion answers 0;
     both are queried, the 0-completion first.  So when both are rejected (an
@@ -102,9 +105,10 @@ def weak_realizable(
     prediction is still 1.
 
     `membership`, if given, is the memo over the points `sample.xs + (x,)`
-    that answers this prediction's queries; a caller that predicts x from the
-    same context again passes the same memo, so an answer it already holds is
-    not charged twice.  By default each prediction builds its own.
+    that answers this call's queries; a caller that predicts x from the same
+    context again passes the same memo, so an answer it already holds is not
+    charged twice.  By default each call builds its own, which all its
+    streams share.
     """
     base = tuple(sample.ys)
     if any(y not in (0, 1) for y in base):
@@ -120,16 +124,18 @@ def weak_realizable(
     feasible0 = membership.query_packed(pack(y0))
     feasible1 = membership.query_packed(pack(y1))
     if not feasible0:
-        return WeakPrediction(1, 1.0)
+        return [WeakPrediction(1, 1.0)] * len(streams)
     if not feasible1:
-        return WeakPrediction(0, 0.0)
-    gen = rng.child_for(x).generator()
+        return [WeakPrediction(0, 0.0)] * len(streams)
+    gens = [stream.child_for(x).generator() for stream in streams]
     walk = params.walk_params()
-    f0 = estimate_potential(membership, y0, walk, gen)
-    f1 = estimate_potential(membership, y1, walk, gen)
-    sigma_hat = edge_mass(f1, f0, params.lam)
-    bit = 1 if gen.random() < sigma_hat else 0
-    return WeakPrediction(bit, sigma_hat)
+    f0s = estimate_potential(membership, y0, walk, gens)
+    f1s = estimate_potential(membership, y1, walk, gens)
+    predictions = []
+    for gen, f0, f1 in zip(gens, f0s, f1s):
+        sigma_hat = edge_mass(f1, f0, params.lam)
+        predictions.append(WeakPrediction(1 if gen.random() < sigma_hat else 0, sigma_hat))
+    return predictions
 
 
 def transductive_error(
@@ -142,24 +148,21 @@ def transductive_error(
     """Monte-Carlo leave-one-out loss: each point predicted from the others,
     `reps` times over.
 
-    Each leave-one-out context keeps one membership memo for all repetitions:
-    the oracle is deterministic, so a repetition does not pay again for an
-    answer the diagnostic already holds, and the cost counts each distinct
-    query once per context.  Prediction (rep, i) runs on the stream
-    rng.child(rep).child(i), so every random draw, and with it the error, is
-    what a fresh memo per prediction gives.
+    Each leave-one-out context is asked once for all its repetitions, so they
+    share one membership memo and walk in lockstep: the oracle is
+    deterministic, so a repetition does not pay again for an answer the
+    diagnostic already holds, and the cost counts each distinct query once
+    per context.  Prediction (rep, i) runs on the stream rng.child(rep).child(i),
+    whose generator makes the calls it would make alone, so every random
+    draw, and with it the error, is what a fresh memo per prediction gives.
     """
     m = len(sample)
     if m == 0:
         raise ContractViolation("transductive error needs a nonempty sample")
     total = 0
     for i in range(m):
-        context = sample.without(i)
         x, y = sample[i]
-        membership = MembershipPredicate.from_oracle(context.xs + (x,), con_oracle)
-        for rep in range(reps):
-            pred = weak_realizable(
-                context, x, params, con_oracle, rng.child(rep).child(i), membership=membership
-            )
+        streams = [rng.child(rep).child(i) for rep in range(reps)]
+        for pred in weak_realizable(sample.without(i), x, params, con_oracle, streams):
             total += loss_bin(y, pred.bit)
     return total / (reps * m)

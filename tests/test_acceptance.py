@@ -130,8 +130,8 @@ def test_criterion_02_monte_carlo_fidelity():
         membership = membership_from_set(inside, m)
         estimate = estimate_potential(
             membership, start, WalkParams(gamma, horizon, 100_000),
-            RandomStream(SEED + 1).child(k).generator(),
-        )
+            (RandomStream(SEED + 1).child(k).generator(),),
+        )[0]
         exact = exact_truncated_flip_expectation(inside, start, gamma, horizon)
         worst = max(worst, abs(estimate - exact))
         assert abs(estimate - exact) <= 0.01

@@ -123,6 +123,8 @@ _OUT_OF_RANGE = (
     # 16 ln(f n / delta) / eta^2 boosting rounds: eta^2 underflows to 0, or
     # the count overflows to inf
     {"eta": 1e-300}, {"eta": 1e-160},
+    # a sample too large to draw
+    {"n": 10**30}, {"n": 10**6 + 1},
 )
 
 
@@ -520,6 +522,20 @@ def test_cli_seed_env_override(tmp_path):
     assert base.returncode == overridden.returncode == 0
     assert base.stdout != overridden.stdout
     assert ",99" in overridden.stdout.splitlines()[1]
+
+
+def test_cli_audit_rejects_labels_that_are_not_binary(tmp_path):
+    # the audit flips a label as 1 - y, which no other label kind survives
+    spec, support = _EVERY_CLASS_KIND["finite_multiclass"]
+    path = tmp_path / "multiclass.json"
+    path.write_text(json.dumps(_singleton_config(
+        pipeline="multiclass_realizable", num_classes=2, n=4,
+        **{"class": spec, "distribution": {"support": support}})))
+    for config in (str(CONFIGS_DIR / "reg_realizable.json"), str(path)):
+        assert _run_cli(["run", "--config", config, "--no-wall"]).returncode == 0
+        proc = _run_cli(["audit", "--config", config])
+        assert proc.returncode == 3, proc.stderr
+        assert "binary labels" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_cli_audit_runs(tmp_path):

@@ -33,7 +33,7 @@ def test_flip_and_packing():
 def test_estimate_potential_outside_is_exactly_one():
     gen = RandomStream(4).generator()
     pred = membership_from_set([(1, 1)], 2)
-    est = estimate_potential(pred, (0, 0), WalkParams(0.5, 8, 100), gen)
+    est = estimate_potential(pred, (0, 0), WalkParams(0.5, 8, 100), (gen,))[0]
     assert est == 1.0
 
 
@@ -41,7 +41,7 @@ def test_estimate_potential_full_cube_truncates():
     gen = RandomStream(5).generator()
     m, L = 3, 6
     pred = membership_from_set([unpack(c, m) for c in range(8)], m)
-    est = estimate_potential(pred, (0, 0, 0), WalkParams(0.5, L, 200), gen)
+    est = estimate_potential(pred, (0, 0, 0), WalkParams(0.5, L, 200), (gen,))[0]
     assert est == pytest.approx(0.5**L, abs=0)
 
 
@@ -49,7 +49,7 @@ def test_estimate_potential_m1_limit():
     # exit after exactly one flip, so the estimate converges to gamma
     gen = RandomStream(6).generator()
     pred = membership_from_set([(0,)], 1)
-    est = estimate_potential(pred, (0,), WalkParams(0.5, 10, 20_000), gen)
+    est = estimate_potential(pred, (0,), WalkParams(0.5, 10, 20_000), (gen,))[0]
     assert est == pytest.approx(0.5, abs=0)  # tau == 1 deterministically
 
 
@@ -60,8 +60,8 @@ def test_estimate_potential_paths_agree_statistically():
     pred = membership_from_set(inside, m)
     params_small = WalkParams(0.7, 20, 400)
     params_big = WalkParams(0.7, 20, 4000)
-    small = estimate_potential(pred, (0, 0, 0, 0), params_small, RandomStream(7).generator())
-    big = estimate_potential(pred, (0, 0, 0, 0), params_big, RandomStream(8).generator())
+    small = estimate_potential(pred, (0, 0, 0, 0), params_small, (RandomStream(7).generator(),))[0]
+    big = estimate_potential(pred, (0, 0, 0, 0), params_big, (RandomStream(8).generator(),))[0]
     exact = exact_truncated_flip_expectation(inside, (0, 0, 0, 0), 0.7, 20)
     assert abs(small - exact) < 4 * math.sqrt(1 / (4 * 400))
     assert abs(big - exact) < 4 * math.sqrt(1 / (4 * 4000))
@@ -73,10 +73,63 @@ def test_estimate_potential_charges_oracle_per_distinct_vertex():
     oracle = ConsistencyOracle(cls, ledger)
     gen = RandomStream(9).generator()
     membership = MembershipPredicate.from_oracle((0, 1), oracle)
-    estimate_potential(membership, (0, 0), WalkParams(0.5, 6, 50), gen)
+    estimate_potential(membership, (0, 0), WalkParams(0.5, 6, 50), (gen,))
     # at most all 4 patterns of the 2-cube can be probed
     assert ledger.call_count <= 4
     assert ledger.total_cost == 2 * ledger.call_count
+
+
+class _RecordingGenerator(np.random.Generator):
+    """A generator that logs the size of each `integers` call."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.Philox(seed))
+        self.sizes = []
+
+    def integers(self, *args, size=None, **kwargs):
+        self.sizes.append(size)
+        return super().integers(*args, size=size, **kwargs)
+
+
+_M = 6
+_LOCKSTEP_CASES = {
+    # the start lies outside the set: every rollout exits at t = 0, no draw
+    "outside": ([unpack(c, _M) for c in range(2**_M) if bin(c).count("1") <= 2],
+                (1, 1, 1, 0, 0, 0), WalkParams(0.9, 40, 512), 3),
+    # the ball of radius 1: rollouts exit within a few steps, the rows at
+    # different steps
+    "rows_empty_apart": ([unpack(c, _M) for c in range(2**_M) if bin(c).count("1") <= 1],
+                         (0,) * _M, WalkParams(0.9, 40, 512), 8),
+    # the whole cube: no rollout exits, every row draws until the horizon
+    "full_cube": ([unpack(c, _M) for c in range(2**_M)], (0,) * _M, WalkParams(0.7, 12, 600), 3),
+    "one_row": ([unpack(c, _M) for c in range(2**_M) if c % 5 != 2], (0,) * _M,
+                WalkParams(0.8, 25, 700), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LOCKSTEP_CASES))
+def test_lockstep_rollouts_match_the_one_generator_reference(case):
+    # each generator makes the reference's calls and ends in its state, and
+    # gives its estimate exactly, whatever rows walk beside it
+    inside, start, params, rows = _LOCKSTEP_CASES[case]
+    assert params.trials >= oig._VECTOR_TRIALS
+    gens = [_RecordingGenerator(seed) for seed in range(rows)]
+    estimates = estimate_potential(membership_from_set(inside, _M), start, params, gens)
+    assert len(estimates) == rows
+    for seed, gen, estimate in zip(range(rows), gens, estimates):
+        reference = _RecordingGenerator(seed)
+        membership = membership_from_set(inside, _M)
+        assert estimate == brute.vectorized_rollouts(start, membership, params, reference)
+        assert gen.sizes == reference.sizes
+        assert brute.same_generator_state(gen, reference)
+    steps = [len(gen.sizes) for gen in gens]
+    if case == "outside":
+        assert estimates == [1.0] * rows and steps == [0] * rows
+    elif case == "rows_empty_apart":
+        assert len(set(steps)) > 1 and max(steps) < params.horizon
+    elif case == "full_cube":
+        assert estimates == [pytest.approx(params.gamma**params.horizon)] * rows
+        assert [gen.sizes for gen in gens] == [[params.trials] * params.horizon] * rows
 
 
 @pytest.mark.parametrize("m", [8, 26])
@@ -220,9 +273,9 @@ def test_estimate_potential_double_run_determinism():
     pred = membership_from_set(inside, m)
     for trials in (100, 600):  # both execution paths
         a = estimate_potential(
-            pred, (0,) * m, WalkParams(0.8, 15, trials), RandomStream(11).child(5).generator()
-        )
+            pred, (0,) * m, WalkParams(0.8, 15, trials), (RandomStream(11).child(5).generator(),)
+        )[0]
         b = estimate_potential(
-            pred, (0,) * m, WalkParams(0.8, 15, trials), RandomStream(11).child(5).generator()
-        )
+            pred, (0,) * m, WalkParams(0.8, 15, trials), (RandomStream(11).child(5).generator(),)
+        )[0]
         assert a == b

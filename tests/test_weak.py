@@ -90,12 +90,12 @@ def test_weak_realizable_forced_by_consistency():
     sample = Sample([(0, 0), (1, 1)])
     params = paper_default_params(3)
     for seed in range(10):
-        pred = weak_realizable(sample, 2, params, _oracle(cls), RandomStream(seed))
+        pred = weak_realizable(sample, 2, params, _oracle(cls), (RandomStream(seed),))[0]
         assert pred.bit == 0  # the 1-completion is inconsistent
         assert pred.sigma_hat == 0.0
     # flipped convention: the 0-completion inconsistent returns 1
     cls1 = FiniteTableClass((0, 1, 2), [(0, 1, 1)], "binary")
-    pred = weak_realizable(sample, 2, params, _oracle(cls1), RandomStream(0))
+    pred = weak_realizable(sample, 2, params, _oracle(cls1), (RandomStream(0),))[0]
     assert pred.bit == 1
     assert pred.sigma_hat == 1.0
 
@@ -107,7 +107,7 @@ def test_weak_realizable_answers_when_both_completions_are_rejected():
     params = paper_default_params(2)
     ledger = QueryCostLedger()
     oracle = ConsistencyOracle(cls, ledger)
-    pred = weak_realizable(Sample([(0, 1)]), 1, params, oracle, RandomStream(0))
+    pred = weak_realizable(Sample([(0, 1)]), 1, params, oracle, (RandomStream(0),))[0]
     assert (pred.bit, pred.sigma_hat) == (1, 1.0)
     assert ledger.snapshot() == (4, 2)  # two queries of two points each
 
@@ -118,7 +118,7 @@ def test_weak_realizable_lambda_zero_is_fair_coin():
     params = WeakLearnerParams(gamma=0.5, lam=0.0, trials=4, horizon=4)
     bits = []
     for seed in range(400):
-        pred = weak_realizable(sample, 2, params, _oracle(cls), RandomStream(seed))
+        pred = weak_realizable(sample, 2, params, _oracle(cls), (RandomStream(seed),))[0]
         assert pred.sigma_hat == 0.5
         bits.append(pred.bit)
     mean = np.mean(bits)
@@ -130,8 +130,8 @@ def test_weak_realizable_determinism():
     sample = Sample([(Fraction(1, 10), 0), (Fraction(9, 10), 1)])
     params = paper_default_params(3)
     stream = RandomStream(77).child(3)
-    first = weak_realizable(sample, Fraction(1, 2), params, _oracle(cls), stream)
-    second = weak_realizable(sample, Fraction(1, 2), params, _oracle(cls), stream)
+    first = weak_realizable(sample, Fraction(1, 2), params, _oracle(cls), (stream,))[0]
+    second = weak_realizable(sample, Fraction(1, 2), params, _oracle(cls), (stream,))[0]
     assert first == second
 
 
@@ -149,7 +149,7 @@ def test_prediction_charges_at_most_the_projection_and_its_boundary():
             context = Sample((v, int(a <= v < b)) for v in xs[:m])
             ledger = QueryCostLedger()
             weak_realizable(
-                context, xs[m], params, ConsistencyOracle(cls, ledger), RandomStream(k).child(m)
+                context, xs[m], params, ConsistencyOracle(cls, ledger), (RandomStream(k).child(m),)
             )
             inside = cls.project_onto(xs)
             boundary = {w for v in inside for w in neighbors(v)} - inside
@@ -162,7 +162,7 @@ def _parent_transductive_error(sample, params, con_oracle, reps, rng):
     for rep in range(reps):
         for i in range(len(sample)):
             x, y = sample[i]
-            pred = weak_realizable(sample.without(i), x, params, con_oracle, rng.child(rep).child(i))
+            pred = weak_realizable(sample.without(i), x, params, con_oracle, (rng.child(rep).child(i),))[0]
             total += int(pred.bit != y)
     return total / (reps * len(sample))
 
@@ -198,11 +198,11 @@ def test_weak_realizable_rejects_a_memo_of_other_points():
     con = _oracle(cls)
     params = paper_default_params(3)
     with pytest.raises(ContractViolation):
-        weak_realizable(sample, 2, params, con, RandomStream(1),
+        weak_realizable(sample, 2, params, con, (RandomStream(1),),
                         membership=MembershipPredicate.from_oracle((0, 1), con))
     memo = MembershipPredicate.from_oracle((0, 1, 2), con)
-    shared = weak_realizable(sample, 2, params, con, RandomStream(1), membership=memo)
-    assert shared == weak_realizable(sample, 2, params, con, RandomStream(1))
+    shared = weak_realizable(sample, 2, params, con, (RandomStream(1),), membership=memo)
+    assert shared == weak_realizable(sample, 2, params, con, (RandomStream(1),))
 
 
 def test_transductive_error_singleton_is_zero():
@@ -347,6 +347,6 @@ def test_weak_realizable_double_run_determinism_100_configs():
             horizon=int(gen.integers(1, 8)),
         )
         stream = RandomStream(5000 + trial)
-        first = weak_realizable(sample, m_ctx, params, _oracle(cls), stream)
-        second = weak_realizable(sample, m_ctx, params, _oracle(cls), stream)
+        first = weak_realizable(sample, m_ctx, params, _oracle(cls), (stream,))[0]
+        second = weak_realizable(sample, m_ctx, params, _oracle(cls), (stream,))[0]
         assert first == second
