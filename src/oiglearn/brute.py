@@ -572,7 +572,7 @@ def exact_transductive_audit(
         effective = lazy_discount(gamma)
     else:
         raise ContractViolation(f"unknown walk convention {walk!r}")
-    table = exact_generating_function(inside, effective, m=m)
+    table = exact_generating_function(inside, effective)
     masses = []
     total_out = Fraction(0)
     for i in range(m):

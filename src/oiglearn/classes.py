@@ -19,32 +19,32 @@ from typing import Any, Iterable, Sequence
 
 _PRIME_CACHE_SIZE = 1 << 16
 
-from .core import LABEL_KINDS, STAR, ContractViolation, as_fraction, check_labels, loss_abs, loss_bin
+from .core import LABEL_KINDS, STAR, ContractViolation, as_fraction, check_labels
 from .oracle import (
     CONSISTENCY,
     ERM_VALUE,
     PROJECTION,
     RANGE_CONSISTENCY,
     ConceptClass,
-    OracleCapabilityError,
 )
 
 
 class FiniteTableClass(ConceptClass):
     """A concept class given by an explicit (hypothesis x domain point) table.
 
-    kind is a key of LABEL_KINDS, whose row parses and bounds the entries; a
-    binary entry may be STAR.  All three oracles answer exactly.
+    kind is a key of LABEL_KINDS, whose row parses and bounds the entries and
+    fixes the ERM loss; a binary entry may be STAR.  Every oracle answers
+    exactly, and only a real table offers range consistency.
     Consistency and projection work on one bitset of rows per (column,
     label), so they cost one AND or split per query point.  The bitsets of a
-    column hold one bit per row for each distinct label in it.  ERM under
-    absolute loss on a real table sums integer distances: the entries are
-    held as integers over their common denominator, and each query's labels
-    are scaled once to a denominator both divide.  Every other ERM query and
-    the range oracle scan the rows in fractions.
+    column hold one bit per row for each distinct label in it.  ERM on a real
+    table sums integer absolute distances: the entries are held as integers
+    over their common denominator, and each query's labels are scaled once to
+    a denominator both divide.  ERM on a binary or multiclass table and the
+    range oracle scan the rows in fractions.
     """
 
-    capabilities = frozenset({CONSISTENCY, ERM_VALUE, RANGE_CONSISTENCY, PROJECTION})
+    capabilities = frozenset({CONSISTENCY, ERM_VALUE, PROJECTION})
 
     def __init__(self, domain: Sequence, table: Sequence[Sequence], kind: str, num_classes: int | None = None):
         label = LABEL_KINDS.get(kind)
@@ -55,6 +55,8 @@ class FiniteTableClass(ConceptClass):
             raise ContractViolation("domain must be nonempty")
         self.kind = kind
         self.num_classes = num_classes
+        if kind == "real":
+            self.capabilities = self.capabilities | {RANGE_CONSISTENCY}
         rows = []
         for row in table:
             # a row whose entries all have the kind's type is kept as it is,
@@ -156,11 +158,12 @@ class FiniteTableClass(ConceptClass):
                     break
         return Fraction(best, scale * len(xs))
 
-    def _erm_value(self, xs, ys, loss) -> Fraction:
-        """The least loss sum over the rows, as a mean.  Losses are
-        nonnegative, so the scan stops at the first zero-loss row."""
-        if self.kind == "real" and loss is loss_abs:
+    def _erm_value(self, xs, ys) -> Fraction:
+        """The least loss sum over the rows under the kind's loss, as a mean.
+        Losses are nonnegative, so the scan stops at the first zero-loss row."""
+        if self.kind == "real":
             return self._abs_erm_value(xs, ys)
+        loss = LABEL_KINDS[self.kind].loss
         cols = [self._column(x) for x in xs]
         best = None
         for row in self.table:
@@ -172,8 +175,7 @@ class FiniteTableClass(ConceptClass):
         return Fraction(best) / len(xs)
 
     def range_consistent_on(self, xs, lower, upper) -> bool:
-        if self.kind != "real":
-            raise OracleCapabilityError("range consistency only applies to real-valued tables")
+        self.require(RANGE_CONSISTENCY)
         cols = [self._column(x) for x in xs]
         for row in self.table:
             if all(lo <= row[c] <= hi for c, lo, hi in zip(cols, lower, upper)):
@@ -250,16 +252,10 @@ class MarginThresholdClass(ConceptClass):
             return False
         return hi is None or self.grid[idx] <= hi
 
-    def _erm_value(self, xs, ys, loss) -> Fraction:
-        """Least mean loss over the grid.  Under loss_bin, one sorted sweep:
-        h_t errs on (x, 1) iff t > x - margin, on (x, 0) iff t < x + margin,
-        and on every other label (STAR included) whatever t is."""
-        if loss is not loss_bin:
-            xs = [as_fraction(x) for x in xs]
-            best = min(
-                sum(loss(y, self.label_of(t, x)) for x, y in zip(xs, ys)) for t in self.grid
-            )
-            return Fraction(best) / len(xs)
+    def _erm_value(self, xs, ys) -> Fraction:
+        """Least mean 0/1 loss over the grid, in one sorted sweep: h_t errs
+        on (x, 1) iff t > x - margin, on (x, 0) iff t < x + margin, and on
+        every other label (STAR included) whatever t is."""
         above, below, always = [], [], 0
         for x, y in zip(xs, ys):
             if y == 1:

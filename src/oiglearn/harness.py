@@ -32,9 +32,6 @@ from .core import (
     as_integer,
     check_labels,
     empirical_error,
-    loss_abs,
-    loss_bin,
-    loss_mc,
 )
 from .oracle import (
     CONSISTENCY,
@@ -84,7 +81,7 @@ def _realizable_partial(config, concept_class, sample, ledger, rng):
 
 def _agnostic_partial(config, concept_class, sample, ledger, rng):
     con = ConsistencyOracle(concept_class, ledger)
-    erm = ErmValueOracle(concept_class, loss_bin, ledger)
+    erm = ErmValueOracle(concept_class, ledger)
     return fit_agnostic_partial(sample, *_boosting(config), erm, con, rng)
 
 
@@ -95,7 +92,7 @@ def _multiclass_realizable(config, concept_class, sample, ledger, rng):
 
 def _multiclass_agnostic(config, concept_class, sample, ledger, rng):
     con = ConsistencyOracle(concept_class, ledger)
-    erm = ErmValueOracle(concept_class, loss_mc, ledger)
+    erm = ErmValueOracle(concept_class, ledger)
     return fit_multiclass_agnostic(sample, config.num_classes, *_boosting(config), erm, con, rng)
 
 
@@ -106,7 +103,7 @@ def _reg_realizable(config, concept_class, sample, ledger, rng):
 
 
 def _reg_agnostic(config, concept_class, sample, ledger, rng):
-    erm = ErmValueOracle(concept_class, loss_abs, ledger)
+    erm = ErmValueOracle(concept_class, ledger)
     return fit_reg_agnostic(sample, *_boosting(config), config.gamma, erm, rng)
 
 

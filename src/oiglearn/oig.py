@@ -251,25 +251,20 @@ def lazy_discount(flip_gamma) -> Fraction:
     return 2 * g / (1 + g)
 
 
-def exact_generating_function(
-    inside: Iterable[Vertex],
-    gamma,
-    m: int | None = None,
-) -> PotentialTable:
+def exact_generating_function(inside: Iterable[Vertex], gamma) -> PotentialTable:
     """Solve the lazy-walk recursion M(v) = g/((2-g)m) * sum_i M(v^flip i) exactly.
 
-    M is 1 outside the set.  The size of the set alone picks the solve.
-    Systems of up to 64 patterns are solved exactly, by fraction-free
-    (Bareiss) integer elimination, so their values are `Fraction`s; larger
-    ones fall back to a floating solve, whose values are floats and whose
-    residual (`brute.recursion_residual`) stays far below 1e-12 because the
-    system is strictly diagonally dominant.
+    M is 1 outside the set, and m is the length of its vertices.  The size
+    of the set alone picks the solve.  Systems of up to 64 patterns are
+    solved exactly, by fraction-free (Bareiss) integer elimination, so their
+    values are `Fraction`s; larger ones fall back to a floating solve, whose
+    values are floats and whose residual (`brute.recursion_residual`) stays
+    far below 1e-12 because the system is strictly diagonally dominant.
     """
     vertices = sorted(set(tuple(v) for v in inside), key=pack)
     if not vertices:
-        return PotentialTable({}, m or 0)
-    if m is None:
-        m = len(vertices[0])
+        return PotentialTable({}, 0)
+    m = len(vertices[0])
     if any(len(v) != m for v in vertices):
         raise ContractViolation("all vertices must share one dimension")
     if m > 30 or len(vertices) > 4096:

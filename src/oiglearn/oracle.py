@@ -66,17 +66,18 @@ class ConceptClass:
             raise ContractViolation("a consistency query needs one label per point")
         return self._consistent(xs, ys)
 
-    def erm_value_on(self, xs: tuple, ys: tuple, loss) -> Fraction:
-        """The least mean loss of any hypothesis on the labeled points."""
+    def erm_value_on(self, xs: tuple, ys: tuple) -> Fraction:
+        """The least mean loss of any hypothesis on the labeled points, under
+        the loss of the class's label kind."""
         if len(xs) != len(ys):
             raise ContractViolation("an ERM value query needs one label per point")
-        return self._erm_value(xs, ys, loss)
+        return self._erm_value(xs, ys)
 
     # raw per-class implementations; only the advertised ones are overridden
     def _consistent(self, xs: tuple, ys: tuple) -> bool:
         raise OracleCapabilityError(f"{type(self).__name__}: no consistency oracle")
 
-    def _erm_value(self, xs: tuple, ys: tuple, loss) -> Fraction:
+    def _erm_value(self, xs: tuple, ys: tuple) -> Fraction:
         raise OracleCapabilityError(f"{type(self).__name__}: no weak ERM oracle")
 
     def range_consistent_on(self, xs: tuple, lower: tuple, upper: tuple) -> bool:
@@ -105,13 +106,12 @@ class ConsistencyOracle:
 
 
 class ErmValueOracle:
-    """Callable handle for the value-only ERM oracle under a fixed loss: the
-    minimum empirical loss over the class, exact."""
+    """Callable handle for the value-only ERM oracle: the minimum empirical
+    loss over the class, exact, under the loss its label kind fixes."""
 
-    def __init__(self, concept_class: ConceptClass, loss, ledger: QueryCostLedger):
+    def __init__(self, concept_class: ConceptClass, ledger: QueryCostLedger):
         concept_class.require(ERM_VALUE)
         self.concept_class = concept_class
-        self.loss = loss
         self.ledger = ledger
 
     def __call__(self, sample) -> Fraction:
@@ -121,7 +121,7 @@ class ErmValueOracle:
         if not xs:
             raise ContractViolation("ERM value of an empty sample is undefined")
         self.ledger.charge(len(xs))
-        return self.concept_class.erm_value_on(xs, ys, self.loss)
+        return self.concept_class.erm_value_on(xs, ys)
 
 
 class RangeConsistencyOracle:

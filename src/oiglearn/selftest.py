@@ -52,7 +52,7 @@ def _check_finite_oracles(gen) -> bool:
         if analytic != enumerated:
             return False
         value, _ = brute.brute_erm(cls, sample, loss_bin)
-        if cls.erm_value_on(xs, ys, loss_bin) != value:
+        if cls.erm_value_on(xs, ys) != value:
             return False
         if analytic != (value == 0):
             return False
@@ -105,7 +105,7 @@ def _check_margin_threshold(gen) -> bool:
         ys = tuple(int(v) for v in gen.integers(0, 2, size=n))
         if cls.consistent_on(xs, ys) != table.consistent_on(xs, ys):
             return False
-        if cls.erm_value_on(xs, ys, loss_bin) != table.erm_value_on(xs, ys, loss_bin):
+        if cls.erm_value_on(xs, ys) != table.erm_value_on(xs, ys):
             return False
     return True
 
@@ -119,7 +119,7 @@ def _check_threshold_sweep(gen) -> bool:
         n = int(gen.integers(1, 31))
         xs = tuple(points[int(i)] for i in gen.integers(0, len(points), size=n))
         ys = tuple((0, 1, STAR)[int(i)] for i in gen.integers(0, 3, size=n))
-        if cls.erm_value_on(xs, ys, loss_bin) != brute.threshold_erm_scan(cls, xs, ys, loss_bin):
+        if cls.erm_value_on(xs, ys) != brute.threshold_erm_scan(cls, xs, ys, loss_bin):
             return False
     return True
 
@@ -164,7 +164,7 @@ def _check_integer_solve(gen) -> bool:
             inside = [unpack(int(c), m) for c in gen.choice(2**m, size=count, replace=False)]
             simple = _SIMPLE_DISCOUNTS[int(gen.integers(0, len(_SIMPLE_DISCOUNTS)))]
             for gamma in (audit_discount, simple):
-                solved = exact_generating_function(inside, gamma, m=m)
+                solved = exact_generating_function(inside, gamma)
                 if solved.values != brute.rational_generating_function(inside, gamma, m):
                     return False
     return True
@@ -247,7 +247,7 @@ def _check_abs_erm(gen) -> bool:
             xs = tuple(int(v) for v in gen.integers(0, points, size=n))
             ys = tuple(Fraction(int(gen.integers(0, d + 1)), d)
                        for d in gen.choice((2, 3, 4, 5, 6, 7), size=n).tolist())
-            if cls.erm_value_on(xs, ys, loss_abs) != brute.table_erm_scan(cls, xs, ys, loss_abs):
+            if cls.erm_value_on(xs, ys) != brute.table_erm_scan(cls, xs, ys, loss_abs):
                 return False
     return True
 
@@ -260,10 +260,10 @@ def _check_erm_reduction(gen) -> bool:
         ys = tuple(int(v) for v in gen.integers(0, 2, size=n))
         sample = Sample(zip(xs, ys))
         ledger = QueryCostLedger()
-        z = sample_erm_binary(sample, ErmValueOracle(cls, loss_bin, ledger))
+        z = sample_erm_binary(sample, ErmValueOracle(cls, ledger))
         if ledger.call_count > n + 1:
             return False
-        reference = ErmValueOracle(cls, loss_bin, QueryCostLedger())
+        reference = ErmValueOracle(cls, QueryCostLedger())
         if z != brute.restarting_erm_binary(sample, reference):
             return False
         value, winners = brute.brute_erm(cls, sample, loss_bin)

@@ -85,7 +85,6 @@ def weak_realizable(
     params: WeakLearnerParams,
     con_oracle,
     streams: Sequence[RandomStream],
-    membership: MembershipPredicate | None = None,
 ) -> list[WeakPrediction]:
     """Predict the label of x from a realizable sample, once per stream, each
     via one oracle-driven edge orientation.
@@ -104,11 +103,9 @@ def weak_realizable(
     as in a partial class or the multiclass and threshold encodings) the
     prediction is still 1.
 
-    `membership`, if given, is the memo over the points `sample.xs + (x,)`
-    that answers this call's queries; a caller that predicts x from the same
-    context again passes the same memo, so an answer it already holds is not
-    charged twice.  By default each call builds its own, which all its
-    streams share.
+    Each call builds one membership memo over the points `sample.xs + (x,)`,
+    which all its streams share, so an answer one stream's walk paid for is
+    not charged again.
     """
     base = tuple(sample.ys)
     if any(y not in (0, 1) for y in base):
@@ -117,10 +114,7 @@ def weak_realizable(
     y0 = base + (0,)
     y1 = base + (1,)
     # the feasibility checks are the walks' first queries, on one memo
-    if membership is None:
-        membership = MembershipPredicate.from_oracle(points, con_oracle)
-    elif membership.m != len(points):
-        raise ContractViolation("membership memo must cover the context and the query point")
+    membership = MembershipPredicate.from_oracle(points, con_oracle)
     feasible0 = membership.query_packed(pack(y0))
     feasible1 = membership.query_packed(pack(y1))
     if not feasible0:

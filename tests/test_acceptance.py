@@ -287,7 +287,7 @@ def test_criterion_09_sample_erm_exactness():
             (int(gen.integers(0, points)), int(gen.integers(0, 2))) for _ in range(n)
         )
         ledger = QueryCostLedger()
-        z = sample_erm_binary(sample, ErmValueOracle(cls, loss_bin, ledger))
+        z = sample_erm_binary(sample, ErmValueOracle(cls, ledger))
         assert ledger.call_count <= 2 * n * n
         value, winners = brute_erm(cls, sample, loss_bin)
         assert Fraction(sum(z), n) == value
@@ -311,7 +311,7 @@ def test_criterion_09_sample_erm_exactness():
         steps = int(gen.integers(2, 6))
         gamma = Fraction(1, steps)
         ledger = QueryCostLedger()
-        out = sample_erm_real(sample, gamma, ErmValueOracle(cls, loss_abs, ledger))
+        out = sample_erm_real(sample, gamma, ErmValueOracle(cls, ledger))
         assert ledger.call_count <= n * steps + 4
         _, winners = brute_erm(cls, sample, loss_abs)
         assert any(
@@ -330,7 +330,7 @@ def test_criterion_09_sample_erm_exactness():
         for _ in range(int(gen.integers(1, 5))):
             lo, hi = sorted(int(v) for v in gen.integers(0, 9, size=2))
             triples.append((int(gen.integers(0, points)), Fraction(lo, 8), Fraction(hi, 8)))
-        got = sample_con_real(triples, ErmValueOracle(cls, loss_abs, QueryCostLedger()))
+        got = sample_con_real(triples, ErmValueOracle(cls, QueryCostLedger()))
         want_bool = cls.range_consistent_on(
             tuple(t[0] for t in triples),
             tuple(t[1] for t in triples),
@@ -440,7 +440,7 @@ def test_criterion_11_regression_reduction():
         sample = Sample((int(i), hstar[int(i)]) for i in idx)
         predictor = fit_reg_agnostic(
             sample, WeakSpec(m=2), 1 / (2 * math.log(2)), 0.2, gamma,
-            ErmValueOracle(rcls, loss_abs, QueryCostLedger()), stream.child(1),
+            ErmValueOracle(rcls, QueryCostLedger()), stream.child(1),
         )
         train = max(abs(predictor.predict(x) - y) for x, y in sample)
         ok_agnostic += train <= 6 * gamma

@@ -22,13 +22,13 @@ from oiglearn.classes import (
     is_prime,
     semiprime_split,
 )
-from oiglearn.core import STAR, ContractViolation, loss_abs, loss_bin, loss_mc
+from oiglearn.core import STAR, ContractViolation, loss_abs, loss_bin
 
 
 def test_finite_table_examples():
     zero = FiniteTableClass(("a", "b"), [(0, 0)], "binary")
     assert zero.consistent_on(("a",), (0,)) is True
-    assert zero.erm_value_on(("a",), (1,), loss_bin) == 1
+    assert zero.erm_value_on(("a",), (1,)) == 1
     reals = FiniteTableClass(
         ("x",), [(Fraction(1, 5),), (Fraction(4, 5),)], "real"
     )
@@ -139,7 +139,7 @@ def test_finite_table_pickles():
         copies = [pickle.loads(pickle.dumps(cls))]
         if cls.kind == "real":
             # the first copy was pickled before the integer rows existed, this one after
-            cls.erm_value_on(cls.domain, cls.table[0], loss_abs)
+            cls.erm_value_on(cls.domain, cls.table[0])
             copies.append(pickle.loads(pickle.dumps(cls)))
         gen = np.random.default_rng(43)
         labels = sorted({v for row in cls.table for v in row if v is not STAR})
@@ -150,11 +150,11 @@ def test_finite_table_pickles():
             for copy in copies:
                 assert copy.consistent_on(xs, ys) == cls.consistent_on(xs, ys)
                 assert copy.project_onto(xs) == cls.project_onto(xs)
-                assert copy.erm_value_on(xs, ys, loss_bin) == cls.erm_value_on(xs, ys, loss_bin)
+                assert copy.erm_value_on(xs, ys) == cls.erm_value_on(xs, ys)
                 if cls.kind == "real":
                     value = table_erm_scan(cls, xs, ys, loss_abs)
-                    assert copy.erm_value_on(xs, ys, loss_abs) == value
-                    assert cls.erm_value_on(xs, ys, loss_abs) == value
+                    assert copy.erm_value_on(xs, ys) == value
+                    assert cls.erm_value_on(xs, ys) == value
 
 
 def _random_real_table(gen, points, denominators):
@@ -185,28 +185,26 @@ def test_real_table_abs_erm_matches_scan():
         ys = tuple(Fraction(int(gen.integers(0, d + 1)), d) for d in dens)
         if k % 5 == 0:
             ys = tuple(int(y) if y.denominator == 1 else float(y) for y in ys)
-        value = cls.erm_value_on(xs, ys, loss_abs)
+        value = cls.erm_value_on(xs, ys)
         assert value == table_erm_scan(cls, xs, ys, loss_abs), (cls.table, xs, ys)
         assert type(value) is Fraction
-        if k % 10 == 0:  # any other loss keeps the scan
-            assert cls.erm_value_on(xs, ys, loss_bin) == table_erm_scan(cls, xs, ys, loss_bin)
 
 
 def test_real_table_abs_erm_edge_cases():
     third, half = Fraction(1, 3), Fraction(1, 2)
     cls = FiniteTableClass((0, 1, 2), [(0, 0, 1), (half, 1, 0), (1, half, half)], "real")
     # the zero-loss row is the last one; the rows before it are still compared
-    assert cls.erm_value_on((2, 0, 2), (half, 1, half), loss_abs) == 0
-    assert cls.erm_value_on((0, 1), (third, third), loss_abs) == Fraction(1, 3)
-    assert cls.erm_value_on((1, 1), (third, 1), loss_abs) == Fraction(1, 3)
+    assert cls.erm_value_on((2, 0, 2), (half, 1, half)) == 0
+    assert cls.erm_value_on((0, 1), (third, third)) == Fraction(1, 3)
+    assert cls.erm_value_on((1, 1), (third, 1)) == Fraction(1, 3)
     for ys in ((Fraction(-1, 3), half), (half, Fraction(4, 3)), (0, 2), (0, -0.5)):
         for xs in ((0, 1), (1, 1)):
             with pytest.raises(ContractViolation):
-                cls.erm_value_on(xs, ys, loss_abs)
+                cls.erm_value_on(xs, ys)
             with pytest.raises(ContractViolation):
                 table_erm_scan(cls, xs, ys, loss_abs)
     with pytest.raises(ContractViolation):
-        cls.erm_value_on((3,), (0,), loss_abs)
+        cls.erm_value_on((3,), (0,))
 
 
 def test_threshold_and_hprime_pickle():
@@ -225,7 +223,7 @@ def test_threshold_and_hprime_pickle():
             assert answer == cls.consistent_on(xs, ys), (cls, xs, ys)
             answers.add(answer)
             if cls is threshold:
-                assert copy.erm_value_on(xs, ys, loss_bin) == cls.erm_value_on(xs, ys, loss_bin)
+                assert copy.erm_value_on(xs, ys) == cls.erm_value_on(xs, ys)
                 assert copy.project_onto(xs) == cls.project_onto(xs)
         assert answers == {True, False}
 
@@ -246,9 +244,9 @@ def test_consistent_on_rejects_length_mismatch(cls, xs):
     with pytest.raises(ContractViolation):
         cls.consistent_on(xs[:1], (1, 0))
     with pytest.raises(ContractViolation):
-        cls.erm_value_on(xs, (1,), loss_bin)
+        cls.erm_value_on(xs, (1,))
     with pytest.raises(ContractViolation):
-        cls.erm_value_on(xs[:1], (1, 0), loss_bin)
+        cls.erm_value_on(xs[:1], (1, 0))
 
 
 def test_margin_threshold_examples():
@@ -268,7 +266,7 @@ def test_margin_threshold_vs_materialized_enumeration():
         xs = tuple(points[int(i)] for i in gen.integers(0, len(points), size=n))
         ys = tuple(int(v) for v in gen.integers(0, 2, size=n))
         assert cls.consistent_on(xs, ys) == table.consistent_on(xs, ys)
-        assert cls.erm_value_on(xs, ys, loss_bin) == table.erm_value_on(xs, ys, loss_bin)
+        assert cls.erm_value_on(xs, ys) == table.erm_value_on(xs, ys)
 
 
 def test_margin_threshold_erm_sweep_matches_scan():
@@ -285,13 +283,11 @@ def test_margin_threshold_erm_sweep_matches_scan():
         labels = (0, 1, STAR) if k % 2 else (0, 1)
         ys = tuple(labels[int(i)] for i in gen.integers(0, len(labels), size=n))
         expected = threshold_erm_scan(cls, xs, ys, loss_bin)
-        assert cls.erm_value_on(xs, ys, loss_bin) == expected, (xs, ys)
-        if k % 10 == 0:  # any other loss keeps the scan
-            assert cls.erm_value_on(xs, ys, loss_mc) == threshold_erm_scan(cls, xs, ys, loss_mc)
+        assert cls.erm_value_on(xs, ys) == expected, (xs, ys)
     # on a band edge x = t + margin labels 1 and x = t - margin labels 0
     t = cls.grid[7]
-    assert cls.erm_value_on((t + cls.margin, t - cls.margin), (1, 0), loss_bin) == 0
-    assert cls.erm_value_on((t,), (STAR,), loss_bin) == 1
+    assert cls.erm_value_on((t + cls.margin, t - cls.margin), (1, 0)) == 0
+    assert cls.erm_value_on((t,), (STAR,)) == 1
 
 
 def test_margin_threshold_projection_is_steps():

@@ -10,23 +10,23 @@ from oiglearn.ermred import sample_con_real, sample_erm_binary, sample_erm_real
 from oiglearn.oracle import ErmValueOracle, QueryCostLedger
 
 
-def _erm(cls, loss):
-    return ErmValueOracle(cls, loss, QueryCostLedger())
+def _erm(cls):
+    return ErmValueOracle(cls, QueryCostLedger())
 
 
 def test_binary_realizable_keeps_everything():
     cls = FiniteTableClass(("a", "b", "c"), [(0, 1, 0)], "binary")
     sample = Sample([("a", 0), ("b", 1), ("c", 0)])
     ledger = QueryCostLedger()
-    z = sample_erm_binary(sample, ErmValueOracle(cls, loss_bin, ledger))
-    assert z == (0, 0, 0) == restarting_erm_binary(sample, _erm(cls, loss_bin))
+    z = sample_erm_binary(sample, ErmValueOracle(cls, ledger))
+    assert z == (0, 0, 0) == restarting_erm_binary(sample, _erm(cls))
     assert ledger.call_count == 1  # the zero sum of the whole sample ends the scan
 
 
 def test_binary_single_constant_hypothesis():
     cls = FiniteTableClass(("a", "b", "c"), [(0, 0, 0)], "binary")
     sample = Sample([("a", 0), ("b", 1), ("c", 0)])
-    assert sample_erm_binary(sample, _erm(cls, loss_bin)) == (0, 1, 0)
+    assert sample_erm_binary(sample, _erm(cls)) == (0, 1, 0)
 
 
 def test_binary_unique_minimizer_pattern():
@@ -37,7 +37,7 @@ def test_binary_unique_minimizer_pattern():
     bad2 = (1, 0, 1, 1, 1, 0)
     cls = FiniteTableClass(domain, [good, bad1, bad2], "binary")
     sample = Sample([(0, 0), (1, 1), (2, 0), (3, 0), (4, 1), (5, 0)])
-    assert sample_erm_binary(sample, _erm(cls, loss_bin)) == (0, 1, 0, 0, 1, 0)
+    assert sample_erm_binary(sample, _erm(cls)) == (0, 1, 0, 0, 1, 0)
 
 
 def test_binary_matches_brute_minimizer_random():
@@ -53,9 +53,9 @@ def test_binary_matches_brute_minimizer_random():
             (int(gen.integers(0, points)), int(gen.integers(0, 2))) for _ in range(n)
         )
         ledger = QueryCostLedger()
-        z = sample_erm_binary(sample, ErmValueOracle(cls, loss_bin, ledger))
+        z = sample_erm_binary(sample, ErmValueOracle(cls, ledger))
         assert ledger.call_count <= n + 1
-        assert z == restarting_erm_binary(sample, _erm(cls, loss_bin))
+        assert z == restarting_erm_binary(sample, _erm(cls))
         value, winners = brute_erm(cls, sample, loss_bin)
         assert Fraction(sum(z), n) == value
         loss_vectors = {
@@ -82,9 +82,9 @@ def test_binary_multiclass_loss_random():
             (int(gen.integers(0, points)), int(gen.integers(1, 4))) for _ in range(n)
         )
         ledger = QueryCostLedger()
-        z = sample_erm_binary(sample, ErmValueOracle(cls, loss_mc, ledger))
+        z = sample_erm_binary(sample, ErmValueOracle(cls, ledger))
         assert ledger.call_count <= n + 1
-        assert z == restarting_erm_binary(sample, _erm(cls, loss_mc))
+        assert z == restarting_erm_binary(sample, _erm(cls))
         value, winners = brute_erm(cls, sample, loss_mc)
         assert Fraction(sum(z), n) == value
         vectors = {
@@ -105,9 +105,9 @@ def test_binary_margin_thresholds_with_stars_and_repeats():
             for _ in range(n)
         )
         ledger = QueryCostLedger()
-        z = sample_erm_binary(sample, ErmValueOracle(cls, loss_bin, ledger))
+        z = sample_erm_binary(sample, ErmValueOracle(cls, ledger))
         assert ledger.call_count <= n + 1
-        assert z == restarting_erm_binary(sample, _erm(cls, loss_bin))
+        assert z == restarting_erm_binary(sample, _erm(cls))
         table = materialize_thresholds(cls, sorted(set(sample.xs)))
         value, winners = brute_erm(table, sample, loss_bin)
         assert Fraction(sum(z), n) == value
@@ -119,7 +119,7 @@ def test_binary_margin_thresholds_with_stars_and_repeats():
 def test_real_single_point_tie_break():
     cls = FiniteTableClass(("x",), [(Fraction(1, 2),)], "real")
     sample = Sample([("x", Fraction(9, 10))])
-    out = sample_erm_real(sample, Fraction(1, 4), _erm(cls, loss_abs))
+    out = sample_erm_real(sample, Fraction(1, 4), _erm(cls))
     assert out == (Fraction(1, 4),)  # levels 1 and 2 tie; the lower wins
     assert Fraction(1, 4) <= Fraction(1, 2) <= Fraction(1, 2)
 
@@ -127,7 +127,7 @@ def test_real_single_point_tie_break():
 def test_real_zero_hypothesis_single_point():
     cls = FiniteTableClass(("x",), [(Fraction(0),)], "real")
     sample = Sample([("x", Fraction(1, 3))])
-    out = sample_erm_real(sample, Fraction(1, 4), _erm(cls, loss_abs))
+    out = sample_erm_real(sample, Fraction(1, 4), _erm(cls))
     assert out == (Fraction(0),)
 
 
@@ -135,14 +135,14 @@ def test_real_call_budget_exact():
     cls = FiniteTableClass(("x", "y"), [(Fraction(1, 2), Fraction(1, 4))], "real")
     sample = Sample([("x", Fraction(1, 2)), ("y", Fraction(3, 4)), ("x", Fraction(0))])
     ledger = QueryCostLedger()
-    sample_erm_real(sample, Fraction(1, 5), ErmValueOracle(cls, loss_abs, ledger))
+    sample_erm_real(sample, Fraction(1, 5), ErmValueOracle(cls, ledger))
     assert ledger.call_count == len(sample) * 5
 
 
 def test_real_gamma_must_be_unit_fraction():
     cls = FiniteTableClass(("x",), [(Fraction(0),)], "real")
     with pytest.raises(ContractViolation):
-        sample_erm_real(Sample([("x", Fraction(1, 2))]), Fraction(2, 5), _erm(cls, loss_abs))
+        sample_erm_real(Sample([("x", Fraction(1, 2))]), Fraction(2, 5), _erm(cls))
 
 
 def _random_real_class(gen, points=3, hyps=4, denom=8):
@@ -161,7 +161,7 @@ def test_real_interval_guarantee_random():
             (int(gen.integers(0, 3)), Fraction(int(gen.integers(0, 9)), 8)) for _ in range(n)
         )
         gamma = Fraction(1, int(gen.integers(2, 6)))
-        out = sample_erm_real(sample, gamma, _erm(cls, loss_abs))
+        out = sample_erm_real(sample, gamma, _erm(cls))
         # some minimizer of the original sample has all its values inside the cells
         value, winners = brute_erm(cls, sample, loss_abs)
         witnesses = [
@@ -181,7 +181,7 @@ def test_exact_interpolant_snaps_to_grid():
     cls = FiniteTableClass((0, 1, 2), [values, tuple(Fraction(1, 2) for _ in range(3))], "real")
     sample = Sample(list(enumerate(values)))
     gamma = Fraction(1, 4)
-    out = sample_erm_real(sample, gamma, _erm(cls, loss_abs))
+    out = sample_erm_real(sample, gamma, _erm(cls))
     for (x, y), lo in zip(sample.pairs, out):
         assert lo - gamma <= y <= lo + 2 * gamma  # value lies a cell away at most
 
@@ -189,13 +189,13 @@ def test_exact_interpolant_snaps_to_grid():
 def test_sample_con_real_examples():
     point3 = FiniteTableClass(("x",), [(Fraction(3, 10),)], "real")
     assert sample_con_real(
-        [("x", Fraction(3, 10), Fraction(3, 10))], _erm(point3, loss_abs)
+        [("x", Fraction(3, 10), Fraction(3, 10))], _erm(point3)
     )
-    assert sample_con_real([("x", Fraction(1, 5), Fraction(1, 2))], _erm(point3, loss_abs))
+    assert sample_con_real([("x", Fraction(1, 5), Fraction(1, 2))], _erm(point3))
     point9 = FiniteTableClass(("x",), [(Fraction(9, 10),)], "real")
-    assert not sample_con_real([("x", Fraction(1, 5), Fraction(1, 2))], _erm(point9, loss_abs))
+    assert not sample_con_real([("x", Fraction(1, 5), Fraction(1, 2))], _erm(point9))
     with pytest.raises(ContractViolation):
-        sample_con_real([("x", Fraction(1, 2), Fraction(1, 4))], _erm(point3, loss_abs))
+        sample_con_real([("x", Fraction(1, 2), Fraction(1, 4))], _erm(point3))
 
 
 def test_sample_con_real_matches_brute_random():
@@ -207,7 +207,7 @@ def test_sample_con_real_matches_brute_random():
         for _ in range(n):
             a, b = sorted(int(v) for v in gen.integers(0, 9, size=2))
             triples.append((int(gen.integers(0, 3)), Fraction(a, 8), Fraction(b, 8)))
-        got = sample_con_real(triples, _erm(cls, loss_abs))
+        got = sample_con_real(triples, _erm(cls))
         want = cls.range_consistent_on(
             tuple(t[0] for t in triples),
             tuple(t[1] for t in triples),
@@ -221,7 +221,7 @@ def test_sample_con_real_single_call():
     ledger = QueryCostLedger()
     sample_con_real(
         [(0, Fraction(0), Fraction(1)), (1, Fraction(1, 4), Fraction(1, 2))],
-        ErmValueOracle(cls, loss_abs, ledger),
+        ErmValueOracle(cls, ledger),
     )
     assert ledger.call_count == 1
     assert ledger.total_cost == 4  # doubled sample

@@ -202,7 +202,7 @@ def test_float_solve_above_the_cutoff_matches_fraction_elimination():
 
 
 def _integer_matches_fraction_elimination(inside, gamma, m):
-    solved = exact_generating_function(inside, gamma, m=m).values
+    solved = exact_generating_function(inside, gamma).values
     reference = brute.rational_generating_function(inside, gamma, m)
     assert all(type(v) is Fraction for v in solved.values())
     assert solved == reference

@@ -3,9 +3,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oiglearn.classes import FiniteTableClass, HPrimeClass, MarginThresholdClass
-from oiglearn.core import STAR, ContractViolation, Sample, loss_bin
+from oiglearn.brute import table_erm_scan, threshold_erm_scan
+from oiglearn.classes import (
+    CLASS_KINDS,
+    FiniteTableClass,
+    HPrimeClass,
+    MarginThresholdClass,
+    class_from_config,
+)
+from oiglearn.core import LABEL_KINDS, STAR, ContractViolation, Sample
 from oiglearn.oracle import (
+    ERM_VALUE,
     ConsistencyOracle,
     ErmValueOracle,
     OracleCapabilityError,
@@ -53,7 +61,7 @@ def test_consistency_rejects_length_mismatch():
 
 
 def test_erm_value_examples():
-    erm = ErmValueOracle(_zero_class(), loss_bin, QueryCostLedger())
+    erm = ErmValueOracle(_zero_class(), QueryCostLedger())
     assert erm(Sample([("a", 0)])) == 0
     assert erm([("a", 0), ("b", 1), ("a", 0)]) == Fraction(1, 3)
     with pytest.raises(ContractViolation):
@@ -65,7 +73,7 @@ def test_erm_contradictory_duplicates_cost_half():
     for _ in range(20):
         cls = _random_class(gen)
         s = Sample([(0, 0), (0, 1)])
-        assert ErmValueOracle(cls, loss_bin, QueryCostLedger())(s) >= Fraction(1, 2)
+        assert ErmValueOracle(cls, QueryCostLedger())(s) >= Fraction(1, 2)
 
 
 def test_range_consistency_examples():
@@ -82,9 +90,15 @@ def test_capability_errors():
     hp = HPrimeClass(bound=100)
     ledger = QueryCostLedger()
     with pytest.raises(OracleCapabilityError):
-        ErmValueOracle(hp, loss_bin, ledger)
+        ErmValueOracle(hp, ledger)
     with pytest.raises(OracleCapabilityError):
         RangeConsistencyOracle(hp, ledger)
+    # a table offers range consistency only when its labels are real
+    for table in (_zero_class(),
+                  FiniteTableClass((0, 1), [(1, 2), (2, 1)], "multiclass", num_classes=2)):
+        with pytest.raises(OracleCapabilityError):
+            RangeConsistencyOracle(table, ledger)
+    assert ledger.snapshot() == (0, 0)
 
 
 def test_ledger_additivity():
@@ -108,7 +122,7 @@ def test_consistency_equals_zero_erm():
         )
         ledger = QueryCostLedger()
         con = ConsistencyOracle(cls, ledger)(sample.xs, sample.ys)
-        erm = ErmValueOracle(cls, loss_bin, ledger)(sample)
+        erm = ErmValueOracle(cls, ledger)(sample)
         assert con == (erm == 0)
 
 
@@ -123,7 +137,7 @@ def test_margin_threshold_consistency_equals_zero_erm():
         ys = tuple(int(v) for v in gen.integers(0, 3, size=n))
         ledger = QueryCostLedger()
         con = ConsistencyOracle(cls, ledger)(xs, ys)
-        erm = ErmValueOracle(cls, loss_bin, ledger)(Sample(zip(xs, ys)))
+        erm = ErmValueOracle(cls, ledger)(Sample(zip(xs, ys)))
         assert con == (erm == 0) == cls.consistent_on(xs, ys)
 
 
@@ -147,9 +161,53 @@ def test_oracle_handles_charge_ledger():
     con(("a", "b"), (0, 0))
     con(("a",), (0,))
     assert ledger.snapshot() == (3, 2)
-    erm = ErmValueOracle(_zero_class(), loss_bin, ledger)
+    erm = ErmValueOracle(_zero_class(), ledger)
     erm(Sample([("a", 0), ("b", 1), ("b", 0)]))
     assert ledger.snapshot() == (6, 3)
     s = Sample([("a", 0), ("b", 1), ("b", 0)])
     assert erm(s) * len(s) == 1
     assert ledger.snapshot() == (9, 4)
+
+
+# one description per class kind, with the labels its ERM queries draw from
+_CLASS_SPECS = {
+    "finite_table": ({"kind": "finite_table", "domain": [0, 1, 2, 3],
+                      "table": [[0, "*", 1, 0], [1, 1, "*", 0], ["*", 0, 0, 1], [1, 0, 1, 1]]},
+                     (0, 1, STAR)),
+    "finite_multiclass": ({"kind": "finite_multiclass", "domain": [0, 1, 2], "num_classes": 3,
+                           "table": [[1, 2, 3], [3, 1, 1], [2, 2, 1]]},
+                          (1, 2, 3)),
+    "finite_real": ({"kind": "finite_real", "domain": [0, 1, 2],
+                     "table": [["0.25", "0.5", "1"], ["0", "0.75", "1/3"], ["1", "0.2", "0.5"]]},
+                    tuple(Fraction(k, 12) for k in range(13))),
+    "margin_threshold": ({"kind": "margin_threshold", "grid": ["0", "0.1", 11], "margin": "0.05"},
+                         (0, 1, STAR)),
+    "hprime": ({"kind": "hprime", "bound": 30}, (0, 1)),
+}
+_ERM_KINDS = [
+    kind for kind in CLASS_KINDS if ERM_VALUE in class_from_config(_CLASS_SPECS[kind][0]).capabilities
+]
+
+
+@pytest.mark.parametrize("kind", _ERM_KINDS)
+def test_erm_value_follows_the_label_kind(kind):
+    """The handle answers under the loss of the class's label kind, as the
+    brute references do when handed that loss."""
+    spec, labels = _CLASS_SPECS[kind]
+    cls = class_from_config(spec)
+    loss = LABEL_KINDS[CLASS_KINDS[kind].labels].loss
+    if isinstance(cls, MarginThresholdClass):
+        points, reference = [Fraction(k, 40) for k in range(41)], threshold_erm_scan
+    else:
+        points, reference = cls.domain, table_erm_scan
+    gen = np.random.default_rng(19)
+    ledger = QueryCostLedger()
+    erm = ErmValueOracle(cls, ledger)
+    cost = 0
+    for _ in range(200):
+        n = int(gen.integers(1, 9))
+        xs = tuple(points[int(i)] for i in gen.integers(0, len(points), size=n))
+        ys = tuple(labels[int(i)] for i in gen.integers(0, len(labels), size=n))
+        assert erm(Sample(zip(xs, ys))) == reference(cls, xs, ys, loss), (xs, ys)
+        cost += n
+    assert ledger.snapshot() == (cost, 200)

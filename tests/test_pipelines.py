@@ -5,14 +5,13 @@ import pytest
 
 from oiglearn.brute import menu_project, threshold_project
 from oiglearn.classes import FiniteTableClass
-from oiglearn.core import STAR, ContractViolation, RandomStream, Sample, loss_abs
+from oiglearn.core import STAR, ContractViolation, RandomStream, Sample
 from oiglearn.oracle import (
     ConsistencyOracle,
     ErmValueOracle,
     QueryCostLedger,
     RangeConsistencyOracle,
 )
-from oiglearn.core import loss_bin, loss_mc
 from oiglearn.ermred import sample_con_real
 from oiglearn.pipelines import (
     WeakSpec,
@@ -138,7 +137,7 @@ def test_agnostic_partial_matches_realizable_on_clean_data():
     sample = Sample(pairs * 2)
     ledger = QueryCostLedger()
     con = ConsistencyOracle(cls, ledger)
-    erm = ErmValueOracle(cls, loss_bin, ledger)
+    erm = ErmValueOracle(cls, ledger)
     predictor = fit_agnostic_partial(
         sample, WeakSpec(m=2), 0.8, 0.2, erm, con, RandomStream(5)
     )
@@ -152,7 +151,7 @@ def test_agnostic_partial_removes_flipped_point():
     corrupted = Sample(pairs + [(0, 0)])  # truth is 1 at point 0
     ledger = QueryCostLedger()
     con = ConsistencyOracle(cls, ledger)
-    erm = ErmValueOracle(cls, loss_bin, ledger)
+    erm = ErmValueOracle(cls, ledger)
     predictor = fit_agnostic_partial(
         corrupted, WeakSpec(m=2), 0.8, 0.2, erm, con, RandomStream(7)
     )
@@ -187,7 +186,7 @@ def test_multiclass_agnostic_removes_corrupted_label():
     corrupted = Sample([(0, 2), (1, 3), (2, 1), (0, 3)])
     ledger = QueryCostLedger()
     con = ConsistencyOracle(cls, ledger)
-    erm = ErmValueOracle(cls, loss_mc, ledger)
+    erm = ErmValueOracle(cls, ledger)
     predictor = fit_multiclass_agnostic(
         corrupted, 3, WeakSpec(m=2), 0.8, 0.2, erm, con, RandomStream(13)
     )
@@ -225,7 +224,7 @@ def test_reg_agnostic_constant_class():
     cls = FiniteTableClass((0, 1), [(c, c)], "real")
     sample = Sample([(0, Fraction(1, 4)), (1, Fraction(3, 4))])
     gamma = Fraction(1, 4)
-    erm = ErmValueOracle(cls, loss_abs, QueryCostLedger())
+    erm = ErmValueOracle(cls, QueryCostLedger())
     predictor = fit_reg_agnostic(sample, WeakSpec(m=2), 0.8, 0.2, gamma, erm, RandomStream(19))
     for x, _ in sample:
         assert abs(predictor.predict(x) - c) <= 6 * gamma
@@ -237,7 +236,7 @@ def test_sample_con_real_matches_range_consistency():
     while len(rows) < 4:
         rows.add(tuple(Fraction(int(v), 8) for v in gen.integers(0, 9, size=3)))
     cls = FiniteTableClass((0, 1, 2), sorted(rows), "real")
-    erm = ErmValueOracle(cls, loss_abs, QueryCostLedger())
+    erm = ErmValueOracle(cls, QueryCostLedger())
     for _ in range(50):
         triples = []
         for _ in range(int(gen.integers(1, 4))):

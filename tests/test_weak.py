@@ -8,7 +8,7 @@ import pytest
 from oiglearn.brute import AUDIT_MAX_POINTS, exact_transductive_audit
 from oiglearn.classes import FiniteTableClass, MarginThresholdClass
 from oiglearn.core import ContractViolation, RandomStream, Sample
-from oiglearn.oig import MembershipPredicate, exact_generating_function, lazy_discount, neighbors
+from oiglearn.oig import exact_generating_function, lazy_discount, neighbors
 from oiglearn.oracle import ConsistencyOracle, QueryCostLedger
 from oiglearn.weak import (
     WeakLearnerParams,
@@ -190,19 +190,6 @@ def test_transductive_error_shares_one_memo_per_context():
             boundary = {w for v in inside for w in neighbors(v)} - inside
             bound += len(inside) + len(boundary)
         assert ledger.snapshot()[1] <= bound, sample
-
-
-def test_weak_realizable_rejects_a_memo_of_other_points():
-    cls = _full_cube_class(3)
-    sample = Sample([(0, 1), (1, 0)])
-    con = _oracle(cls)
-    params = paper_default_params(3)
-    with pytest.raises(ContractViolation):
-        weak_realizable(sample, 2, params, con, (RandomStream(1),),
-                        membership=MembershipPredicate.from_oracle((0, 1), con))
-    memo = MembershipPredicate.from_oracle((0, 1, 2), con)
-    shared = weak_realizable(sample, 2, params, con, (RandomStream(1),), membership=memo)
-    assert shared == weak_realizable(sample, 2, params, con, (RandomStream(1),))
 
 
 def test_transductive_error_singleton_is_zero():
