@@ -94,6 +94,11 @@ class MembershipPredicate:
     queries for the same vertex hit a per-predicate memo and charge the ledger
     only once.
 
+    A hypothesis gives a point one label, so no class, nor the menu and
+    threshold encodings, realizes a vertex that labels two copies of one
+    point differently.  `from_oracle` answers such a vertex False itself,
+    without an oracle call; every other fresh vertex is asked of the oracle.
+
     Batch queries (the vectorized walks) read a dense int8 table over all
     2^m codes, allocated on the first batch when m <= 24: -1 marks a code the
     table does not hold yet, and such codes go through `query_packed` in
@@ -111,8 +116,19 @@ class MembershipPredicate:
     def from_oracle(cls, points: tuple, oracle) -> "MembershipPredicate":
         points = tuple(points)
         m = len(points)
+        # one bitmask per point that occurs more than once, keyed by its first
+        # position; found by equality, as hashing a Fraction costs more
+        masks: dict[int, int] = {}
+        for j, x in enumerate(points):
+            i = points.index(x)
+            if i != j:
+                masks[i] = masks.get(i, 1 << i) | (1 << j)
+        repeats = list(masks.values())
 
         def evaluate(code: int) -> bool:
+            for mask in repeats:
+                if (code & mask) not in (0, mask):
+                    return False
             return oracle(points, unpack(code, m))
 
         return cls(m, evaluate)

@@ -23,6 +23,7 @@ from .oig import (
     unpack,
 )
 from .oracle import ErmValueOracle, QueryCostLedger
+from .pipelines import menu_consistency_oracle, threshold_consistency_oracle, threshold_grid
 from .weak import paper_default_params
 
 
@@ -199,6 +200,63 @@ def _check_membership_table(gen) -> bool:
     return True
 
 
+def _repeat_oracles(gen):
+    """(raw consistency oracle, pool of its points) for a random binary table
+    with STAR, margin thresholds, hprime, and the menu and threshold
+    encodings over random multiclass and real tables."""
+    binary = _random_binary_table(gen)
+    yield binary.consistent_on, list(binary.domain)
+    thresholds = MarginThresholdClass.regular(0, Fraction(1, 20), 21, Fraction(1, 10))
+    yield thresholds.consistent_on, [Fraction(k, 8) for k in range(9)]
+    yield HPrimeClass(bound=80).consistent_on, [2, 3, 6, 7, 15, 21]
+    rows = {tuple(int(v) for v in gen.integers(1, 4, size=3)) for _ in range(4)}
+    multiclass = FiniteTableClass((0, 1, 2), sorted(rows), "multiclass", num_classes=3)
+    menus = [(a, b) for a in range(1, 4) for b in range(1, 4) if a != b]
+    menu_points = [(x, menu) for x in range(3) for menu in menus]
+    yield menu_consistency_oracle(multiclass.consistent_on), menu_points
+    gamma = Fraction(1, 4)
+    rows = {tuple(Fraction(int(v), 4) for v in gen.integers(0, 5, size=3)) for _ in range(4)}
+    real = FiniteTableClass((0, 1, 2), sorted(rows), "real")
+
+    def range_query(triples):
+        xs, lower, upper = zip(*triples)
+        return real.range_consistent_on(xs, lower, upper)
+
+    threshold_points = [(x, tau) for x in range(3) for tau in threshold_grid(gamma)]
+    yield threshold_consistency_oracle(range_query, gamma), threshold_points
+
+
+def _check_repeated_points(gen) -> bool:
+    """from_oracle's answers on every code against the raw oracle's, on point
+    tuples with repeats: the oracle is asked once for each code that labels
+    no repeated point both ways, and never for any other."""
+    for _ in range(6):
+        for raw, pool in _repeat_oracles(gen):
+            for _ in range(4):
+                m = int(gen.integers(2, 7))
+                chosen = gen.choice(len(pool), size=min(len(pool), int(gen.integers(1, m))),
+                                    replace=False)
+                points = tuple(pool[int(chosen[i])] for i in gen.integers(0, len(chosen), size=m))
+                asked = []
+
+                def oracle(xs, ys):
+                    asked.append(ys)
+                    return raw(xs, ys)
+
+                membership = MembershipPredicate.from_oracle(points, oracle)
+                expected = set()
+                for code in gen.permutation(2**m).tolist() * 2:
+                    ys = unpack(code, m)
+                    if membership.query_packed(code) != raw(points, ys):
+                        return False
+                    seen = {}
+                    if all(seen.setdefault(x, y) == y for x, y in zip(points, ys)):
+                        expected.add(ys)
+                if sorted(asked) != sorted(expected):
+                    return False
+    return True
+
+
 def _check_lockstep_rollouts(gen) -> bool:
     """The lockstep rollout engine against brute's one-generator loop, on
     random vertex sets and starts (some outside the set, some sets the whole
@@ -289,6 +347,7 @@ CHECKS = (
     ("membership table vs per-code memo", _check_membership_table),
     ("real-table absolute-loss ERM vs Fraction scan", _check_abs_erm),
     ("lockstep rollouts vs one-generator rollouts", _check_lockstep_rollouts),
+    ("repeated-point membership vs raw oracle", _check_repeated_points),
 )
 
 

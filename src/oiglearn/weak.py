@@ -101,7 +101,9 @@ def weak_realizable(
     both are queried, the 0-completion first.  So when both are rejected (an
     unrealizable sample, or a point where no consistent hypothesis is defined,
     as in a partial class or the multiclass and threshold encodings) the
-    prediction is still 1.
+    prediction is still 1.  A completion that labels a repeated point both
+    ways, as when x is also a sample point, is rejected by the membership
+    memo without an oracle call.
 
     Each call builds one membership memo over the points `sample.xs + (x,)`,
     which all its streams share, so an answer one stream's walk paid for is

@@ -80,6 +80,22 @@ def test_adaboost_single_point_early_stops():
     assert adaboost_predict(model, Fraction(3, 4)) == 1
 
 
+def test_adaboost_error_one_stops_and_negates():
+    # a weak learner wrong at every point has weighted error exactly 1: round
+    # 0 ends training with alpha -inf, and the vote negates its bit
+    sample = Sample([(0, 0), (1, 1), (2, 0), (3, 1), (1, 1)])
+    labels = dict(sample.pairs)
+
+    def always_wrong(round_sample, x, stream):
+        return 1 - labels[x]
+
+    model = adaboost_train(sample, always_wrong, 2, 10, RandomStream(4))
+    assert model.early_stop
+    assert [(r.label, r.alpha) for r in model.rounds] == [(0, -math.inf)]
+    assert model.train_error == 0
+    assert [adaboost_predict(model, x) for x in sample.xs] == list(sample.ys)
+
+
 def test_adaboost_zero_rounds_predicts_one():
     _, sample, oracle = _threshold_setup()
     learner = make_weak_learner(paper_default_params(2), oracle)

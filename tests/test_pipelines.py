@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oiglearn import pipelines
 from oiglearn.brute import menu_project, threshold_project
 from oiglearn.classes import FiniteTableClass
 from oiglearn.core import STAR, ContractViolation, RandomStream, Sample
@@ -15,6 +16,7 @@ from oiglearn.oracle import (
 from oiglearn.ermred import sample_con_real
 from oiglearn.pipelines import (
     WeakSpec,
+    boosting_rounds,
     build_menu_sample,
     build_threshold_sample,
     decode_multiclass,
@@ -157,6 +159,34 @@ def test_agnostic_partial_removes_flipped_point():
     )
     assert len(predictor.model.sample) == len(pairs)
     assert predictor.predict(0) == 1
+
+
+def test_binary_pipelines_plan_their_round_counts(monkeypatch):
+    # the realizable pipeline plans boosting_rounds(n, delta, eta, 4), the
+    # agnostic one the same with 6, both at n = the size of the given sample
+    planned = []
+    train = pipelines.adaboost_train
+
+    def recording_train(sample, weak, weak_sample_size, rounds, rng):
+        planned.append(rounds)
+        return train(sample, weak, weak_sample_size, rounds, rng)
+
+    monkeypatch.setattr(pipelines, "adaboost_train", recording_train)
+    cls, pairs = _singleton_binary()
+    eta, delta = 0.8, 0.2
+    ledger = QueryCostLedger()
+    con = ConsistencyOracle(cls, ledger)
+    clean = Sample(pairs * 2)
+    fit_realizable_partial(clean, WeakSpec(m=2), eta, delta, con, RandomStream(5))
+    corrupted = Sample(pairs + [(0, 0)])
+    fit_agnostic_partial(corrupted, WeakSpec(m=2), eta, delta, ErmValueOracle(cls, ledger), con,
+                         RandomStream(7))
+    assert planned == [boosting_rounds(len(clean), delta, eta, 4),
+                       boosting_rounds(len(corrupted), delta, eta, 6)]
+    assert boosting_rounds(len(corrupted), delta, eta, 6) not in (
+        boosting_rounds(len(corrupted), delta, eta, 4),
+        boosting_rounds(len(corrupted) - 1, delta, eta, 6),
+    )
 
 
 def test_multiclass_singleton_recovers_labels():

@@ -156,6 +156,41 @@ def test_prediction_charges_at_most_the_projection_and_its_boundary():
             assert ledger.snapshot()[1] <= len(inside) + len(boundary), (context, xs[m])
 
 
+def _labels_a_repeated_point_both_ways(xs, ys) -> bool:
+    seen = {}
+    return any(seen.setdefault(x, y) != y for x, y in zip(xs, ys))
+
+
+def test_no_query_labels_a_repeated_point_both_ways():
+    # such a vertex is unrealizable for every class, so the membership memo
+    # answers it without the oracle, in single predictions and in the
+    # leave-one-out walks alike
+    handle = _oracle(_interval_class(16))
+    queries = []
+
+    def oracle(xs, ys):
+        queries.append((xs, ys))
+        return handle(xs, ys)
+
+    gen = np.random.default_rng(47)
+    for m in range(2, 7):
+        params = paper_default_params(m)
+        for k in range(20):
+            xs = [int(v) for v in gen.integers(0, 8, size=m + 1)]  # repeats likely
+            a, b = sorted(int(v) for v in gen.integers(0, 17, size=2))
+            context = Sample((v, int(a <= v < b)) for v in xs[:m])
+            weak_realizable(context, xs[m], params, oracle, (RandomStream(k).child(m),))
+    n = 8
+    params = paper_default_params(n)
+    for k in range(3):
+        xs = [int(v) for v in gen.integers(0, 16, size=n)]
+        a, b = sorted(int(v) for v in gen.integers(0, 17, size=2))
+        sample = Sample((v, int(a <= v < b)) for v in xs)
+        transductive_error(sample, params, oracle, 2, RandomStream(k).child(n))
+    assert any(len(set(xs)) < len(xs) for xs, _ in queries)
+    assert not any(_labels_a_repeated_point_both_ways(xs, ys) for xs, ys in queries)
+
+
 def _parent_transductive_error(sample, params, con_oracle, reps, rng):
     # the reference: a fresh membership memo for every (rep, i) prediction
     total = 0
