@@ -11,7 +11,7 @@ exact solve in fractions and its recursion residual; the one-generator
 vectorized rollouts, which the lockstep engine must match draw for draw; the
 truncated flip-walk expectation by dynamic programming; the restarting
 removal scan of minimizer extraction; and the leave-one-out error on fresh
-draws.
+draws, and on a sample with a fresh memo per prediction.
 
 The audit is production code (`oig audit` and the diagnostic pipelines run
 it).  It stays here because it looks up `exact_generating_function` in this
@@ -527,6 +527,26 @@ def loo_distributional_error(
         pred = weak_realizable(context, x, params, con_oracle, (rep_stream.child(1),))[0]
         total += loss_bin(y, pred.bit)
     return total / reps
+
+
+def fresh_memo_transductive_error(
+    sample: Sample,
+    params: WeakLearnerParams,
+    con_oracle,
+    reps: int,
+    rng: RandomStream,
+) -> float:
+    """`weak.transductive_error` with one weak prediction, and so one fresh
+    membership memo, per (rep, i) on the stream rng.child(rep).child(i)."""
+    total = 0
+    for rep in range(reps):
+        for i in range(len(sample)):
+            x, y = sample[i]
+            stream = rng.child(rep).child(i)
+            pred = weak_realizable(sample.without(i), x, params, con_oracle, (stream,))[0]
+            total += loss_bin(y, pred.bit)
+    return total / (reps * len(sample))
+
 
 @dataclass(frozen=True)
 class TransductiveAudit:

@@ -7,6 +7,7 @@ enumeration on small random instances and prints one pass/fail line.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 
@@ -22,9 +23,9 @@ from .oig import (
     lazy_discount,
     unpack,
 )
-from .oracle import ErmValueOracle, QueryCostLedger
+from .oracle import ConsistencyOracle, ErmValueOracle, QueryCostLedger
 from .pipelines import menu_consistency_oracle, threshold_consistency_oracle, threshold_grid
-from .weak import paper_default_params
+from .weak import paper_default_params, transductive_error
 
 
 def _random_binary_table(gen, num_points=4, num_hyps=6, star_rate=0.15) -> FiniteTableClass:
@@ -257,6 +258,41 @@ def _check_repeated_points(gen) -> bool:
     return True
 
 
+def _check_order_free_answers(gen) -> bool:
+    """A consistency answer against the answers to every reordering of its
+    labeled points, on point tuples with repeats, for every oracle kind;
+    transductive_error, whose contexts share answers keyed in sample order,
+    against a fresh memo per prediction on small random tables."""
+    for _ in range(4):
+        for raw, pool in _repeat_oracles(gen):
+            for _ in range(3):
+                m = int(gen.integers(2, 6))
+                points = tuple(pool[int(i)] for i in gen.integers(0, len(pool), size=m))
+                label = {x: int(gen.integers(0, 2)) for x in points}
+                ys = [label[x] for x in points]
+                # half the time one label flips, so a repeated point may carry both
+                ys[int(gen.integers(0, m))] ^= int(gen.integers(0, 2))
+                answer = raw(points, tuple(ys))
+                for order in permutations(range(m)):
+                    if raw(tuple(points[j] for j in order), tuple(ys[j] for j in order)) != answer:
+                        return False
+    for n in (3, 5, 8):  # 8 points walk the lockstep engine
+        params = paper_default_params(n)
+        for _ in range(3):
+            cls = _random_binary_table(gen, num_points=6, num_hyps=8)
+            row = cls.table[int(gen.integers(0, len(cls.table)))]
+            xs = [int(v) for v in gen.integers(0, 6, size=n)]
+            sample = Sample(
+                (x, row[x] if row[x] in (0, 1) else int(gen.integers(0, 2))) for x in xs
+            )
+            rng = RandomStream(int(gen.integers(0, 2**32)))
+            oracle = ConsistencyOracle(cls, QueryCostLedger())
+            shared = transductive_error(sample, params, oracle, 3, rng)
+            if shared != brute.fresh_memo_transductive_error(sample, params, oracle, 3, rng):
+                return False
+    return True
+
+
 def _check_lockstep_rollouts(gen) -> bool:
     """The lockstep rollout engine against brute's one-generator loop, on
     random vertex sets and starts (some outside the set, some sets the whole
@@ -348,6 +384,8 @@ CHECKS = (
     ("real-table absolute-loss ERM vs Fraction scan", _check_abs_erm),
     ("lockstep rollouts vs one-generator rollouts", _check_lockstep_rollouts),
     ("repeated-point membership vs raw oracle", _check_repeated_points),
+    ("consistency answers vs reordered queries; shared leave-one-out answers vs fresh memos",
+     _check_order_free_answers),
 )
 
 

@@ -145,20 +145,38 @@ def transductive_error(
     `reps` times over.
 
     Each leave-one-out context is asked once for all its repetitions, so they
-    share one membership memo and walk in lockstep: the oracle is
-    deterministic, so a repetition does not pay again for an answer the
-    diagnostic already holds, and the cost counts each distinct query once
-    per context.  Prediction (rep, i) runs on the stream rng.child(rep).child(i),
-    whose generator makes the calls it would make alone, so every random
-    draw, and with it the error, is what a fresh memo per prediction gives.
+    share one membership memo and walk in lockstep.  Context i asks its
+    queries on `sample.without(i).xs + (x_i,)`, the sample's points in another
+    order, and whether some hypothesis labels each x_j y_j does not depend on
+    the order of the pairs.  So every context reads one answer dict keyed by
+    the labels put back in sample order, and only a labeling no context has
+    asked reaches `con_oracle`, on `sample.xs`: the oracle is deterministic,
+    so the cost counts each distinct query once per sample.  Prediction
+    (rep, i) runs on the stream rng.child(rep).child(i), whose generator makes
+    the calls it would make alone, so every random draw, and with it the
+    error, is what a fresh memo per prediction gives.
     """
     m = len(sample)
     if m == 0:
         raise ContractViolation("transductive error needs a nonempty sample")
+    points = sample.xs
+    answers: dict[tuple, bool] = {}
+
+    def context_oracle(i):
+        def consistent(xs, labels):
+            # the query point's label goes back to position i
+            key = labels[:i] + (labels[-1],) + labels[i:-1]
+            answer = answers.get(key)
+            if answer is None:
+                answer = answers[key] = con_oracle(points, key)
+            return answer
+
+        return consistent
+
     total = 0
     for i in range(m):
         x, y = sample[i]
         streams = [rng.child(rep).child(i) for rep in range(reps)]
-        for pred in weak_realizable(sample.without(i), x, params, con_oracle, streams):
+        for pred in weak_realizable(sample.without(i), x, params, context_oracle(i), streams):
             total += loss_bin(y, pred.bit)
     return total / (reps * m)

@@ -14,7 +14,16 @@ import pathlib
 
 import pytest
 
-from oiglearn.harness import ExperimentConfig, emit_report, run_experiment
+from oiglearn.harness import (
+    PIPELINES,
+    ExperimentConfig,
+    draw_trial,
+    emit_report,
+    run_experiment,
+    setup_experiment,
+)
+from oiglearn.oracle import QueryCostLedger
+from oiglearn.pipelines import boosting_rounds
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
@@ -40,6 +49,25 @@ def test_reports_match_golden(path, jobs):
     for fmt in FORMATS:
         expected = (GOLDEN / f"{path.stem}.{fmt}").read_text()
         assert _emit(reports, fmt) == expected, f"{path.stem}.{fmt} at jobs={jobs}"
+
+
+def test_interval_vote_goldens_rest_on_multi_round_votes():
+    # interval_vote is criterion 14's shape: its fits plan 26 rounds, and some
+    # run past the first without a zero-error round, so the golden bytes
+    # depend on alpha, the reweighting and the weighted vote
+    config = ExperimentConfig.from_file(ROOT / "configs" / "interval_vote.json")
+    assert boosting_rounds(config.n, config.delta, config.eta, 4) == 26
+    concept_class, distribution = setup_experiment(config)
+    kept = []
+    for trial in range(config.trials):
+        sample, rng = draw_trial(config, distribution, trial)
+        model = PIPELINES[config.pipeline].run(
+            config, concept_class, sample, QueryCostLedger(), rng
+        ).model
+        kept.append(len(model.rounds))
+        if not model.early_stop:
+            assert float(model.train_error) <= model.z_product + 1e-9
+    assert any(k > 1 for k in kept), kept
 
 
 def _changes(name: str, jsonl: str) -> str:

@@ -5,7 +5,11 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oiglearn.brute import AUDIT_MAX_POINTS, exact_transductive_audit
+from oiglearn.brute import (
+    AUDIT_MAX_POINTS,
+    exact_transductive_audit,
+    fresh_memo_transductive_error,
+)
 from oiglearn.classes import FiniteTableClass, MarginThresholdClass
 from oiglearn.core import ContractViolation, RandomStream, Sample
 from oiglearn.oig import exact_generating_function, lazy_discount, neighbors
@@ -191,21 +195,12 @@ def test_no_query_labels_a_repeated_point_both_ways():
     assert not any(_labels_a_repeated_point_both_ways(xs, ys) for xs, ys in queries)
 
 
-def _parent_transductive_error(sample, params, con_oracle, reps, rng):
-    # the reference: a fresh membership memo for every (rep, i) prediction
-    total = 0
-    for rep in range(reps):
-        for i in range(len(sample)):
-            x, y = sample[i]
-            pred = weak_realizable(sample.without(i), x, params, con_oracle, (rng.child(rep).child(i),))[0]
-            total += int(pred.bit != y)
-    return total / (reps * len(sample))
-
-
-def test_transductive_error_shares_one_memo_per_context():
-    # one memo per leave-one-out context over all repetitions keeps every
-    # random draw, so the error equals the fresh-memo reference exactly, and
-    # charges each vertex of W_i u dW_i at most once per context i
+def test_transductive_error_asks_each_labeled_set_once_per_sample():
+    # the contexts share one answer dict keyed in sample order and keep every
+    # random draw, so the error equals the fresh-memo reference exactly; every
+    # query is one labeling of the sample's points, asked at most once, and
+    # in W u dW of the sample's projection, so one sample's charges are at
+    # most |W u dW|
     cls = _interval_class(32)
     gen = np.random.default_rng(43)
     n, reps = 8, 20
@@ -217,14 +212,19 @@ def test_transductive_error_shares_one_memo_per_context():
         sample = Sample((v, int(a <= v < b)) for v in xs)
         rng = RandomStream(k).child(n)
         ledger = QueryCostLedger()
-        err = transductive_error(sample, params, ConsistencyOracle(cls, ledger), reps, rng)
-        assert err == _parent_transductive_error(sample, params, _oracle(cls), reps, rng)
-        bound = 0
-        for i in range(n):
-            inside = cls.project_onto(sample.without(i).xs + (xs[i],))
-            boundary = {w for v in inside for w in neighbors(v)} - inside
-            bound += len(inside) + len(boundary)
-        assert ledger.snapshot()[1] <= bound, sample
+        handle = ConsistencyOracle(cls, ledger)
+        asked = []
+
+        def oracle(qxs, qys):
+            asked.append(tuple(sorted(zip(qxs, qys))))
+            return handle(qxs, qys)
+
+        err = transductive_error(sample, params, oracle, reps, rng)
+        assert err == fresh_memo_transductive_error(sample, params, _oracle(cls), reps, rng)
+        assert len(asked) == len(set(asked)) == ledger.snapshot()[1], sample
+        inside = cls.project_onto(sample.xs)
+        boundary = {w for v in inside for w in neighbors(v)} - inside
+        assert ledger.snapshot()[1] <= len(inside) + len(boundary), sample
 
 
 def test_transductive_error_singleton_is_zero():
