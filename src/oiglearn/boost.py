@@ -2,11 +2,13 @@
 
 Each round resamples a small dataset from the current weights, fits the weak
 learner with a fresh child stream, and reweights by the usual exponential
-rule.  The trained model keeps its weak learner and stores only (sample
-indices, alpha, stream label) per round: hypothesis evaluations are replayed
-on demand from the same stream, so prediction is a fixed function of the model
-and the query point.  The training error is that same vote at the training
-points, read from the round caches without a weak-learner call.
+rule.  The trained model keeps its weak learner and stores no hypothesis: each
+round holds its resampled sample, its vote weight alpha, the weak learner's
+stream and the answers its hypothesis has given.  A point the round has not
+answered is replayed on demand from the same sample and stream, so prediction
+is a fixed function of the model and the query point.  The training error is
+that same vote at the training points, read from the rounds' answers without a
+weak-learner call.
 """
 
 from __future__ import annotations
@@ -54,31 +56,25 @@ def reweight(dist: np.ndarray, alpha: float, h_bits, y_bits) -> tuple[np.ndarray
 
 @dataclass(frozen=True)
 class BoostRound:
-    indices: tuple[int, ...]  # positions of the round sample inside the training sample
+    sample: Sample  # the round's resample of the training sample
     alpha: float
-    label: int  # child-stream label used for sampling and for the weak learner
+    stream: RandomStream  # the weak learner's stream
+    # x -> the bit the round's hypothesis gave at x; filled as points are replayed
+    answers: dict = field(compare=False, repr=False)
 
 
 @dataclass
 class BoostedModel:
+    """The training sample, the weak learner that replays every round, and the
+    kept rounds, with the exact training error and the product of the round
+    normalizers."""
+
     sample: Sample
     weak: WeakLearner
     rounds: tuple[BoostRound, ...]
-    stream: RandomStream
     early_stop: bool = False
     train_error: Fraction | None = None
     z_product: float | None = None
-    _caches: list[dict] = field(default_factory=list, repr=False)
-
-    def __post_init__(self):
-        if not self._caches:
-            self._caches = [dict() for _ in self.rounds]
-
-    def round_stream(self, round_: BoostRound) -> RandomStream:
-        return self.stream.child(round_.label).child(1)
-
-    def round_sample(self, round_: BoostRound) -> Sample:
-        return self.sample.subset(round_.indices)
 
 
 def adaboost_train(
@@ -97,14 +93,13 @@ def adaboost_train(
     """
     n = len(sample)
     if n == 0:
-        return BoostedModel(sample, weak, (), rng)
+        return BoostedModel(sample, weak, ())
     y = np.array([1 if lab == 1 else 0 for lab in sample.ys], dtype=np.int8)
     if any(lab not in (0, 1) for lab in sample.ys):
         raise ContractViolation("boosting requires binary 0/1 labels")
     xs = sample.xs
     dist = np.full(n, 1.0 / n)
     kept: list[BoostRound] = []
-    caches: list[dict] = []
     zs: list[float] = []
     early = False
     for t in range(rounds):
@@ -115,24 +110,23 @@ def adaboost_train(
         idx = np.searchsorted(cum, gen.random(weak_sample_size), side="right")
         round_sample = sample.subset(idx)
         learner_stream = round_stream.child(1)
-        cache: dict = {}
+        answers: dict = {}
         for x in xs:
-            if x not in cache:
-                cache[x] = weak(round_sample, x, learner_stream)
-        bits = np.array([cache[x] for x in xs], dtype=np.int8)
+            if x not in answers:
+                answers[x] = weak(round_sample, x, learner_stream)
+        bits = np.array([answers[x] for x in xs], dtype=np.int8)
         eps, alpha = epsilon_alpha(dist, bits, y)
-        kept.append(BoostRound(tuple(int(i) for i in idx), alpha, t))
-        caches.append(cache)
+        kept.append(BoostRound(round_sample, alpha, learner_stream, answers))
         if not math.isfinite(alpha):
-            kept, caches, zs, early = kept[-1:], caches[-1:], [], True
+            kept, zs, early = kept[-1:], [], True
             break
         dist, z = reweight(dist, alpha, bits, y)
         zs.append(z)
         total = dist.sum()
         if abs(total - 1.0) > 1e-12:
             raise RuntimeError(f"round weights drifted from 1 by {abs(total - 1.0)}")
-    model = BoostedModel(sample, weak, tuple(kept), rng, early_stop=early, _caches=caches)
-    # every training point is in every round's cache, so the replay is free
+    model = BoostedModel(sample, weak, tuple(kept), early_stop=early)
+    # every round has answered every training point, so the replay is free
     wrong = sum(adaboost_predict(model, x) != lab for x, lab in sample.pairs)
     model.train_error = Fraction(wrong, n)
     model.z_product = float(np.prod(zs)) if zs else (0.0 if early else 1.0)
@@ -143,15 +137,14 @@ def adaboost_train(
 
 def adaboost_predict(model: BoostedModel, x) -> int:
     """Weighted-majority vote at x, replaying each round's hypothesis with the
-    model's weak learner from its stored stream label; sign(0) votes 1."""
+    model's weak learner on the round's sample and stream; sign(0) votes 1."""
     if not model.rounds:
         return 1
     score = 0.0
-    for round_, cache in zip(model.rounds, model._caches):
-        b = cache.get(x)
+    for round_ in model.rounds:
+        b = round_.answers.get(x)
         if b is None:
-            b = model.weak(model.round_sample(round_), x, model.round_stream(round_))
-            cache[x] = b
+            b = round_.answers[x] = model.weak(round_.sample, x, round_.stream)
         if not math.isfinite(round_.alpha):
             return b if round_.alpha > 0 else 1 - b
         score += round_.alpha * (2 * b - 1)

@@ -40,7 +40,8 @@ def main(argv=None) -> int:
     run_p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     run_p.add_argument(
         "--jobs", type=int, default=1,
-        help="run trials in up to this many worker processes (default 1: in-process)",
+        help="run trials in up to this many worker processes, at most one per usable "
+        "CPU (default 1: in-process)",
     )
     run_p.add_argument(
         "--no-wall",

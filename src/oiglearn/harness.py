@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import time
 from collections import namedtuple
 from dataclasses import dataclass, fields, replace
@@ -143,15 +144,14 @@ def _audit(config, concept_class, sample, ledger, rng):
 
 @dataclass(frozen=True)
 class Pipeline:
-    """The oracles a pipeline needs, its label kind (a key of `LABEL_KINDS`),
-    its trial body and the sample sizes n it takes.  A diagnostic's trial
-    body reports its own two values instead of a predictor to score."""
+    """The oracles a pipeline needs, its label kind (a key of `LABEL_KINDS`)
+    and its trial body.  A diagnostic's trial body reports its own two values
+    instead of a predictor to score; it runs the exact audit and derives its
+    walk from n, so it takes n from 2 to `AUDIT_MAX_POINTS`."""
 
     capabilities: tuple
     labels: str
     run: Callable
-    max_n: int | None = None
-    min_n: int = 1
     diagnostic: bool = False
 
 
@@ -166,8 +166,8 @@ PIPELINES = {
     # leave-one-out error, or the exact lazy-walk leave-one-out error and the bound
     # slack; their walk comes from n (`transductive_params`), which needs n >= 2
     "weak_transductive": Pipeline((CONSISTENCY, PROJECTION), "binary", _weak_transductive,
-                                  AUDIT_MAX_POINTS, min_n=2, diagnostic=True),
-    "audit": Pipeline((PROJECTION,), "binary", _audit, AUDIT_MAX_POINTS, min_n=2, diagnostic=True),
+                                  diagnostic=True),
+    "audit": Pipeline((PROJECTION,), "binary", _audit, diagnostic=True),
 }
 
 
@@ -189,9 +189,7 @@ _FIELDS = (
     _Field("eta", "eta", float, None, lambda v: 0 < v < math.inf, "positive and finite"),
     # a failure probability: at 1 or more, boosting could plan zero rounds
     _Field("delta", "delta", float, 0.2, lambda v: 0 < v < 1, "in (0, 1)"),
-    # two names of one constant, which must agree when both are given
     _Field("C1", "c1", float, 1.0, lambda v: 0 < v < math.inf, "positive and finite"),
-    _Field("c1", "c1", float, 1.0, lambda v: 0 < v < math.inf, "positive and finite"),
     # beyond [0, 1] an edge mass leaves [0, 1] and the audit no longer
     # describes the learner
     _Field("lambda", "lam", float, 1.0, lambda v: 0 <= v <= 1, "in [0, 1]"),
@@ -218,8 +216,7 @@ def _parse_fields(raw: dict) -> dict:
                 raise ConfigError(f"bad {row.key}: {exc}") from exc
             if not row.holds(value):
                 raise ConfigError(f"{row.key} must be {row.rule}, got {value!r}")
-            if given.setdefault(row.attr, value) != value:
-                raise ConfigError(f"{row.key} {value!r} differs from {given[row.attr]!r}")
+            given[row.attr] = value
     for row in _FIELDS:
         if given.setdefault(row.attr, row.default) is _REQUIRED:
             raise ConfigError(f"config needs {row.key}")
@@ -296,9 +293,8 @@ class ExperimentConfig:
             raise
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
-        if not entry.min_n <= config.n <= (entry.max_n or config.n):
-            raise ConfigError(f"pipeline {pipeline} takes n from {entry.min_n} "
-                              f"to {entry.max_n or 'any'}")
+        if entry.diagnostic and not 2 <= config.n <= AUDIT_MAX_POINTS:
+            raise ConfigError(f"pipeline {pipeline} takes n from 2 to {AUDIT_MAX_POINTS}")
         if config.gamma is not None and config.beta is not None and config.beta < config.gamma:
             raise ConfigError("beta must be at least gamma")
         if pipeline == "reg_agnostic" and config.gamma.numerator != 1:
@@ -417,14 +413,18 @@ def run_trial(config: ExperimentConfig, concept_class, distribution, trial: int,
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1,
                    measure_wall: bool = True) -> list[TrialReport]:
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     concept_class, distribution = setup_experiment(config)
     trial = functools.partial(
         run_trial, config, concept_class, distribution, measure_wall=measure_wall
     )
     # trials share no state, so each worker process runs whole trials; a
-    # worker beyond the trial count would only cost its start-up.  Workers
-    # are spawned, not forked: a fork copies the locks of numpy's threads.
-    workers = min(jobs, config.trials)
+    # worker beyond the trial count or the CPUs this process may run on would
+    # only cost its start-up and memory.  Workers are spawned, not forked: a
+    # fork copies the locks of numpy's threads.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, config.trials, cpus or 1)
     if workers <= 1:
         return [trial(t) for t in range(config.trials)]
     # imported only here, so a serial run does not load multiprocessing

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -91,7 +92,8 @@ def test_adaboost_error_one_stops_and_negates():
 
     model = adaboost_train(sample, always_wrong, 2, 10, RandomStream(4))
     assert model.early_stop
-    assert [(r.label, r.alpha) for r in model.rounds] == [(0, -math.inf)]
+    learner_stream = RandomStream(4).child(0).child(1)
+    assert [(r.stream, r.alpha) for r in model.rounds] == [(learner_stream, -math.inf)]
     assert model.train_error == 0
     assert [adaboost_predict(model, x) for x in sample.xs] == list(sample.ys)
 
@@ -127,13 +129,29 @@ def test_adaboost_predict_replays_deterministically():
     learner = make_weak_learner(paper_default_params(3), oracle)
     model = adaboost_train(sample, learner, 3, 15, RandomStream(7))
     fresh = BoostedModel(
-        model.sample, model.weak, model.rounds, model.stream, early_stop=model.early_stop,
+        model.sample, model.weak, tuple(replace(r, answers={}) for r in model.rounds),
+        early_stop=model.early_stop,
     )
     queries = [Fraction(k, 16) for k in range(17)]
     first = [adaboost_predict(model, q) for q in queries]
     replayed = [adaboost_predict(fresh, q) for q in queries]
     again = [adaboost_predict(fresh, q) for q in queries]
     assert first == replayed == again
+
+
+def test_adaboost_replay_gives_the_training_answers():
+    # a round's hypothesis is replayed, not stored: on its own sample and
+    # stream it must give every training point the bit it gave in training
+    _, sample, oracle = _threshold_setup()
+    learner = make_weak_learner(paper_default_params(2), oracle)
+    model = adaboost_train(sample, learner, 2, 15, RandomStream(4))
+    assert len(model.rounds) == 15
+    for r in model.rounds:
+        assert set(r.answers) == set(sample.xs)
+        fresh = BoostedModel(model.sample, model.weak, (replace(r, answers={}),))
+        for x in sample.xs:
+            adaboost_predict(fresh, x)
+        assert fresh.rounds[0].answers == r.answers
 
 
 def test_adaboost_training_evaluations_cached_per_round():
@@ -158,8 +176,10 @@ def test_adaboost_predict_tie_votes_one():
     def fixed(round_sample, x, stream):
         return bits[x].pop(0)
 
-    model = BoostedModel(sample, fixed, (BoostRound((0,), 0.7, 0), BoostRound((1,), 0.7, 1)),
-                         RandomStream(1), 1)
+    stream = RandomStream(1)
+    rounds = (BoostRound(sample.subset((0,)), 0.7, stream.child(0), {}),
+              BoostRound(sample.subset((1,)), 0.7, stream.child(1), {}))
+    model = BoostedModel(sample, fixed, rounds)
     assert adaboost_predict(model, 0) == 1
 
 

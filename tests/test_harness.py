@@ -190,9 +190,8 @@ def test_config_errors():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(_singleton_config(m=1))
     for bad in ({"n": 0}, {"reps": 0}, {"trials": -2}, {"class": None},
-                {"eta": 0}, {"delta": -0.2}, {"c1": -1},
+                {"eta": 0}, {"delta": -0.2}, {"C1": -1},
                 {"pipeline": "reg_agnostic"}, {"pipeline": "multiclass_realizable"},
-                {"C1": 1, "c1": 5},
                 *_UNKNOWN_KEYS, *_TOO_LARGE_FOR_AUDIT, *_TOO_SMALL_FOR_THE_WALK, *_BAD_LABELS,
                 *_ONE_CLASS, *_MISMATCHED_CLASSES, *_MISMATCHED_KINDS, *_BAD_INTEGERS,
                 *_OUT_OF_RANGE):
@@ -206,9 +205,12 @@ def test_config_errors():
             ExperimentConfig.from_dict(_regression_config(**bad))
     with pytest.raises(ConfigError, match="trails"):
         ExperimentConfig.from_dict(_singleton_config(trails=5))
+    # the constant has one name, C1
+    with pytest.raises(ConfigError, match="unknown config key.*c1"):
+        ExperimentConfig.from_dict(_singleton_config(c1=2))
     # every accepted key at once
     ExperimentConfig.from_dict(_singleton_config(
-        C1=2, c1=2, reps=5, gamma=None, beta=None, num_classes=None,
+        C1=2, reps=5, gamma=None, beta=None, num_classes=None,
         **{"lambda": 1, "distribution": {"support": [[0, 1], [1, 0]], "weights": ["1/4", "3/4"],
                                          "label_noise": "1/10"}},
     ))
@@ -340,10 +342,11 @@ def test_singleton_class_zero_error_every_trial():
         assert r.query_cost >= r.oracle_calls
 
 
-def test_same_seed_byte_identical_csv_across_parallelism():
+def test_same_seed_byte_identical_csv_across_parallelism(monkeypatch):
     config = ExperimentConfig.from_dict(_singleton_config(trials=4))
     outputs = []
-    # jobs 8 on 4 trials runs a pool of 4 processes
+    # with two usable CPUs, jobs 3 and 8 on 4 trials each run a pool of 2 processes
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     for jobs in (1, 3, 8):
         reports = run_experiment(config, jobs=jobs, measure_wall=False)
         sink = io.StringIO()
@@ -356,6 +359,44 @@ def test_same_seed_byte_identical_csv_across_parallelism():
     assert again.getvalue() == outputs[0]
     empty = ExperimentConfig.from_dict(_singleton_config(trials=0))
     assert run_experiment(empty, jobs=2, measure_wall=False) == []
+
+
+def test_jobs_are_capped_at_the_usable_cpus_and_the_trials(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        """Records the pool size it is asked for and maps in this process."""
+
+        def __init__(self, max_workers, mp_context=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    config = ExperimentConfig.from_dict(_singleton_config(trials=6))
+    serial = run_experiment(config, measure_wall=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert run_experiment(config, jobs=5000, measure_wall=False) == serial
+    assert run_experiment(config, jobs=2, measure_wall=False) == serial
+    # without an affinity mask, the CPU count caps the pool
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert run_experiment(config, jobs=5000, measure_wall=False) == serial
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run_experiment(config, jobs=5000, measure_wall=False) == serial
+    assert sizes == [3, 2, 6]
+    for jobs in (0, -3):
+        with pytest.raises(ConfigError, match="jobs must be at least 1"):
+            run_experiment(config, jobs=jobs, measure_wall=False)
 
 
 def test_jsonl_mode_matches_csv_fields():
@@ -446,6 +487,10 @@ def test_cli_run_and_exit_codes(tmp_path):
 
     missing = tmp_path / "missing.json"
     assert _run_cli(["run", "--config", str(missing)]).returncode == 3
+
+    for jobs in ("0", "-3"):
+        proc = _run_cli(["run", "--config", str(config_path), "--jobs", jobs])
+        assert proc.returncode == 3 and "jobs must be at least 1" in proc.stderr
 
     bad_configs = [
         _singleton_config(**bad)
