@@ -13,6 +13,11 @@ truncated flip-walk expectation by dynamic programming; the restarting
 removal scan of minimizer extraction; and the leave-one-out error on fresh
 draws, and on a sample with a fresh memo per prediction.
 
+Vertices here are 0/1 pattern tuples, flipped by `flip` and `neighbors`,
+except where a reference stands beside a walk engine: `vectorized_rollouts`
+starts from a packed code, as `oig.estimate_potential` does, and the
+predicate of `membership_from_set` answers packed codes.
+
 The audit is production code (`oig audit` and the diagnostic pipelines run
 it).  It stays here because it looks up `exact_generating_function` in this
 module's globals, which is where a tracer wraps the exact solve.
@@ -38,15 +43,7 @@ from .core import (
     as_fraction,
     loss_bin,
 )
-from .oig import (
-    MembershipPredicate,
-    PotentialTable,
-    Vertex,
-    exact_generating_function,
-    lazy_discount,
-    neighbors,
-    pack,
-)
+from .oig import MembershipPredicate, exact_generating_function, lazy_discount, pack
 from .pipelines import threshold_grid
 from .weak import WeakLearnerParams, edge_mass, weak_realizable
 
@@ -67,6 +64,15 @@ def table_patterns(concept_class: FiniteTableClass, xs) -> frozenset:
         if STAR not in pattern:
             out.add(pattern)
     return frozenset(out)
+
+
+def flip(v: tuple, i: int) -> tuple:
+    """The 0/1 pattern v with coordinate i flipped (0-indexed)."""
+    return v[:i] + (1 - v[i],) + v[i + 1 :]
+
+
+def neighbors(v: tuple) -> list:
+    return [flip(v, i) for i in range(len(v))]
 
 
 def rational_generating_function(inside, gamma, m: int) -> dict:
@@ -92,15 +98,17 @@ def rational_generating_function(inside, gamma, m: int) -> dict:
     return dict(zip(vertices, _solve_rational(rows, rhs)))
 
 
-def recursion_residual(table: PotentialTable, inside, gamma) -> float:
-    """max over solved vertices of |m*M(v) - sum_i M(v^flip i) + m*2(1-g)/g*M(v)|."""
+def recursion_residual(values: dict, inside, gamma) -> float:
+    """max over solved vertices of |m*M(v) - sum_i M(v^flip i) + m*2(1-g)/g*M(v)|,
+    where M(v) is values[v], and 1 for a vertex missing from the dict."""
     g = float(gamma)
-    m = table.m
     worst = 0.0
     for v in inside:
         v = tuple(v)
-        total = sum(float(table(w)) for w in neighbors(v))
-        res = m * float(table(v)) - total + m * (2 * (1 - g) / g) * float(table(v))
+        m = len(v)
+        total = sum(float(values.get(w, 1)) for w in neighbors(v))
+        here = float(values.get(v, 1))
+        res = m * here - total + m * (2 * (1 - g) / g) * here
         worst = max(worst, abs(res))
     return worst
 
@@ -434,14 +442,15 @@ def membership_from_set(inside, m: int) -> MembershipPredicate:
     return MembershipPredicate(m, lambda code: code in packed)
 
 
-def vectorized_rollouts(y: Vertex, membership: MembershipPredicate, params, gen) -> float:
+def vectorized_rollouts(start: int, membership: MembershipPredicate, params, gen) -> float:
     """Reference for the lockstep rollout engine: the truncated rollouts of
-    one generator, advanced together.  Each step asks membership of every
-    live rollout in one batch and, unless none is live or t is the horizon,
-    draws one coordinate per live rollout in one call, in ascending order."""
-    m = len(y)
+    one generator from the packed code `start`, advanced together.  Each
+    step asks membership of every live rollout in one batch and, unless none
+    is live or t is the horizon, draws one coordinate per live rollout in one
+    call, in ascending order."""
+    m = membership.m
     L, U = params.horizon, params.trials
-    codes = np.full(U, pack(y), dtype=np.uint64)
+    codes = np.full(U, start, dtype=np.uint64)
     stop_t = np.full(U, L, dtype=np.int64)
     alive = np.arange(U)
     for t in range(L + 1):
@@ -468,7 +477,7 @@ def same_generator_state(a: np.random.Generator, b: np.random.Generator) -> bool
 
 
 def exact_truncated_flip_expectation(
-    inside, y: Vertex, gamma: float, horizon: int, m: int | None = None
+    inside, y: tuple, gamma: float, horizon: int, m: int | None = None
 ) -> float:
     """E[gamma^(horizon ∧ exit time)] for the coordinate-flip walk, by dynamic
     programming over the alive-mass distribution.  Independent of the
@@ -592,18 +601,18 @@ def exact_transductive_audit(
         effective = lazy_discount(gamma)
     else:
         raise ContractViolation(f"unknown walk convention {walk!r}")
-    table = exact_generating_function(inside, effective)
+    values = exact_generating_function(inside, effective)
     masses = []
     total_out = Fraction(0)
     for i in range(m):
-        other = truth[:i] + (1 - truth[i],) + truth[i + 1 :]
+        other = flip(truth, i)
         if other not in inside:
             masses.append(None)
             continue
-        mass_on_truth = edge_mass(_val(table, truth), _val(table, other), lam)
+        mass_on_truth = edge_mass(_val(values[truth]), _val(values[other]), lam)
         masses.append(float(mass_on_truth))
         total_out += 1 - mass_on_truth
-    min_potential = min(_val(table, v) for v in inside)
+    min_potential = min(_val(values[v]) for v in inside)
     rhs = Fraction(m, 2) - (1 - effective) * lam * m * min_potential
     return TransductiveAudit(
         out_degree=float(total_out),
@@ -615,6 +624,5 @@ def exact_transductive_audit(
     )
 
 
-def _val(table: PotentialTable, v):
-    value = table(v)
+def _val(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(float(value))

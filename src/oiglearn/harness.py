@@ -184,7 +184,9 @@ _MAX_N = 10**6
 _Field = namedtuple("_Field", "key attr parse default holds rule")
 _FIELDS = (
     _Field("n", "n", as_integer, 10, lambda v: 1 <= v <= _MAX_N, "from 1 to 10^6"),
-    _Field("m", "m", as_integer, 3, lambda v: v >= 2, "at least 2"),
+    # the lockstep walks hold the labels of m sample points and the query
+    # point in one uint64
+    _Field("m", "m", as_integer, 3, lambda v: 2 <= v <= 63, "from 2 to 63"),
     # unset, it is 1/(m ln m)
     _Field("eta", "eta", float, None, lambda v: 0 < v < math.inf, "positive and finite"),
     # a failure probability: at 1 or more, boosting could plan zero rounds

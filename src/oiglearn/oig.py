@@ -1,6 +1,9 @@
 """Hypercube random-walk machinery behind the one-inclusion-graph learner.
 
-A vertex is a 0/1 labeling pattern on m fixed domain points.  The learner
+A vertex is a 0/1 labeling pattern on m fixed domain points.  The walks,
+the membership memo and the exact solve's neighbour search all hold it as a
+packed code, the integer whose bit j is the label of point j (`pack`); the
+exact solve takes and returns the class's patterns as tuples.  The learner
 estimates, per vertex, the discounted time for a uniform-coordinate-flip walk
 to leave the realizable pattern set W; those potentials induce a random
 orientation of the one-inclusion graph.  This module provides the Monte-Carlo
@@ -24,13 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .core import ContractViolation, as_fraction
-
-Vertex = tuple  # of 0/1 ints
 
 # batch rollouts through numpy once this many trials are requested
 _VECTOR_TRIALS = 512
@@ -43,12 +44,7 @@ _TABLE_MAX_POINTS = 24
 _RATIONAL_CUTOFF = 64
 
 
-def flip(v: Vertex, i: int) -> Vertex:
-    """v with coordinate i flipped (0-indexed)."""
-    return v[:i] + (1 - v[i],) + v[i + 1 :]
-
-
-def pack(v: Vertex) -> int:
+def pack(v: tuple) -> int:
     code = 0
     for j, b in enumerate(v):
         if b:
@@ -56,12 +52,8 @@ def pack(v: Vertex) -> int:
     return code
 
 
-def unpack(code: int, m: int) -> Vertex:
+def unpack(code: int, m: int) -> tuple:
     return tuple((code >> j) & 1 for j in range(m))
-
-
-def neighbors(v: Vertex):
-    return [flip(v, i) for i in range(len(v))]
 
 
 @dataclass(frozen=True)
@@ -162,34 +154,33 @@ class MembershipPredicate:
 
 def estimate_potential(
     membership: MembershipPredicate,
-    y: Vertex,
+    start: int,
     params: WalkParams,
     gens: Sequence[np.random.Generator],
 ) -> list[float]:
-    """Monte-Carlo estimates of E[gamma^(horizon ∧ exit time)] from vertex y,
-    one per generator.
+    """Monte-Carlo estimates of E[gamma^(horizon ∧ exit time)] from the vertex
+    with packed code `start`, one per generator.
 
     Each generator drives `params.trials` independent truncated rollouts of
     the coordinate-flip walk, probing membership of the current vertex at
     every step.  Each estimate is the mean discounted (truncated) hitting
-    time; it is exactly 1 iff y itself is not realizable.  A generator makes
-    the same calls, and so gives the same estimate, whatever generators walk
-    beside it.
+    time; it is exactly 1 iff the start itself is not realizable.  A
+    generator makes the same calls, and so gives the same estimate, whatever
+    generators walk beside it.
     """
-    if len(y) != membership.m:
-        raise ContractViolation("vertex length must match the point sequence")
+    if not 0 <= start < 1 << membership.m:
+        raise ContractViolation("start code must label exactly the predicate's points")
     if params.trials >= _VECTOR_TRIALS:
-        return _rollouts_lockstep(y, membership, params, gens)
-    return _rollouts_sequential(y, membership, params, gens)
+        return _rollouts_lockstep(start, membership, params, gens)
+    return _rollouts_sequential(start, membership, params, gens)
 
 
-def _rollouts_sequential(y, membership, params, gens) -> list[float]:
-    m = len(y)
+def _rollouts_sequential(start, membership, params, gens) -> list[float]:
+    m = membership.m
     L, U = params.horizon, params.trials
     gamma_pow = [1.0]
     for _ in range(L):
         gamma_pow.append(gamma_pow[-1] * params.gamma)
-    start = pack(y)
     query = membership.query_packed
     estimates = []
     for gen in gens:
@@ -216,14 +207,14 @@ def _rollouts_sequential(y, membership, params, gens) -> list[float]:
     return estimates
 
 
-def _rollouts_lockstep(y, membership, params, gens) -> list[float]:
+def _rollouts_lockstep(start, membership, params, gens) -> list[float]:
     """The rollouts of every generator, one row of `trials` each, advanced
     together: one batch query per step for all live rollouts, and per row
     with live rollouts one draw of a coordinate for each, in ascending order
     (`brute.vectorized_rollouts` is the one-row reference)."""
-    m = len(y)
+    m = membership.m
     L, U, R = params.horizon, params.trials, len(gens)
-    codes = np.full(R * U, pack(y), dtype=np.uint64)
+    codes = np.full(R * U, start, dtype=np.uint64)
     stop_t = np.full(R * U, L, dtype=np.int64)
     alive = np.arange(R * U)
     row_starts = np.arange(R + 1) * U
@@ -246,17 +237,6 @@ def _rollouts_lockstep(y, membership, params, gens) -> list[float]:
     ]
 
 
-class PotentialTable:
-    """Vertex -> generating-function value; defaults to 1 outside the solved set."""
-
-    def __init__(self, values: Mapping[Vertex, object], m: int):
-        self.values = dict(values)
-        self.m = m
-
-    def __call__(self, v: Vertex):
-        return self.values.get(tuple(v), 1)
-
-
 def lazy_discount(flip_gamma) -> Fraction:
     """Discount at which the lazy-walk generating function matches the flip walk's.
 
@@ -267,26 +247,28 @@ def lazy_discount(flip_gamma) -> Fraction:
     return 2 * g / (1 + g)
 
 
-def exact_generating_function(inside: Iterable[Vertex], gamma) -> PotentialTable:
+def exact_generating_function(inside: Iterable[tuple], gamma) -> dict:
     """Solve the lazy-walk recursion M(v) = g/((2-g)m) * sum_i M(v^flip i) exactly.
 
-    M is 1 outside the set, and m is the length of its vertices.  The size
-    of the set alone picks the solve.  Systems of up to 64 patterns are
-    solved exactly, by fraction-free (Bareiss) integer elimination, so their
-    values are `Fraction`s; larger ones fall back to a floating solve, whose
-    values are floats and whose residual (`brute.recursion_residual`) stays
-    far below 1e-12 because the system is strictly diagonally dominant.
+    The set is given as 0/1 pattern tuples of one length m, such as a
+    class's projection, and the result is a dict from each of them to M(v);
+    M is 1 outside the set.  The size of the set alone picks the solve.
+    Systems of up to 64 patterns are solved exactly, by fraction-free
+    (Bareiss) integer elimination, so their values are `Fraction`s; larger
+    ones fall back to a floating solve, whose values are floats and whose
+    residual (`brute.recursion_residual`) stays far below 1e-12 because the
+    system is strictly diagonally dominant.
     """
     vertices = sorted(set(tuple(v) for v in inside), key=pack)
     if not vertices:
-        return PotentialTable({}, 0)
+        return {}
     m = len(vertices[0])
     if any(len(v) != m for v in vertices):
         raise ContractViolation("all vertices must share one dimension")
     if m > 30 or len(vertices) > 4096:
         raise ContractViolation("exact solve is limited to m <= 30 and 4096 patterns")
     size = len(vertices)
-    links = _links(vertices)
+    links = _links([pack(v) for v in vertices], m)
     if size <= _RATIONAL_CUTOFF:
         g = as_fraction(gamma)
         diag = (2 - g) * m / g
@@ -300,17 +282,17 @@ def exact_generating_function(inside: Iterable[Vertex], gamma) -> PotentialTable
             a[i, inner] -= 1.0
             b[i] = outside
         solution = np.linalg.solve(a, b).tolist()
-    return PotentialTable(dict(zip(vertices, solution)), m)
+    return dict(zip(vertices, solution))
 
 
-def _links(vertices: list) -> list[tuple[list[int], int]]:
-    """Per vertex, in order: the indices of its neighbours inside the set,
-    and how many of its neighbours lie outside."""
-    index = {v: i for i, v in enumerate(vertices)}
+def _links(codes: list[int], m: int) -> list[tuple[list[int], int]]:
+    """Per code, in order: the indices of its neighbours inside the set, by
+    coordinate, and how many of its m neighbours lie outside."""
+    index = {c: i for i, c in enumerate(codes)}
     links = []
-    for v in vertices:
-        inner = [index[w] for w in neighbors(v) if w in index]
-        links.append((inner, len(v) - len(inner)))
+    for c in codes:
+        inner = [index[w] for w in (c ^ 1 << j for j in range(m)) if w in index]
+        links.append((inner, m - len(inner)))
     return links
 
 

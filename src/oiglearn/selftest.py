@@ -146,8 +146,8 @@ def _check_recursion(gen) -> bool:
         codes = gen.choice(2**m, size=count, replace=False)
         inside = [unpack(int(c), m) for c in codes]
         gamma = 0.5 + 0.45 * gen.random()
-        table = exact_generating_function(inside, Fraction(gamma).limit_denominator(1000))
-        if brute.recursion_residual(table, inside, float(Fraction(gamma).limit_denominator(1000))) > 1e-10:
+        values = exact_generating_function(inside, Fraction(gamma).limit_denominator(1000))
+        if brute.recursion_residual(values, inside, float(Fraction(gamma).limit_denominator(1000))) > 1e-10:
             return False
     return True
 
@@ -167,7 +167,7 @@ def _check_integer_solve(gen) -> bool:
             simple = _SIMPLE_DISCOUNTS[int(gen.integers(0, len(_SIMPLE_DISCOUNTS)))]
             for gamma in (audit_discount, simple):
                 solved = exact_generating_function(inside, gamma)
-                if solved.values != brute.rational_generating_function(inside, gamma, m):
+                if solved != brute.rational_generating_function(inside, gamma, m):
                     return False
     return True
 
@@ -303,7 +303,7 @@ def _check_lockstep_rollouts(gen) -> bool:
         rows = int(gen.integers(1, 9))
         density = (0.3, 0.6, 0.9, 1.0)[int(gen.integers(0, 4))]
         inside = frozenset(np.flatnonzero(gen.random(2**m) < density).tolist())
-        start = unpack(int(gen.integers(0, 2**m)), m)
+        start = int(gen.integers(0, 2**m))
         params = WalkParams(0.5 + 0.45 * float(gen.random()), int(gen.integers(1, 30)),
                             int(gen.integers(512, 1025)))
         seeds = gen.integers(0, 2**32, size=rows).tolist()

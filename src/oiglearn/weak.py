@@ -10,7 +10,7 @@ The output bit is a Bernoulli draw from that orientation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -25,16 +25,18 @@ class WeakLearnerParams:
     The defaults derived by `paper_default_params` scale the discount toward 1
     and the trial count quadratically with the pattern dimension.  The
     discount is a `Fraction`: the exact audit solves at it, and the walks at
-    its float, so both describe one learner.
+    its float, so both describe one learner; `walk` holds the walks' record,
+    built once here.
     """
 
     gamma: Fraction
     lam: float
     trials: int
     horizon: int
+    walk: WalkParams = field(init=False, repr=False, compare=False)
 
-    def walk_params(self) -> WalkParams:
-        return WalkParams(float(self.gamma), self.horizon, self.trials)
+    def __post_init__(self):
+        object.__setattr__(self, "walk", WalkParams(float(self.gamma), self.horizon, self.trials))
 
 
 @dataclass(frozen=True)
@@ -109,24 +111,22 @@ def weak_realizable(
     which all its streams share, so an answer one stream's walk paid for is
     not charged again.
     """
-    base = tuple(sample.ys)
-    if any(y not in (0, 1) for y in base):
+    if any(y not in (0, 1) for y in sample.ys):
         raise ContractViolation("weak learner requires labels in {0,1}")
-    points = sample.xs + (x,)
-    y0 = base + (0,)
-    y1 = base + (1,)
+    # the packed codes of the 0- and 1-completions
+    c0 = pack(sample.ys)
+    c1 = c0 | 1 << len(sample)
     # the feasibility checks are the walks' first queries, on one memo
-    membership = MembershipPredicate.from_oracle(points, con_oracle)
-    feasible0 = membership.query_packed(pack(y0))
-    feasible1 = membership.query_packed(pack(y1))
+    membership = MembershipPredicate.from_oracle(sample.xs + (x,), con_oracle)
+    feasible0 = membership.query_packed(c0)
+    feasible1 = membership.query_packed(c1)
     if not feasible0:
         return [WeakPrediction(1, 1.0)] * len(streams)
     if not feasible1:
         return [WeakPrediction(0, 0.0)] * len(streams)
     gens = [stream.child_for(x).generator() for stream in streams]
-    walk = params.walk_params()
-    f0s = estimate_potential(membership, y0, walk, gens)
-    f1s = estimate_potential(membership, y1, walk, gens)
+    f0s = estimate_potential(membership, c0, params.walk, gens)
+    f1s = estimate_potential(membership, c1, params.walk, gens)
     predictions = []
     for gen, f0, f1 in zip(gens, f0s, f1s):
         sigma_hat = edge_mass(f1, f0, params.lam)

@@ -8,6 +8,7 @@ half-width 1/200) used by the learning-pipeline criteria.
 
 import io
 import math
+import os
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -46,6 +47,7 @@ from oiglearn.oig import (
     default_horizon,
     estimate_potential,
     exact_generating_function,
+    pack,
     unpack,
 )
 from oiglearn.oracle import (
@@ -99,10 +101,10 @@ THRESHOLD_CLASS_SPEC = {
 
 def test_criterion_01_generating_function_recursion():
     started = time.perf_counter()
-    table = exact_generating_function([(0,)], Fraction(1, 2))
-    assert table((0,)) == Fraction(1, 3)
-    table = exact_generating_function([(0, 0), (0, 1)], Fraction(1, 2))
-    assert table((0, 0)) == Fraction(1, 5) and table((0, 1)) == Fraction(1, 5)
+    values = exact_generating_function([(0,)], Fraction(1, 2))
+    assert values == {(0,): Fraction(1, 3)}
+    values = exact_generating_function([(0, 0), (0, 1)], Fraction(1, 2))
+    assert values == {(0, 0): Fraction(1, 5), (0, 1): Fraction(1, 5)}
     gen = np.random.default_rng(SEED)
     for _ in range(100):
         m = int(gen.integers(1, 11))
@@ -129,7 +131,7 @@ def test_criterion_02_monte_carlo_fidelity():
         horizon = min(default_horizon(gamma), 400)
         membership = membership_from_set(inside, m)
         estimate = estimate_potential(
-            membership, start, WalkParams(gamma, horizon, 100_000),
+            membership, pack(start), WalkParams(gamma, horizon, 100_000),
             (RandomStream(SEED + 1).child(k).generator(),),
         )[0]
         exact = exact_truncated_flip_expectation(inside, start, gamma, horizon)
@@ -176,7 +178,7 @@ def test_criterion_04_min_potential_bound():
                 ball += [center ^ (1 << i) ^ (1 << j) for i in range(m) for j in range(i + 1, m)]
                 inside = [unpack(c, m) for c in dict.fromkeys(ball)][:cap]
             solved = exact_generating_function(inside, gamma)
-            low = min(float(solved(v)) for v in inside)
+            low = min(float(solved[v]) for v in inside)
             worst = min(worst, low)
             assert low >= floor - 1e-9
     _report(4, f"min potential {worst:.4f} >= 1/(4e) = {floor:.4f} at m in {{10, 12}}")
@@ -469,7 +471,7 @@ def test_criterion_12_oracle_separation_class():
                 f"window VC dim {dim} <= 3 ({elapsed:.0f}s)")
 
 
-def test_criterion_13_determinism_byte_identical():
+def test_criterion_13_determinism_byte_identical(monkeypatch):
     raw = {
         "class": THRESHOLD_CLASS_SPEC,
         "distribution": {"support": [[str(x), y] for x, y in _threshold_support()]},
@@ -482,6 +484,8 @@ def test_criterion_13_determinism_byte_identical():
     }
     config = ExperimentConfig.from_dict(raw)
     outputs = []
+    # with two usable CPUs, jobs 3 on 4 trials runs a pool of 2 processes
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     for jobs in (1, 3, 1):
         reports = run_experiment(config, jobs=jobs, measure_wall=False)
         sink = io.StringIO()

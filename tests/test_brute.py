@@ -9,8 +9,10 @@ from oiglearn.brute import (
     distribution_opt,
     exact_transductive_audit,
     fat_shattering,
+    flip,
     materialize_thresholds,
     natarajan_dimension,
+    neighbors,
     vc_dimension,
 )
 from oiglearn.classes import FiniteTableClass, MarginThresholdClass
@@ -26,6 +28,12 @@ from oiglearn.core import (
 def _full_cube_class(m):
     rows = list(product((0, 1), repeat=m))
     return FiniteTableClass(tuple(range(m)), rows, "binary")
+
+
+def test_flip_and_neighbors():
+    assert flip((0, 0), 1) == (0, 1)
+    assert flip((1,), 0) == (0,)
+    assert neighbors((0, 1, 1)) == [(1, 1, 1), (0, 0, 1), (0, 1, 0)]
 
 
 def test_project_examples():

@@ -6,14 +6,20 @@ leave them equal at any `jobs`; a change that moves a report on purpose
 rewrites them with `python tests/test_golden_reports.py` and says why.  That
 script prints, per config, which report columns changed value and in how many
 rows `oracle_calls` or `query_cost` rose.
+
+`tests/golden/threshold_audit.audit.txt` holds the stdout of
+`oig audit --config configs/threshold_audit.json`, and the same script
+rewrites it.
 """
 
+import contextlib
 import io
 import json
 import pathlib
 
 import pytest
 
+from oiglearn import cli
 from oiglearn.harness import (
     PIPELINES,
     ExperimentConfig,
@@ -30,6 +36,8 @@ CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 GOLDEN = ROOT / "tests" / "golden"
 FORMATS = ("csv", "jsonl")
 COST_COLUMNS = ("oracle_calls", "query_cost")
+AUDIT_CONFIG = ROOT / "configs" / "threshold_audit.json"
+AUDIT_GOLDEN = GOLDEN / "threshold_audit.audit.txt"
 
 
 def _reports(path, jobs=1):
@@ -49,6 +57,17 @@ def test_reports_match_golden(path, jobs):
     for fmt in FORMATS:
         expected = (GOLDEN / f"{path.stem}.{fmt}").read_text()
         assert _emit(reports, fmt) == expected, f"{path.stem}.{fmt} at jobs={jobs}"
+
+
+def _audit_stdout() -> str:
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        assert cli.main(["audit", "--config", str(AUDIT_CONFIG)]) == cli.EXIT_OK
+    return sink.getvalue()
+
+
+def test_audit_matches_golden():
+    assert _audit_stdout() == AUDIT_GOLDEN.read_text()
 
 
 def test_interval_vote_goldens_rest_on_multi_round_votes():
@@ -97,3 +116,4 @@ if __name__ == "__main__":
         print(_changes(path.stem, _emit(reports, "jsonl")))
         for fmt in FORMATS:
             (GOLDEN / f"{path.stem}.{fmt}").write_text(_emit(reports, fmt))
+    AUDIT_GOLDEN.write_text(_audit_stdout())

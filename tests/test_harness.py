@@ -125,6 +125,8 @@ _OUT_OF_RANGE = (
     {"eta": 1e-300}, {"eta": 1e-160},
     # a sample too large to draw
     {"n": 10**30}, {"n": 10**6 + 1},
+    # m sample points and the query point fill a uint64 at m = 63
+    {"m": 64},
 )
 
 

@@ -7,14 +7,13 @@ import pytest
 from oiglearn import brute, oig
 from oiglearn.brute import exact_truncated_flip_expectation, membership_from_set, recursion_residual
 from oiglearn.classes import FiniteTableClass
-from oiglearn.core import RandomStream
+from oiglearn.core import ContractViolation, RandomStream
 from oiglearn.oig import (
     MembershipPredicate,
     WalkParams,
     default_horizon,
     estimate_potential,
     exact_generating_function,
-    flip,
     lazy_discount,
     pack,
     unpack,
@@ -23,9 +22,7 @@ from oiglearn.oracle import ConsistencyOracle, QueryCostLedger
 from oiglearn.weak import paper_default_params
 
 
-def test_flip_and_packing():
-    assert flip((0, 0), 1) == (0, 1)
-    assert flip((1,), 0) == (0,)
+def test_packing():
     for code in range(16):
         assert pack(unpack(code, 4)) == code
 
@@ -33,7 +30,7 @@ def test_flip_and_packing():
 def test_estimate_potential_outside_is_exactly_one():
     gen = RandomStream(4).generator()
     pred = membership_from_set([(1, 1)], 2)
-    est = estimate_potential(pred, (0, 0), WalkParams(0.5, 8, 100), (gen,))[0]
+    est = estimate_potential(pred, 0, WalkParams(0.5, 8, 100), (gen,))[0]
     assert est == 1.0
 
 
@@ -41,7 +38,7 @@ def test_estimate_potential_full_cube_truncates():
     gen = RandomStream(5).generator()
     m, L = 3, 6
     pred = membership_from_set([unpack(c, m) for c in range(8)], m)
-    est = estimate_potential(pred, (0, 0, 0), WalkParams(0.5, L, 200), (gen,))[0]
+    est = estimate_potential(pred, 0, WalkParams(0.5, L, 200), (gen,))[0]
     assert est == pytest.approx(0.5**L, abs=0)
 
 
@@ -49,7 +46,7 @@ def test_estimate_potential_m1_limit():
     # exit after exactly one flip, so the estimate converges to gamma
     gen = RandomStream(6).generator()
     pred = membership_from_set([(0,)], 1)
-    est = estimate_potential(pred, (0,), WalkParams(0.5, 10, 20_000), (gen,))[0]
+    est = estimate_potential(pred, 0, WalkParams(0.5, 10, 20_000), (gen,))[0]
     assert est == pytest.approx(0.5, abs=0)  # tau == 1 deterministically
 
 
@@ -60,8 +57,8 @@ def test_estimate_potential_paths_agree_statistically():
     pred = membership_from_set(inside, m)
     params_small = WalkParams(0.7, 20, 400)
     params_big = WalkParams(0.7, 20, 4000)
-    small = estimate_potential(pred, (0, 0, 0, 0), params_small, (RandomStream(7).generator(),))[0]
-    big = estimate_potential(pred, (0, 0, 0, 0), params_big, (RandomStream(8).generator(),))[0]
+    small = estimate_potential(pred, 0, params_small, (RandomStream(7).generator(),))[0]
+    big = estimate_potential(pred, 0, params_big, (RandomStream(8).generator(),))[0]
     exact = exact_truncated_flip_expectation(inside, (0, 0, 0, 0), 0.7, 20)
     assert abs(small - exact) < 4 * math.sqrt(1 / (4 * 400))
     assert abs(big - exact) < 4 * math.sqrt(1 / (4 * 4000))
@@ -73,10 +70,24 @@ def test_estimate_potential_charges_oracle_per_distinct_vertex():
     oracle = ConsistencyOracle(cls, ledger)
     gen = RandomStream(9).generator()
     membership = MembershipPredicate.from_oracle((0, 1), oracle)
-    estimate_potential(membership, (0, 0), WalkParams(0.5, 6, 50), (gen,))
+    estimate_potential(membership, 0, WalkParams(0.5, 6, 50), (gen,))
     # at most all 4 patterns of the 2-cube can be probed
     assert ledger.call_count <= 4
     assert ledger.total_cost == 2 * ledger.call_count
+
+
+def test_estimate_potential_takes_a_start_code_on_the_predicates_points():
+    membership = membership_from_set([(0, 0), (1, 0)], 2)
+    params = WalkParams(0.5, 6, 50)
+    for start in (-1, 2**2):
+        with pytest.raises(ContractViolation):
+            estimate_potential(membership, start, params, (RandomStream(1).generator(),))
+    # 64 points fill a uint64: a start with the top bit set walks in lockstep
+    top = 1 << 63
+    membership = MembershipPredicate(64, lambda code: code in (top, top | 1))
+    gen = RandomStream(2).generator()
+    estimate = estimate_potential(membership, top, WalkParams(0.5, 6, 512), (gen,))[0]
+    assert 0.5**2 <= estimate <= 0.5
 
 
 class _RecordingGenerator(np.random.Generator):
@@ -95,14 +106,14 @@ _M = 6
 _LOCKSTEP_CASES = {
     # the start lies outside the set: every rollout exits at t = 0, no draw
     "outside": ([unpack(c, _M) for c in range(2**_M) if bin(c).count("1") <= 2],
-                (1, 1, 1, 0, 0, 0), WalkParams(0.9, 40, 512), 3),
+                pack((1, 1, 1, 0, 0, 0)), WalkParams(0.9, 40, 512), 3),
     # the ball of radius 1: rollouts exit within a few steps, the rows at
     # different steps
     "rows_empty_apart": ([unpack(c, _M) for c in range(2**_M) if bin(c).count("1") <= 1],
-                         (0,) * _M, WalkParams(0.9, 40, 512), 8),
+                         0, WalkParams(0.9, 40, 512), 8),
     # the whole cube: no rollout exits, every row draws until the horizon
-    "full_cube": ([unpack(c, _M) for c in range(2**_M)], (0,) * _M, WalkParams(0.7, 12, 600), 3),
-    "one_row": ([unpack(c, _M) for c in range(2**_M) if c % 5 != 2], (0,) * _M,
+    "full_cube": ([unpack(c, _M) for c in range(2**_M)], 0, WalkParams(0.7, 12, 600), 3),
+    "one_row": ([unpack(c, _M) for c in range(2**_M) if c % 5 != 2], 0,
                 WalkParams(0.8, 25, 700), 1),
 }
 
@@ -161,13 +172,12 @@ def test_batch_queries_match_per_code_memo(m):
 
 
 def test_exact_generating_function_worked_instances():
-    table = exact_generating_function([(0,)], Fraction(1, 2))
-    assert table((0,)) == Fraction(1, 3)
-    assert table((1,)) == 1  # outside the set
+    values = exact_generating_function([(0,)], Fraction(1, 2))
+    assert values == {(0,): Fraction(1, 3)}  # (1,) lies outside the set
 
-    table2 = exact_generating_function([(0, 0), (0, 1)], Fraction(1, 2))
-    assert table2((0, 0)) == Fraction(1, 5)
-    assert table2((0, 1)) == Fraction(1, 5)
+    values2 = exact_generating_function([(0, 0), (0, 1)], Fraction(1, 2))
+    assert values2 == {(0, 0): Fraction(1, 5), (0, 1): Fraction(1, 5)}
+    assert exact_generating_function([], Fraction(1, 2)) == {}
 
 
 def test_exact_generating_function_residuals_random():
@@ -178,11 +188,11 @@ def test_exact_generating_function_residuals_random():
         codes = gen.choice(2**m, size=size, replace=False)
         inside = [unpack(int(c), m) for c in codes]
         gamma = Fraction(int(gen.integers(30, 99)), 100)
-        table = exact_generating_function(inside, gamma)
-        assert recursion_residual(table, inside, gamma) <= 1e-10
+        values = exact_generating_function(inside, gamma)
+        assert recursion_residual(values, inside, gamma) <= 1e-10
         whole_cube = size == 2**m  # no exit exists, so the potential vanishes
         for v in inside:
-            val = float(table(v))
+            val = float(values[v])
             assert 0 <= val <= 1
             assert val > 0 or whole_cube
 
@@ -197,12 +207,12 @@ def test_float_solve_above_the_cutoff_matches_fraction_elimination():
     approx = exact_generating_function(inside, gamma)
     reference = brute.rational_generating_function(inside, gamma, m)
     for v in inside:
-        assert type(approx(v)) is float
-        assert approx(v) == pytest.approx(float(reference[v]), abs=1e-12)
+        assert type(approx[v]) is float
+        assert approx[v] == pytest.approx(float(reference[v]), abs=1e-12)
 
 
 def _integer_matches_fraction_elimination(inside, gamma, m):
-    solved = exact_generating_function(inside, gamma).values
+    solved = exact_generating_function(inside, gamma)
     reference = brute.rational_generating_function(inside, gamma, m)
     assert all(type(v) is Fraction for v in solved.values())
     assert solved == reference
@@ -244,7 +254,7 @@ def test_flip_walk_reparametrization():
     for v in inside:
         horizon = 400  # truncation error g^400 is negligible
         dp = exact_truncated_flip_expectation(inside, v, float(g), horizon)
-        assert dp == pytest.approx(float(lazy_table(v)), abs=1e-9)
+        assert dp == pytest.approx(float(lazy_table[v]), abs=1e-9)
 
 
 def test_truncated_expectation_bias_bound():
@@ -257,7 +267,7 @@ def test_truncated_expectation_bias_bound():
     for v in inside:
         for horizon in (5, 20, 60):
             dp = exact_truncated_flip_expectation(inside, v, g, horizon)
-            assert abs(dp - float(lazy_table(v))) <= g**horizon + 1e-12
+            assert abs(dp - float(lazy_table[v])) <= g**horizon + 1e-12
 
 
 def test_default_horizon_inequality():
@@ -273,9 +283,9 @@ def test_estimate_potential_double_run_determinism():
     pred = membership_from_set(inside, m)
     for trials in (100, 600):  # both execution paths
         a = estimate_potential(
-            pred, (0,) * m, WalkParams(0.8, 15, trials), (RandomStream(11).child(5).generator(),)
+            pred, 0, WalkParams(0.8, 15, trials), (RandomStream(11).child(5).generator(),)
         )[0]
         b = estimate_potential(
-            pred, (0,) * m, WalkParams(0.8, 15, trials), (RandomStream(11).child(5).generator(),)
+            pred, 0, WalkParams(0.8, 15, trials), (RandomStream(11).child(5).generator(),)
         )[0]
         assert a == b

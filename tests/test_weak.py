@@ -9,10 +9,11 @@ from oiglearn.brute import (
     AUDIT_MAX_POINTS,
     exact_transductive_audit,
     fresh_memo_transductive_error,
+    neighbors,
 )
 from oiglearn.classes import FiniteTableClass, MarginThresholdClass
 from oiglearn.core import ContractViolation, RandomStream, Sample
-from oiglearn.oig import exact_generating_function, lazy_discount, neighbors
+from oiglearn.oig import exact_generating_function, lazy_discount
 from oiglearn.oracle import ConsistencyOracle, QueryCostLedger
 from oiglearn.weak import (
     WeakLearnerParams,
@@ -71,7 +72,7 @@ def test_paper_default_discount_is_a_small_fraction(c1):
         assert p.gamma.denominator <= 2**16
         assert abs(p.gamma - Fraction(formula)) < 1e-7
         # the walks run at the float of the discount the audit solves at
-        assert p.walk_params().gamma == float(p.gamma)
+        assert p.walk.gamma == float(p.gamma)
 
 
 def test_paper_default_discount_rounds_then_clamps_at_the_ceiling():
@@ -80,7 +81,7 @@ def test_paper_default_discount_rounds_then_clamps_at_the_ceiling():
     p = paper_default_params(2, 1e7)
     assert isinstance(p.gamma, Fraction) and 0 < p.gamma < 1
     assert p.gamma == Fraction(999999, 10**6)
-    assert p.walk_params().gamma == float(p.gamma)
+    assert p.walk.gamma == float(p.gamma)
 
 
 def test_audit_discount_stays_small():
@@ -256,7 +257,7 @@ def test_audit_orients_edges_by_edge_mass():
     sample = Sample(zip(points, truth))
     inside = cls.project_onto(points)
     gamma, lam = Fraction(95, 100), Fraction(1, 2)
-    table = exact_generating_function(inside, gamma)
+    values = exact_generating_function(inside, gamma)
     audit = exact_transductive_audit(cls, sample, gamma, lam, walk="lazy")
     live = 0
     for i, mass in enumerate(audit.edge_mass_on_truth):
@@ -266,7 +267,7 @@ def test_audit_orients_edges_by_edge_mass():
             assert mass is None
             continue
         live += 1
-        f0, f1 = table(y0), table(y1)
+        f0, f1 = values[y0], values[y1]
         on_one, on_zero = edge_mass(f1, f0, lam), edge_mass(f0, f1, lam)
         assert on_one + on_zero == 1
         assert mass == float(on_one if truth[i] else on_zero)
