@@ -6,12 +6,13 @@ one-inclusion out-degree of the ground-truth vertex from the solved generating
 function.  Instance-size ceilings are hard contracts, not silent truncations.
 The references the tests check the learner against live here too: the margin
 thresholds and the hprime class on a finite window, and the menu and threshold
-encodings, as explicit tables; membership over an explicit vertex set; the
-exact solve in fractions and its recursion residual; the one-generator
-vectorized rollouts, which the lockstep engine must match draw for draw; the
-truncated flip-walk expectation by dynamic programming; the restarting
-removal scan of minimizer extraction; and the leave-one-out error on fresh
-draws, and on a sample with a fresh memo per prediction.
+encodings, as explicit tables, and the threshold encoding as a query on
+labels; membership over an explicit vertex set; the exact solve in fractions
+and its recursion residual; the one-generator vectorized rollouts, which the
+lockstep engine must match draw for draw; the truncated flip-walk expectation
+by dynamic programming; the restarting removal scan of minimizer extraction;
+and the leave-one-out error on fresh draws, and on a sample with a fresh memo
+per prediction.
 
 Vertices here are 0/1 pattern tuples, flipped by `flip` and `neighbors`,
 except where a reference stands beside a walk engine: `vectorized_rollouts`
@@ -42,8 +43,9 @@ from .core import (
     Sample,
     as_fraction,
     loss_bin,
+    pack,
 )
-from .oig import MembershipPredicate, exact_generating_function, lazy_discount, pack
+from .oig import MembershipPredicate, exact_generating_function, lazy_discount
 from .pipelines import threshold_grid
 from .weak import WeakLearnerParams, edge_mass, weak_realizable
 
@@ -420,6 +422,22 @@ def threshold_project(value, tau, gamma):
     return STAR
 
 
+def threshold_query(range_query, gamma):
+    """Reference for `pipelines.threshold_consistency_oracle` on labels:
+    (xs, ys) over (x, tau) points becomes one range query, bit 1 asking for
+    [tau+gamma, 1] and bit 0 for [0, tau-gamma], and is False without one
+    when a band leaves [0, 1]."""
+    gamma = as_fraction(gamma)
+
+    def query(xs, ys):
+        bands = [(tau + gamma, 1) if b else (0, tau - gamma) for (_, tau), b in zip(xs, ys)]
+        if any(lo > 1 or hi < 0 for lo, hi in bands):
+            return False
+        return range_query([(x, lo, hi) for (x, _), (lo, hi) in zip(xs, bands)])
+
+    return query
+
+
 def materialize_threshold_class(base: FiniteTableClass, gamma) -> FiniteTableClass:
     """The threshold encoding of a finite real-valued table as an explicit
     partial binary table over (point, threshold) inputs."""
@@ -518,7 +536,7 @@ def loo_distributional_error(
     distribution,
     m: int,
     params: WeakLearnerParams,
-    con_oracle,
+    bind,
     reps: int,
     rng: RandomStream,
 ) -> float:
@@ -533,7 +551,7 @@ def loo_distributional_error(
         drawn = distribution.draw(gen, m)
         context = Sample(drawn.pairs[: m - 1])
         x, y = drawn.pairs[m - 1]
-        pred = weak_realizable(context, x, params, con_oracle, (rep_stream.child(1),))[0]
+        pred = weak_realizable(context, x, params, bind, (rep_stream.child(1),))[0]
         total += loss_bin(y, pred.bit)
     return total / reps
 
@@ -541,7 +559,7 @@ def loo_distributional_error(
 def fresh_memo_transductive_error(
     sample: Sample,
     params: WeakLearnerParams,
-    con_oracle,
+    bind,
     reps: int,
     rng: RandomStream,
 ) -> float:
@@ -552,7 +570,7 @@ def fresh_memo_transductive_error(
         for i in range(len(sample)):
             x, y = sample[i]
             stream = rng.child(rep).child(i)
-            pred = weak_realizable(sample.without(i), x, params, con_oracle, (stream,))[0]
+            pred = weak_realizable(sample.without(i), x, params, bind, (stream,))[0]
             total += loss_bin(y, pred.bit)
     return total / (reps * len(sample))
 

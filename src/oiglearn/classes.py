@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import sub
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 _PRIME_CACHE_SIZE = 1 << 16
 
@@ -35,9 +35,10 @@ class FiniteTableClass(ConceptClass):
     kind is a key of LABEL_KINDS, whose row parses and bounds the entries and
     fixes the ERM loss; a binary entry may be STAR.  Every oracle answers
     exactly, and only a real table offers range consistency.
-    Consistency and projection work on one bitset of rows per (column,
-    label), so they cost one AND or split per query point.  The bitsets of a
-    column hold one bit per row for each distinct label in it.  ERM on a real
+    Consistency, on labels or on label codes (`bind_consistency`), and
+    projection work on one bitset of rows per (column, label), so they cost
+    one AND or split per query point.  The bitsets of a column hold one bit
+    per row for each distinct label in it.  ERM on a real
     table sums integer absolute distances: the entries are held as integers
     over their common denominator, and each query's labels are scaled once to
     a denominator both divide.  ERM on a binary or multiclass table and the
@@ -112,13 +113,36 @@ class FiniteTableClass(ConceptClass):
             self._label_rows[col] = by_label
         return by_label
 
+    def _label_columns(self, xs) -> list[dict]:
+        """Per point, its column's label -> rows bitsets; every point is
+        checked before any column is built."""
+        return [self._rows_by_label(col) for col in [self._column(x) for x in xs]]
+
     def _consistent(self, xs, ys) -> bool:
         alive = self._all_rows
-        for col, y in zip([self._column(x) for x in xs], ys):
-            alive &= self._rows_by_label(col).get(y, 0)
+        for by_label, y in zip(self._label_columns(xs), ys):
+            alive &= by_label.get(y, 0)
             if not alive:
                 return False
         return True
+
+    def bind_consistency(self, xs) -> Callable[[int], bool]:
+        """The consistency kernel on label codes: each point's pair (rows
+        labelled 0, rows labelled 1) is looked up once, and an answer ANDs
+        the one its bit picks, stopping at an empty set."""
+        pairs = [(by_label.get(0, 0), by_label.get(1, 0)) for by_label in self._label_columns(xs)]
+        all_rows = self._all_rows
+
+        def answer(code: int) -> bool:
+            alive = all_rows
+            for pair in pairs:
+                alive &= pair[code & 1]
+                if not alive:
+                    return False
+                code >>= 1
+            return True
+
+        return answer
 
     def _integer_rows(self) -> tuple[int, tuple]:
         """(D, rows): D is the lcm of the entries' denominators and each row
@@ -189,8 +213,7 @@ class FiniteTableClass(ConceptClass):
         label prefix; the prefixes whose part stays nonempty are the patterns.
         """
         parts = {(): self._all_rows}
-        for col in [self._column(x) for x in xs]:
-            by_label = self._rows_by_label(col)
+        for by_label in self._label_columns(xs):
             parts = {
                 prefix + (y,): both
                 for prefix, rows in parts.items()

@@ -105,6 +105,20 @@ class Sample:
         return f"Sample({list(self.pairs)!r})"
 
 
+def pack(v: tuple) -> int:
+    """The label code of a 0/1 pattern: the integer whose bit j is v[j]."""
+    code = 0
+    for j, b in enumerate(v):
+        if b:
+            code |= 1 << j
+    return code
+
+
+def unpack(code: int, m: int) -> tuple:
+    """The 0/1 pattern on m points whose label code is `code`."""
+    return tuple((code >> j) & 1 for j in range(m))
+
+
 def empirical_error(sample: Sample, hypothesis: Callable[[Any], Any], loss) -> Fraction:
     """Mean loss of `hypothesis` over the sample, as an exact rational."""
     if len(sample) == 0:

@@ -133,7 +133,7 @@ def _weak_transductive(config, concept_class, sample, ledger, rng):
     # sample it rejects fails before the Monte-Carlo estimate
     audit = audit_sample(config, concept_class, sample, "flip")
     con = ConsistencyOracle(concept_class, ledger)
-    measured = transductive_error(sample, config.transductive_params(), con, config.reps, rng)
+    measured = transductive_error(sample, config.transductive_params(), con.bind, config.reps, rng)
     return measured, audit.loo_error
 
 

@@ -2,10 +2,11 @@
 
 A vertex is a 0/1 labeling pattern on m fixed domain points.  The walks,
 the membership memo and the exact solve's neighbour search all hold it as a
-packed code, the integer whose bit j is the label of point j (`pack`); the
-exact solve takes and returns the class's patterns as tuples.  The learner
-estimates, per vertex, the discounted time for a uniform-coordinate-flip walk
-to leave the realizable pattern set W; those potentials induce a random
+packed code, the integer whose bit j is the label of point j (`core.pack`),
+and the memo asks the consistency oracle codes; the exact solve takes and
+returns the class's patterns as tuples.  The learner estimates, per vertex,
+the discounted time for a uniform-coordinate-flip walk to leave the
+realizable pattern set W; those potentials induce a random
 orientation of the one-inclusion graph.  This module provides the Monte-Carlo
 estimator and an exact linear-system solver for the walk's generating
 function; the references they are checked against live in `brute.py`.
@@ -31,7 +32,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import ContractViolation, as_fraction
+from .core import ContractViolation, as_fraction, pack
 
 # batch rollouts through numpy once this many trials are requested
 _VECTOR_TRIALS = 512
@@ -42,18 +43,6 @@ _TABLE_MAX_POINTS = 24
 
 # exact solves of at most this many patterns use rational elimination
 _RATIONAL_CUTOFF = 64
-
-
-def pack(v: tuple) -> int:
-    code = 0
-    for j, b in enumerate(v):
-        if b:
-            code |= 1 << j
-    return code
-
-
-def unpack(code: int, m: int) -> tuple:
-    return tuple((code >> j) & 1 for j in range(m))
 
 
 @dataclass(frozen=True)
@@ -80,11 +69,12 @@ def default_horizon(gamma: float) -> int:
 class MembershipPredicate:
     """Answers 'is this vertex a realizable pattern?' for a fixed point sequence.
 
-    Backed by a callable on packed codes: `from_oracle` asks a
-    consistency-oracle handle (each fresh evaluation is one oracle call of
-    size m), and `brute.membership_from_set` an explicit vertex set.  Repeated
-    queries for the same vertex hit a per-predicate memo and charge the ledger
-    only once.
+    Backed by a callable on packed codes: `from_oracle` binds a
+    consistency oracle to the points once (`bind(points)`, such as
+    `ConsistencyOracle.bind`) and asks the bound callable each fresh code,
+    one oracle call of size m per evaluation; `brute.membership_from_set`
+    answers from an explicit vertex set.  Repeated queries for the same
+    vertex hit a per-predicate memo and charge the ledger only once.
 
     A hypothesis gives a point one label, so no class, nor the menu and
     threshold encodings, realizes a vertex that labels two copies of one
@@ -105,9 +95,9 @@ class MembershipPredicate:
         self._table: np.ndarray | None = None
 
     @classmethod
-    def from_oracle(cls, points: tuple, oracle) -> "MembershipPredicate":
+    def from_oracle(cls, points: tuple, bind) -> "MembershipPredicate":
         points = tuple(points)
-        m = len(points)
+        answer = bind(points)
         # one bitmask per point that occurs more than once, keyed by its first
         # position; found by equality, as hashing a Fraction costs more
         masks: dict[int, int] = {}
@@ -121,9 +111,9 @@ class MembershipPredicate:
             for mask in repeats:
                 if (code & mask) not in (0, mask):
                     return False
-            return oracle(points, unpack(code, m))
+            return answer(code)
 
-        return cls(m, evaluate)
+        return cls(len(points), evaluate)
 
     def query_packed(self, code: int) -> bool:
         memo = self._memo

@@ -4,13 +4,21 @@ Learning algorithms never touch a concept class directly: they hold one of the
 oracle handles below, which answer a single bit (consistency, range
 consistency) or a scalar (ERM value), and charge a shared ledger by the
 number of examples in each query.
+
+The weak learner asks its consistency oracle through `bind(points)`, which
+resolves a point sequence once and returns a callable on label codes (bit j
+of a code labels points[j], see `core.pack`); each answer is one charged
+call of size len(points).  The weak learner takes that bind function
+itself, so the menu and threshold encodings and the leave-one-out contexts
+are bind functions with no handle around them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable
 
-from .core import STAR, ContractViolation, Sample
+from .core import STAR, ContractViolation, Sample, unpack
 
 # capability tags a concept class may advertise
 CONSISTENCY = "consistency"
@@ -66,6 +74,13 @@ class ConceptClass:
             raise ContractViolation("a consistency query needs one label per point")
         return self._consistent(xs, ys)
 
+    def bind_consistency(self, xs: tuple) -> Callable[[int], bool]:
+        """code -> _consistent(xs, unpack(code, len(xs))), after checking the
+        points once; a class that can resolve the points once overrides it."""
+        self.check_points(xs)
+        m, consistent = len(xs), self._consistent
+        return lambda code: consistent(xs, unpack(code, m))
+
     def erm_value_on(self, xs: tuple, ys: tuple) -> Fraction:
         """The least mean loss of any hypothesis on the labeled points, under
         the loss of the class's label kind."""
@@ -86,7 +101,9 @@ class ConceptClass:
 
 class ConsistencyOracle:
     """Callable handle binding a class's consistency oracle to a ledger:
-    `oracle(xs, ys)` asks whether some hypothesis labels each point xs[i] ys[i]."""
+    `oracle(xs, ys)` asks whether some hypothesis labels each point xs[i]
+    ys[i], and `oracle.bind(points)(code)` asks it of the labels a code puts
+    on the points."""
 
     def __init__(self, concept_class: ConceptClass, ledger: QueryCostLedger):
         concept_class.require(CONSISTENCY)
@@ -103,6 +120,20 @@ class ConsistencyOracle:
                 raise ContractViolation(f"unexpected query label {y!r}")
         self.ledger.charge(len(xs))
         return self.concept_class.consistent_on(xs, ys)
+
+    def bind(self, points) -> Callable[[int], bool]:
+        """code -> is the labeling with bit j on points[j] consistent?  The
+        points are checked here, before any charge; each answer is charged as
+        one call of size len(points)."""
+        points = tuple(points)
+        answer = self.concept_class.bind_consistency(points)
+        charge, size = self.ledger.charge, len(points)
+
+        def ask(code: int) -> bool:
+            charge(size)
+            return answer(code)
+
+        return ask
 
 
 class ErmValueOracle:

@@ -43,9 +43,9 @@ def boosting_rounds(n: int, delta: float, eta: float, log_factor: int) -> int:
     return math.ceil(16 * math.log(log_factor * n / delta) / (eta * eta))
 
 
-def make_weak_learner(params: WeakLearnerParams, con_oracle):
+def make_weak_learner(params: WeakLearnerParams, bind):
     def learner(round_sample: Sample, x, stream: RandomStream) -> int:
-        return weak_realizable(round_sample, x, params, con_oracle, (stream,))[0].bit
+        return weak_realizable(round_sample, x, params, bind, (stream,))[0].bit
 
     return learner
 
@@ -68,9 +68,9 @@ class BoostedPredictor:
         return self.decode(self.j_eval, x)
 
 
-def _boost(sample: Sample, weak: WeakSpec, con_oracle, rounds: int, rng: RandomStream,
+def _boost(sample: Sample, weak: WeakSpec, bind, rounds: int, rng: RandomStream,
            decode=None) -> BoostedPredictor:
-    learner = make_weak_learner(weak.learner_params(), con_oracle)
+    learner = make_weak_learner(weak.learner_params(), bind)
     return BoostedPredictor(adaboost_train(sample, learner, weak.m, rounds, rng), decode)
 
 
@@ -81,7 +81,7 @@ def _boost(sample: Sample, weak: WeakSpec, con_oracle, rounds: int, rng: RandomS
 def fit_realizable_partial(
     sample: Sample, weak: WeakSpec, eta: float, delta: float, con_oracle, rng: RandomStream,
 ) -> BoostedPredictor:
-    return _boost(sample, weak, con_oracle, boosting_rounds(len(sample), delta, eta, 4), rng)
+    return _boost(sample, weak, con_oracle.bind, boosting_rounds(len(sample), delta, eta, 4), rng)
 
 
 def fit_agnostic_partial(
@@ -90,7 +90,8 @@ def fit_agnostic_partial(
 ) -> BoostedPredictor:
     removal = sample_erm_binary(sample, erm_oracle)
     realizable = sample.subset([i for i, z in enumerate(removal) if z == 0])
-    return _boost(realizable, weak, con_oracle, boosting_rounds(len(sample), delta, eta, 6), rng)
+    return _boost(realizable, weak, con_oracle.bind, boosting_rounds(len(sample), delta, eta, 6),
+                  rng)
 
 
 # ---------------------------------------------------------------------------
@@ -98,18 +99,23 @@ def fit_agnostic_partial(
 
 
 def menu_consistency_oracle(base_con_oracle):
-    """Consistency for menu examples through the base multiclass oracle: bit b
-    on (x, (first, second)) demands h(x) be the b-th menu entry.  One menu
-    query is one base query, which is where the ledger charge happens."""
+    """The bind function of consistency for menu examples through the base
+    multiclass oracle: bit b on (x, (first, second)) demands h(x) be the b-th
+    menu entry.  Binding splits the menu points into base points and menus
+    once; one answer is one base query `base_con_oracle(xs, ys)`, which is
+    where the ledger charge happens."""
 
-    def menu_query(xs, ys):
-        base_xs, base_ys = [], []
-        for (x, menu), b in zip(xs, ys):
-            base_xs.append(x)
-            base_ys.append(menu[b])
-        return base_con_oracle(tuple(base_xs), tuple(base_ys))
+    def bind(points):
+        base_xs = tuple(x for x, _ in points)
+        menus = [menu for _, menu in points]
 
-    return menu_query
+        def answer(code: int) -> bool:
+            base_ys = tuple(menu[code >> j & 1] for j, menu in enumerate(menus))
+            return base_con_oracle(base_xs, base_ys)
+
+        return answer
+
+    return bind
 
 
 def build_menu_sample(sample: Sample, num_classes: int) -> Sample:
@@ -173,29 +179,35 @@ def threshold_grid(gamma) -> tuple[Fraction, ...]:
 
 
 def threshold_consistency_oracle(range_query, gamma):
-    """Consistency for threshold examples via one range query: bit 1 at
-    (x, tau) demands h(x) in [tau+gamma, 1], bit 0 demands [0, tau-gamma].
+    """The bind function of consistency for threshold examples via one
+    range query: bit 1 at (x, tau) demands h(x) in [tau+gamma, 1], bit 0
+    demands [0, tau-gamma].
     Bands outside [0,1] are unsatisfiable outright.  The thresholds tau are
-    the grid's `Fraction`s, so the bands are built without parsing."""
+    the grid's `Fraction`s, so the bands are built without parsing; each
+    answer builds its own, and binding does no arithmetic."""
     gamma = as_fraction(gamma)
     zero, one = Fraction(0), Fraction(1)
 
-    def threshold_query(xs, ys):
-        triples = []
-        for (x, tau), b in zip(xs, ys):
-            if b == 1:
-                lo = tau + gamma
-                if lo > 1:
-                    return False
-                triples.append((x, lo, one))
-            else:
-                hi = tau - gamma
-                if hi < 0:
-                    return False
-                triples.append((x, zero, hi))
-        return range_query(triples)
+    def bind(points):
+        def answer(code: int) -> bool:
+            triples = []
+            for x, tau in points:
+                if code & 1:
+                    lo = tau + gamma
+                    if lo > 1:
+                        return False
+                    triples.append((x, lo, one))
+                else:
+                    hi = tau - gamma
+                    if hi < 0:
+                        return False
+                    triples.append((x, zero, hi))
+                code >>= 1
+            return range_query(triples)
 
-    return threshold_query
+        return answer
+
+    return bind
 
 
 def build_threshold_sample(sample: Sample, gamma, beta) -> Sample:

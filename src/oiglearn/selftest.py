@@ -7,13 +7,14 @@ enumeration on small random instances and prints one pass/fail line.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 
 import numpy as np
 
 from . import brute
 from .classes import FiniteTableClass, HPrimeClass, MarginThresholdClass
-from .core import STAR, RandomStream, Sample, loss_abs, loss_bin
+from .core import STAR, RandomStream, Sample, loss_abs, loss_bin, pack, unpack
 from .ermred import sample_erm_binary
 from .oig import (
     MembershipPredicate,
@@ -21,11 +22,10 @@ from .oig import (
     estimate_potential,
     exact_generating_function,
     lazy_discount,
-    unpack,
 )
-from .oracle import ConsistencyOracle, ErmValueOracle, QueryCostLedger
+from .oracle import ConsistencyOracle, ErmValueOracle, QueryCostLedger, RangeConsistencyOracle
 from .pipelines import menu_consistency_oracle, threshold_consistency_oracle, threshold_grid
-from .weak import paper_default_params, transductive_error
+from .weak import context_oracles, paper_default_params, transductive_error
 
 
 def _random_binary_table(gen, num_points=4, num_hyps=6, star_rate=0.15) -> FiniteTableClass:
@@ -69,10 +69,11 @@ _TABLE_LABELS = {
 
 
 def _check_table_kernel(gen) -> bool:
-    """consistent_on and project_onto against brute.table_patterns' row scan,
-    on random binary (with STAR), multiclass and real tables.  Queries repeat
-    points, so some duplicates carry conflicting labels; they include the
-    empty query and labels that no row of a column carries."""
+    """consistent_on, the bound kernel on a random code and project_onto
+    against brute.table_patterns' row scan, on random binary (with STAR),
+    multiclass and real tables.  Queries repeat points, so some duplicates
+    carry conflicting labels; they include the empty query and labels that no
+    row of a column carries."""
     for kind, labels in _TABLE_LABELS.items():
         query_labels = [v for v in labels if v is not STAR]
         for _ in range(60):
@@ -92,6 +93,9 @@ def _check_table_kernel(gen) -> bool:
                 if cls.project_onto(xs) != patterns:
                     return False
                 if cls.consistent_on(xs, ys) != (ys in patterns):
+                    return False
+                code = int(gen.integers(0, 2**n))
+                if cls.bind_consistency(xs)(code) != (unpack(code, n) in patterns):
                     return False
             if cls.consistent_on((0, 0), tuple(query_labels[:2])):
                 return False
@@ -202,69 +206,107 @@ def _check_membership_table(gen) -> bool:
 
 
 def _repeat_oracles(gen):
-    """(raw consistency oracle, pool of its points) for a random binary table
-    with STAR, margin thresholds, hprime, and the menu and threshold
-    encodings over random multiclass and real tables."""
+    """(handle, raw, pool of points) for a random binary table with STAR,
+    margin thresholds, hprime, and the menu and threshold encodings over
+    random multiclass and real tables.  handle(ledger) is the bind function
+    the weak learner asks, and raw(ledger) a handle asked on labels: the
+    class's own oracle, the explicit menu table, or the threshold encoding's
+    query on labels.  Each charges the ledger it is given."""
     binary = _random_binary_table(gen)
-    yield binary.consistent_on, list(binary.domain)
-    thresholds = MarginThresholdClass.regular(0, Fraction(1, 20), 21, Fraction(1, 10))
-    yield thresholds.consistent_on, [Fraction(k, 8) for k in range(9)]
-    yield HPrimeClass(bound=80).consistent_on, [2, 3, 6, 7, 15, 21]
+    for cls, pool in (
+        (binary, list(binary.domain)),
+        (MarginThresholdClass.regular(0, Fraction(1, 20), 21, Fraction(1, 10)),
+         [Fraction(k, 8) for k in range(9)]),
+        (HPrimeClass(bound=80), [2, 3, 6, 7, 15, 21]),
+    ):
+        yield (lambda ledger, cls=cls: ConsistencyOracle(cls, ledger).bind,
+               partial(ConsistencyOracle, cls), pool)
     rows = {tuple(int(v) for v in gen.integers(1, 4, size=3)) for _ in range(4)}
     multiclass = FiniteTableClass((0, 1, 2), sorted(rows), "multiclass", num_classes=3)
     menus = [(a, b) for a in range(1, 4) for b in range(1, 4) if a != b]
-    menu_points = [(x, menu) for x in range(3) for menu in menus]
-    yield menu_consistency_oracle(multiclass.consistent_on), menu_points
+    yield (lambda ledger: menu_consistency_oracle(ConsistencyOracle(multiclass, ledger)),
+           partial(ConsistencyOracle, brute.materialize_menu_class(multiclass)),
+           [(x, menu) for x in range(3) for menu in menus])
     gamma = Fraction(1, 4)
     rows = {tuple(Fraction(int(v), 4) for v in gen.integers(0, 5, size=3)) for _ in range(4)}
     real = FiniteTableClass((0, 1, 2), sorted(rows), "real")
+    yield (lambda ledger: threshold_consistency_oracle(RangeConsistencyOracle(real, ledger), gamma),
+           lambda ledger: brute.threshold_query(RangeConsistencyOracle(real, ledger), gamma),
+           [(x, tau) for x in range(3) for tau in threshold_grid(gamma)])
 
-    def range_query(triples):
-        xs, lower, upper = zip(*triples)
-        return real.range_consistent_on(xs, lower, upper)
 
-    threshold_points = [(x, tau) for x in range(3) for tau in threshold_grid(gamma)]
-    yield threshold_consistency_oracle(range_query, gamma), threshold_points
+def _same_as_raw_path(membership, points, raw, ledgers, gen, asked, key) -> bool:
+    """Every code, twice over in random order: the memo's answer against the
+    raw path's.  A code that labels no repeated point both ways is asked of
+    raw(ledgers[1]) once per key(labels) (the dict `asked`); after each code
+    both ledgers must read the same, so the memo charges exactly when the raw
+    path does.  Any other code must be False, from the memo without a charge
+    and from the raw handle on a ledger of its own."""
+    m = len(points)
+    charged, aside = raw(ledgers[1]), raw(QueryCostLedger())
+    for code in gen.permutation(2**m).tolist() * 2:
+        ys = unpack(code, m)
+        got = membership.query_packed(code)
+        seen = {}
+        if all(seen.setdefault(x, y) == y for x, y in zip(points, ys)):
+            k = key(ys)
+            if k not in asked:
+                asked[k] = charged(points, ys)
+            want = asked[k]
+        elif aside(points, ys):
+            return False
+        else:
+            want = False
+        if got != want or ledgers[0].snapshot() != ledgers[1].snapshot():
+            return False
+    return True
 
 
 def _check_repeated_points(gen) -> bool:
-    """from_oracle's answers on every code against the raw oracle's, on point
-    tuples with repeats: the oracle is asked once for each code that labels
-    no repeated point both ways, and never for any other."""
+    """Membership answers on bound oracles against the raw handles', on
+    point tuples with repeats, for every oracle kind: from_oracle's memo, and
+    the memos of every leave-one-out context of one sample through
+    `context_oracles`, whose raw path asks each labeling once in sample
+    order."""
+
+    def repeated_points(pool):
+        m = int(gen.integers(2, 7))
+        chosen = gen.choice(len(pool), size=min(len(pool), int(gen.integers(1, m))),
+                            replace=False)
+        return tuple(pool[int(chosen[i])] for i in gen.integers(0, len(chosen), size=m))
+
     for _ in range(6):
-        for raw, pool in _repeat_oracles(gen):
+        for handle, raw, pool in _repeat_oracles(gen):
             for _ in range(4):
-                m = int(gen.integers(2, 7))
-                chosen = gen.choice(len(pool), size=min(len(pool), int(gen.integers(1, m))),
-                                    replace=False)
-                points = tuple(pool[int(chosen[i])] for i in gen.integers(0, len(chosen), size=m))
-                asked = []
-
-                def oracle(xs, ys):
-                    asked.append(ys)
-                    return raw(xs, ys)
-
-                membership = MembershipPredicate.from_oracle(points, oracle)
-                expected = set()
-                for code in gen.permutation(2**m).tolist() * 2:
-                    ys = unpack(code, m)
-                    if membership.query_packed(code) != raw(points, ys):
-                        return False
-                    seen = {}
-                    if all(seen.setdefault(x, y) == y for x, y in zip(points, ys)):
-                        expected.add(ys)
-                if sorted(asked) != sorted(expected):
+                points = repeated_points(pool)
+                ledgers = (QueryCostLedger(), QueryCostLedger())
+                membership = MembershipPredicate.from_oracle(points, handle(ledgers[0]))
+                if not _same_as_raw_path(membership, points, raw, ledgers, gen, {},
+                                         lambda ys: ys):
+                    return False
+            points = repeated_points(pool)
+            ledgers = (QueryCostLedger(), QueryCostLedger())
+            contexts = context_oracles(Sample((x, 0) for x in points), handle(ledgers[0]))
+            asked = {}
+            for i in range(len(points)):
+                context = points[:i] + points[i + 1 :] + (points[i],)
+                membership = MembershipPredicate.from_oracle(context, contexts(i))
+                # the query point's label goes back to position i
+                in_sample_order = lambda ys, i=i: ys[:i] + (ys[-1],) + ys[i:-1]
+                if not _same_as_raw_path(membership, context, raw, ledgers, gen, asked,
+                                         in_sample_order):
                     return False
     return True
 
 
 def _check_order_free_answers(gen) -> bool:
-    """A consistency answer against the answers to every reordering of its
-    labeled points, on point tuples with repeats, for every oracle kind;
+    """A bound consistency answer against the answers to every reordering of
+    its labeled points, on point tuples with repeats, for every oracle kind;
     transductive_error, whose contexts share answers keyed in sample order,
     against a fresh memo per prediction on small random tables."""
     for _ in range(4):
-        for raw, pool in _repeat_oracles(gen):
+        for handle, _, pool in _repeat_oracles(gen):
+            bind = handle(QueryCostLedger())
             for _ in range(3):
                 m = int(gen.integers(2, 6))
                 points = tuple(pool[int(i)] for i in gen.integers(0, len(pool), size=m))
@@ -272,9 +314,10 @@ def _check_order_free_answers(gen) -> bool:
                 ys = [label[x] for x in points]
                 # half the time one label flips, so a repeated point may carry both
                 ys[int(gen.integers(0, m))] ^= int(gen.integers(0, 2))
-                answer = raw(points, tuple(ys))
+                answer = bind(points)(pack(ys))
                 for order in permutations(range(m)):
-                    if raw(tuple(points[j] for j in order), tuple(ys[j] for j in order)) != answer:
+                    reordered = tuple(points[j] for j in order)
+                    if bind(reordered)(pack([ys[j] for j in order])) != answer:
                         return False
     for n in (3, 5, 8):  # 8 points walk the lockstep engine
         params = paper_default_params(n)
@@ -286,9 +329,9 @@ def _check_order_free_answers(gen) -> bool:
                 (x, row[x] if row[x] in (0, 1) else int(gen.integers(0, 2))) for x in xs
             )
             rng = RandomStream(int(gen.integers(0, 2**32)))
-            oracle = ConsistencyOracle(cls, QueryCostLedger())
-            shared = transductive_error(sample, params, oracle, 3, rng)
-            if shared != brute.fresh_memo_transductive_error(sample, params, oracle, 3, rng):
+            bind = ConsistencyOracle(cls, QueryCostLedger()).bind
+            shared = transductive_error(sample, params, bind, 3, rng)
+            if shared != brute.fresh_memo_transductive_error(sample, params, bind, 3, rng):
                 return False
     return True
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .core import ContractViolation, RandomStream, Sample, loss_bin
-from .oig import MembershipPredicate, WalkParams, default_horizon, estimate_potential, pack
+from .core import ContractViolation, RandomStream, Sample, loss_bin, pack
+from .oig import MembershipPredicate, WalkParams, default_horizon, estimate_potential
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def weak_realizable(
     sample: Sample,
     x,
     params: WeakLearnerParams,
-    con_oracle,
+    bind,
     streams: Sequence[RandomStream],
 ) -> list[WeakPrediction]:
     """Predict the label of x from a realizable sample, once per stream, each
@@ -109,7 +109,10 @@ def weak_realizable(
 
     Each call builds one membership memo over the points `sample.xs + (x,)`,
     which all its streams share, so an answer one stream's walk paid for is
-    not charged again.
+    not charged again.  The memo binds the consistency oracle to those points
+    once (`bind`, such as `ConsistencyOracle.bind`: points -> (code -> bool))
+    and asks it label codes: bit j labels sample point j and bit len(sample)
+    labels x.
     """
     if any(y not in (0, 1) for y in sample.ys):
         raise ContractViolation("weak learner requires labels in {0,1}")
@@ -117,7 +120,7 @@ def weak_realizable(
     c0 = pack(sample.ys)
     c1 = c0 | 1 << len(sample)
     # the feasibility checks are the walks' first queries, on one memo
-    membership = MembershipPredicate.from_oracle(sample.xs + (x,), con_oracle)
+    membership = MembershipPredicate.from_oracle(sample.xs + (x,), bind)
     feasible0 = membership.query_packed(c0)
     feasible1 = membership.query_packed(c1)
     if not feasible0:
@@ -134,24 +137,54 @@ def weak_realizable(
     return predictions
 
 
+def context_oracles(sample: Sample, bind) -> Callable[[int], Callable]:
+    """i -> the bind function of leave-one-out context i, whose points are
+    `sample.without(i).xs + (x_i,)`.
+
+    The oracle is bound to `sample.xs` once.  A context's code moves back
+    to sample order, and every context reads one answer dict keyed by that
+    code, so only a labeling no context has asked reaches the bound oracle:
+    the oracle is deterministic, so the cost counts each distinct query once
+    per sample.
+    """
+    m = len(sample)
+    bound = bind(sample.xs)
+    answers: dict[int, bool] = {}
+
+    def context_oracle(i: int) -> Callable:
+        low, high = (1 << i) - 1, (1 << (m - 1 - i)) - 1
+
+        def answer(c: int) -> bool:
+            # bits below i stay, the query point's bit m-1 goes to i, and
+            # bits i..m-2 move up one
+            key = c & low | (c >> (m - 1) & 1) << i | (c >> i & high) << (i + 1)
+            found = answers.get(key)
+            if found is None:
+                found = answers[key] = bound(key)
+            return found
+
+        return lambda points: answer
+
+    return context_oracle
+
+
 def transductive_error(
     sample: Sample,
     params: WeakLearnerParams,
-    con_oracle,
+    bind,
     reps: int,
     rng: RandomStream,
 ) -> float:
     """Monte-Carlo leave-one-out loss: each point predicted from the others,
-    `reps` times over.
+    `reps` times over, asking the consistency oracle that `bind` (such as
+    `ConsistencyOracle.bind`) binds to point sequences.
 
     Each leave-one-out context is asked once for all its repetitions, so they
     share one membership memo and walk in lockstep.  Context i asks its
     queries on `sample.without(i).xs + (x_i,)`, the sample's points in another
     order, and whether some hypothesis labels each x_j y_j does not depend on
-    the order of the pairs.  So every context reads one answer dict keyed by
-    the labels put back in sample order, and only a labeling no context has
-    asked reaches `con_oracle`, on `sample.xs`: the oracle is deterministic,
-    so the cost counts each distinct query once per sample.  Prediction
+    the order of the pairs.  So the contexts ask through `context_oracles`,
+    which answers each labeling once per sample.  Prediction
     (rep, i) runs on the stream rng.child(rep).child(i), whose generator makes
     the calls it would make alone, so every random draw, and with it the
     error, is what a fresh memo per prediction gives.
@@ -159,20 +192,7 @@ def transductive_error(
     m = len(sample)
     if m == 0:
         raise ContractViolation("transductive error needs a nonempty sample")
-    points = sample.xs
-    answers: dict[tuple, bool] = {}
-
-    def context_oracle(i):
-        def consistent(xs, labels):
-            # the query point's label goes back to position i
-            key = labels[:i] + (labels[-1],) + labels[i:-1]
-            answer = answers.get(key)
-            if answer is None:
-                answer = answers[key] = con_oracle(points, key)
-            return answer
-
-        return consistent
-
+    context_oracle = context_oracles(sample, bind)
     total = 0
     for i in range(m):
         x, y = sample[i]

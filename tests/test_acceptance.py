@@ -39,6 +39,8 @@ from oiglearn.core import (
     loss_abs,
     loss_bin,
     loss_mc,
+    pack,
+    unpack,
 )
 from oiglearn.harness import ExperimentConfig, build_distribution, emit_report, run_experiment
 from oiglearn.ermred import sample_con_real, sample_erm_binary, sample_erm_real
@@ -47,8 +49,6 @@ from oiglearn.oig import (
     default_horizon,
     estimate_potential,
     exact_generating_function,
-    pack,
-    unpack,
 )
 from oiglearn.oracle import (
     ConsistencyOracle,
@@ -193,7 +193,7 @@ def test_criterion_05_weak_learning_margin():
     sample = Sample((x, 1 if x > boundary else 0) for x in points)
     params = paper_default_params(m, 1.0)
     measured = transductive_error(
-        sample, params, ConsistencyOracle(cls, QueryCostLedger()),
+        sample, params, ConsistencyOracle(cls, QueryCostLedger()).bind,
         reps=200, rng=RandomStream(SEED),
     )
     audit = exact_transductive_audit(cls, sample, params.gamma, 1.0, walk="flip")
@@ -217,7 +217,7 @@ def test_criterion_06_boosting_training_error():
         stream = RandomStream(SEED + 6).child(run)
         sample = dist.draw(stream.child(0).generator(), n)
         oracle = ConsistencyOracle(cls, QueryCostLedger())
-        learner = make_weak_learner(spec.learner_params(), oracle)
+        learner = make_weak_learner(spec.learner_params(), oracle.bind)
         model = adaboost_train(sample, learner, m, rounds, stream.child(1))
         zero += model.train_error == 0
     elapsed = time.perf_counter() - started

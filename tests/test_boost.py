@@ -66,7 +66,7 @@ def _threshold_setup(n_points=8, seed=101):
     xs = sorted(Fraction(2 * int(k) + 1, 2 * n_points) for k in gen.choice(n_points, n_points, replace=False))
     truth = Fraction(1, 2)
     sample = Sample((x, 1 if x > truth else 0) for x in xs)
-    oracle = ConsistencyOracle(cls, QueryCostLedger())
+    oracle = ConsistencyOracle(cls, QueryCostLedger()).bind
     return cls, sample, oracle
 
 

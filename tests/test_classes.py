@@ -22,7 +22,7 @@ from oiglearn.classes import (
     is_prime,
     semiprime_split,
 )
-from oiglearn.core import STAR, ContractViolation, loss_abs, loss_bin
+from oiglearn.core import STAR, ContractViolation, loss_abs, loss_bin, pack
 
 
 def test_finite_table_examples():
@@ -103,21 +103,25 @@ def test_finite_table_kernel_matches_row_scan_on_intervals():
             ys = tuple(int(v) for v in gen.integers(0, 2, size=n))
         answer = cls.consistent_on(xs, ys)
         assert answer == (tuple(ys) in table_patterns(cls, xs)), (xs, ys)
+        assert cls.bind_consistency(xs)(pack(ys)) is answer, (xs, ys)
         answers.add(answer)
     assert answers == {True, False}
 
 
 def test_finite_table_kernel_edge_cases():
     cls = _interval_class(8)
-    assert cls.consistent_on((3, 3), (1, 0)) is False
-    assert cls.consistent_on((3, 5, 3), (1, 1, 1)) is True
+    # each labeled query is asked on labels and, through the bound kernel, on its code
+    for xs, ys, answer in [((3, 3), (1, 0), False), ((3, 5, 3), (1, 1, 1), True), ((), (), True)]:
+        assert cls.consistent_on(xs, ys) is answer
+        assert cls.bind_consistency(xs)(pack(ys)) is answer
     assert cls.project_onto((2, 2)) == frozenset({(0, 0), (1, 1)})
-    assert cls.consistent_on((), ()) is True
     assert cls.project_onto(()) == frozenset({()})
     with pytest.raises(ContractViolation):
         cls.consistent_on((8,), (0,))
     with pytest.raises(ContractViolation):
         cls.consistent_on((0, 0, 8), (1, 0, 0))  # the duplicate already rules out every row
+    with pytest.raises(ContractViolation):
+        cls.bind_consistency((0, 0, 8))
     with pytest.raises(ContractViolation):
         cls.project_onto((8,))
     with pytest.raises(ContractViolation):
@@ -125,6 +129,13 @@ def test_finite_table_kernel_edge_cases():
     multi = FiniteTableClass((0, 1), [(1, 2), (2, 2)], "multiclass", num_classes=3)
     assert multi.consistent_on((1,), (3,)) is False  # label 3 is in no row of column 1
     assert multi.project_onto((1, 0)) == frozenset({(2, 1), (2, 2)})
+    # a STAR row is in neither bitset of its column: (a, b) is realized only as (0, 0)
+    starred = FiniteTableClass(("a", "b"), [(STAR, 1), (0, 0), (1, STAR)], "binary")
+    bound = starred.bind_consistency(("a", "b"))
+    assert [bound(code) for code in range(4)] == [True, False, False, False]
+    assert [starred.bind_consistency(("b",))(code) for code in range(2)] == [True, True]
+    repeated = starred.bind_consistency(("a", "a"))
+    assert [repeated(code) for code in range(4)] == [True, False, False, True]
 
 
 def test_finite_table_pickles():

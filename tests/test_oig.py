@@ -7,7 +7,7 @@ import pytest
 from oiglearn import brute, oig
 from oiglearn.brute import exact_truncated_flip_expectation, membership_from_set, recursion_residual
 from oiglearn.classes import FiniteTableClass
-from oiglearn.core import ContractViolation, RandomStream
+from oiglearn.core import ContractViolation, RandomStream, pack, unpack
 from oiglearn.oig import (
     MembershipPredicate,
     WalkParams,
@@ -15,8 +15,6 @@ from oiglearn.oig import (
     estimate_potential,
     exact_generating_function,
     lazy_discount,
-    pack,
-    unpack,
 )
 from oiglearn.oracle import ConsistencyOracle, QueryCostLedger
 from oiglearn.weak import paper_default_params
@@ -69,7 +67,7 @@ def test_estimate_potential_charges_oracle_per_distinct_vertex():
     ledger = QueryCostLedger()
     oracle = ConsistencyOracle(cls, ledger)
     gen = RandomStream(9).generator()
-    membership = MembershipPredicate.from_oracle((0, 1), oracle)
+    membership = MembershipPredicate.from_oracle((0, 1), oracle.bind)
     estimate_potential(membership, 0, WalkParams(0.5, 6, 50), (gen,))
     # at most all 4 patterns of the 2-cube can be probed
     assert ledger.call_count <= 4

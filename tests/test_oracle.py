@@ -50,6 +50,22 @@ def test_consistency_rejects_star_queries():
     assert ledger.snapshot() == (0, 0)
 
 
+def test_bound_consistency_checks_points_and_charges_each_answer():
+    ledger = QueryCostLedger()
+    con = ConsistencyOracle(_zero_class(), ledger)
+    for cls in (_zero_class(), MarginThresholdClass([0], Fraction(1, 4)), HPrimeClass(10)):
+        with pytest.raises(ContractViolation):
+            ConsistencyOracle(cls, ledger).bind((None,))  # None is in no domain
+    assert ledger.snapshot() == (0, 0)
+    bound = con.bind(("a", "b", "a"))
+    assert ledger.snapshot() == (0, 0)  # binding asks nothing
+    # bit j labels point j; the one hypothesis is 0 everywhere
+    assert [bound(code) for code in (0, 1, 2, 5, 0)] == [True, False, False, False, True]
+    assert ledger.snapshot() == (15, 5)  # one call of size 3 per answer, repeats included
+    assert con.bind(())(0) is True
+    assert ledger.snapshot() == (15, 6)
+
+
 def test_consistency_rejects_length_mismatch():
     ledger = QueryCostLedger()
     con = ConsistencyOracle(_zero_class(), ledger)

@@ -6,7 +6,7 @@ import pytest
 from oiglearn import pipelines
 from oiglearn.brute import menu_project, threshold_project
 from oiglearn.classes import FiniteTableClass
-from oiglearn.core import STAR, ContractViolation, RandomStream, Sample
+from oiglearn.core import STAR, ContractViolation, RandomStream, Sample, pack
 from oiglearn.oracle import (
     ConsistencyOracle,
     ErmValueOracle,
@@ -47,10 +47,10 @@ def test_menu_consistency_translation():
         seen["xs"], seen["ys"] = xs, ys
         return True
 
-    oracle = menu_consistency_oracle(spy)
-    oracle((("p", (4, 7)),), (0,))
+    answer = menu_consistency_oracle(spy)((("p", (4, 7)),))
+    answer(0)
     assert seen == {"xs": ("p",), "ys": (4,)}
-    oracle((("p", (4, 7)),), (1,))
+    answer(1)
     assert seen == {"xs": ("p",), "ys": (7,)}
 
 
@@ -58,7 +58,7 @@ def test_menu_consistency_contradiction():
     cls = FiniteTableClass(("p",), [(1,), (2,)], "multiclass", num_classes=2)
     base = ConsistencyOracle(cls, QueryCostLedger())
     sample = Sample([(("p", (1, 2)), 0), (("p", (1, 2)), 1)])
-    assert menu_consistency_oracle(base)(sample.xs, sample.ys) is False
+    assert menu_consistency_oracle(base)(sample.xs)(pack(sample.ys)) is False
 
 
 def test_build_menu_sample_shape():

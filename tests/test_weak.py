@@ -12,7 +12,7 @@ from oiglearn.brute import (
     neighbors,
 )
 from oiglearn.classes import FiniteTableClass, MarginThresholdClass
-from oiglearn.core import ContractViolation, RandomStream, Sample
+from oiglearn.core import ContractViolation, RandomStream, Sample, unpack
 from oiglearn.oig import exact_generating_function, lazy_discount
 from oiglearn.oracle import ConsistencyOracle, QueryCostLedger
 from oiglearn.weak import (
@@ -29,7 +29,22 @@ def _full_cube_class(m):
 
 
 def _oracle(cls):
-    return ConsistencyOracle(cls, QueryCostLedger())
+    return ConsistencyOracle(cls, QueryCostLedger()).bind
+
+
+def _spy(bind_handle, asked):
+    """bind_handle, recording the points and labels of each answer it gives in asked."""
+
+    def bind(points):
+        answer = bind_handle(points)
+
+        def ask(code):
+            asked.append((points, unpack(code, len(points))))
+            return answer(code)
+
+        return ask
+
+    return bind
 
 
 def _interval_class(size):
@@ -112,7 +127,7 @@ def test_weak_realizable_answers_when_both_completions_are_rejected():
     params = paper_default_params(2)
     ledger = QueryCostLedger()
     oracle = ConsistencyOracle(cls, ledger)
-    pred = weak_realizable(Sample([(0, 1)]), 1, params, oracle, (RandomStream(0),))[0]
+    pred = weak_realizable(Sample([(0, 1)]), 1, params, oracle.bind, (RandomStream(0),))[0]
     assert (pred.bit, pred.sigma_hat) == (1, 1.0)
     assert ledger.snapshot() == (4, 2)  # two queries of two points each
 
@@ -154,7 +169,8 @@ def test_prediction_charges_at_most_the_projection_and_its_boundary():
             context = Sample((v, int(a <= v < b)) for v in xs[:m])
             ledger = QueryCostLedger()
             weak_realizable(
-                context, xs[m], params, ConsistencyOracle(cls, ledger), (RandomStream(k).child(m),)
+                context, xs[m], params, ConsistencyOracle(cls, ledger).bind,
+                (RandomStream(k).child(m),),
             )
             inside = cls.project_onto(xs)
             boundary = {w for v in inside for w in neighbors(v)} - inside
@@ -170,13 +186,8 @@ def test_no_query_labels_a_repeated_point_both_ways():
     # such a vertex is unrealizable for every class, so the membership memo
     # answers it without the oracle, in single predictions and in the
     # leave-one-out walks alike
-    handle = _oracle(_interval_class(16))
     queries = []
-
-    def oracle(xs, ys):
-        queries.append((xs, ys))
-        return handle(xs, ys)
-
+    oracle = _spy(_oracle(_interval_class(16)), queries)
     gen = np.random.default_rng(47)
     for m in range(2, 7):
         params = paper_default_params(m)
@@ -213,15 +224,11 @@ def test_transductive_error_asks_each_labeled_set_once_per_sample():
         sample = Sample((v, int(a <= v < b)) for v in xs)
         rng = RandomStream(k).child(n)
         ledger = QueryCostLedger()
-        handle = ConsistencyOracle(cls, ledger)
-        asked = []
-
-        def oracle(qxs, qys):
-            asked.append(tuple(sorted(zip(qxs, qys))))
-            return handle(qxs, qys)
-
+        queries = []
+        oracle = _spy(ConsistencyOracle(cls, ledger).bind, queries)
         err = transductive_error(sample, params, oracle, reps, rng)
         assert err == fresh_memo_transductive_error(sample, params, _oracle(cls), reps, rng)
+        asked = [tuple(sorted(zip(qxs, qys))) for qxs, qys in queries]
         assert len(asked) == len(set(asked)) == ledger.snapshot()[1], sample
         inside = cls.project_onto(sample.xs)
         boundary = {w for v in inside for w in neighbors(v)} - inside
