@@ -9,10 +9,11 @@ thresholds and the hprime class on a finite window, and the menu and threshold
 encodings, as explicit tables, and the threshold encoding as a query on
 labels; membership over an explicit vertex set; the exact solve in fractions
 and its recursion residual; the one-generator vectorized rollouts, which the
-lockstep engine must match draw for draw; the truncated flip-walk expectation
-by dynamic programming; the restarting removal scan of minimizer extraction;
-and the leave-one-out error on fresh draws, and on a sample with a fresh memo
-per prediction.
+lockstep engine must match draw for draw; numpy's own derivation of a
+stream's generator; the truncated flip-walk expectation by dynamic
+programming; the restarting removal scan of minimizer extraction; and the
+leave-one-out error on fresh draws, and on a sample with a fresh memo per
+prediction.
 
 Vertices here are 0/1 pattern tuples, flipped by `flip` and `neighbors`,
 except where a reference stands beside a walk engine: `vectorized_rollouts`
@@ -481,6 +482,14 @@ def vectorized_rollouts(start: int, membership: MembershipPredicate, params, gen
         coords = gen.integers(0, m, size=len(alive)).astype(np.uint64)
         codes[alive] ^= np.uint64(1) << coords
     return float(np.mean(params.gamma ** stop_t.astype(np.float64)))
+
+
+def reference_generator(stream: RandomStream) -> np.random.Generator:
+    """The generator of a stream by numpy's own path, which
+    `RandomStream.generator` derives incrementally: Philox seeded by
+    `SeedSequence(entropy=seed, spawn_key=path)`."""
+    seq = np.random.SeedSequence(entropy=stream.seed, spawn_key=stream.path)
+    return np.random.Generator(np.random.Philox(seq))
 
 
 def same_generator_state(a: np.random.Generator, b: np.random.Generator) -> bool:

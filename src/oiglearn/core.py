@@ -8,10 +8,12 @@ computed elsewhere.
 from __future__ import annotations
 
 import hashlib
+import operator
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from numbers import Integral
 from typing import Any, Callable, Iterable, Sequence
 
@@ -291,6 +293,114 @@ def _feed(h, obj):
         raise ContractViolation(f"unhashable domain value {obj!r}")
 
 
+# numpy's SeedSequence constants (numpy.random.bit_generator), after O'Neill's
+# seed_seq: the entropy hash, the pool mix, and the output hash
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+
+
+def _hashmix(value: int, h: int) -> tuple[int, int]:
+    value ^= h
+    h = h * _MULT_A & _MASK32
+    value = value * h & _MASK32
+    return value ^ value >> 16, h
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+# the output hash's running constant before and after each of the four words
+# `generate_state(2, np.uint64)` hashes
+_OUT_HASH = tuple(_INIT_B * pow(_MULT_B, k, 1 << 32) & _MASK32 for k in range(5))
+
+
+def _non_negative(n) -> int:
+    """n as numpy's `_int_to_uint32_array` accepts it: a non-negative integer."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    return n
+
+
+def _root_mix(seed: int) -> tuple[int, int, int, int, int]:
+    """The pool and hash constant of a SeedSequence after the seed's words.
+
+    The first four words fill the pool, zeros past the seed's last word, as
+    numpy pads the run entropy to the pool size under a spawn key (and as its
+    unpadded pool fill hashes them without one); every pool word is then mixed
+    into every other, and any words past the pool are absorbed."""
+    seed = _non_negative(seed)
+    h = _INIT_A
+    pool = []
+    for shift in (0, 32, 64, 96):
+        word, h = _hashmix(seed >> shift & _MASK32, h)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                word, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], word)
+    state = (*pool, h)
+    return _absorb(state, seed >> 128) if seed >> 128 else state
+
+
+def _absorb(state: tuple, n: int) -> tuple[int, int, int, int, int]:
+    """The state after the 32-bit words of n, low word first (one word for
+    n < 2^32, including 0), each hashed once per pool word and mixed into it,
+    as SeedSequence mixes every entropy word past the pool size.  Unrolled:
+    it runs for every label of every stream that builds a generator."""
+    a, b, c, d, h = state
+    while True:
+        w = n & _MASK32
+        v = w ^ h
+        h = h * _MULT_A & _MASK32
+        v = v * h & _MASK32
+        a = (_MIX_L * a - _MIX_R * (v ^ v >> 16)) & _MASK32
+        a ^= a >> 16
+        v = w ^ h
+        h = h * _MULT_A & _MASK32
+        v = v * h & _MASK32
+        b = (_MIX_L * b - _MIX_R * (v ^ v >> 16)) & _MASK32
+        b ^= b >> 16
+        v = w ^ h
+        h = h * _MULT_A & _MASK32
+        v = v * h & _MASK32
+        c = (_MIX_L * c - _MIX_R * (v ^ v >> 16)) & _MASK32
+        c ^= c >> 16
+        v = w ^ h
+        h = h * _MULT_A & _MASK32
+        v = v * h & _MASK32
+        d = (_MIX_L * d - _MIX_R * (v ^ v >> 16)) & _MASK32
+        d ^= d >> 16
+        n >>= 32
+        if not n:
+            return a, b, c, d, h
+
+
+@cache
+def _philox_key_type() -> type:
+    """A seed sequence that hands Philox the key words it holds; a bit
+    generator seeded through it builds no SeedSequence of its own.  Defined
+    on first use, as importing `numpy.random` costs a process that draws
+    nothing tens of milliseconds."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or dtype is not np.uint64:
+                raise ContractViolation("a Philox key is two 64-bit words")
+            return self.key
+
+    return PhiloxKey
+
+
 @dataclass(frozen=True)
 class RandomStream:
     """A splittable counter-based randomness source.
@@ -299,18 +409,56 @@ class RandomStream:
     the path.  Streams with equal identity produce identical outputs, and
     sibling streams are independent, so parallel work keyed by child labels is
     reproducible regardless of scheduling.
+
+    The generator is Philox keyed by numpy's documented SeedSequence
+    derivation, `SeedSequence(entropy=seed, spawn_key=path)`, carried
+    incrementally: a stream keeps SeedSequence's mixing state after its path
+    (the 4-word pool and the running hash constant), computed at most once,
+    and a child starts from its parent's and absorbs only its own label.  The
+    key is `generate_state(2, np.uint64)`'s output hash of that pool.
+    `brute.reference_generator` is numpy's own path, and `oig selftest`
+    compares the two.  The cached state takes no part in equality, hashing,
+    repr or pickling.
     """
 
     seed: int
     path: tuple[int, ...] = ()
+    _mix: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _parent: "RandomStream | None" = field(default=None, init=False, compare=False, repr=False)
 
     def child(self, label: int) -> "RandomStream":
-        return RandomStream(self.seed, self.path + (int(label) & 0xFFFFFFFFFFFFFFFF,))
+        child = RandomStream(self.seed, self.path + (int(label) & 0xFFFFFFFFFFFFFFFF,))
+        object.__setattr__(child, "_parent", self)
+        return child
 
     def child_for(self, obj) -> "RandomStream":
         """Child keyed by the stable hash of an arbitrary plain value."""
         return self.child(stable_hash64(obj))
 
+    def __getstate__(self):
+        return {"seed": self.seed, "path": self.path}
+
+    def _mixing_state(self) -> tuple[int, int, int, int, int]:
+        state = self._mix
+        if state is None:
+            if self._parent is not None:
+                state = _absorb(self._parent._mixing_state(), self.path[-1])
+            else:
+                state = _root_mix(self.seed)
+                for label in self.path:
+                    state = _absorb(state, _non_negative(label))
+            object.__setattr__(self, "_mix", state)
+        return state
+
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
-        return np.random.Generator(np.random.Philox(seq))
+        a, b, c, d, _ = self._mixing_state()
+        h0, h1, h2, h3, h4 = _OUT_HASH
+        lo0 = (a ^ h0) * h1 & _MASK32
+        hi0 = (b ^ h1) * h2 & _MASK32
+        lo1 = (c ^ h2) * h3 & _MASK32
+        hi1 = (d ^ h3) * h4 & _MASK32
+        key = np.array(
+            [lo0 ^ lo0 >> 16 | (hi0 ^ hi0 >> 16) << 32, lo1 ^ lo1 >> 16 | (hi1 ^ hi1 >> 16) << 32],
+            dtype=np.uint64,
+        )
+        return np.random.Generator(np.random.Philox(_philox_key_type()(key)))

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -58,6 +59,17 @@ class WalkParams:
             raise ContractViolation("discount must lie in (0,1)")
         if self.horizon < 0 or self.trials < 1:
             raise ContractViolation("horizon must be >= 0 and trials >= 1")
+
+    @cached_property
+    def discounts(self) -> tuple[float, ...]:
+        """gamma^0..gamma^horizon, each the float product of the one before
+        and gamma, which the sequential engine sums over its rollouts.  Built
+        on its first read: a discount near 1 has a horizon in the millions,
+        and configs are checked by building their parameters."""
+        powers = [1.0]
+        for _ in range(self.horizon):
+            powers.append(powers[-1] * self.gamma)
+        return tuple(powers)
 
 
 def default_horizon(gamma: float) -> int:
@@ -168,9 +180,9 @@ def estimate_potential(
 def _rollouts_sequential(start, membership, params, gens) -> list[float]:
     m = membership.m
     L, U = params.horizon, params.trials
-    gamma_pow = [1.0]
-    for _ in range(L):
-        gamma_pow.append(gamma_pow[-1] * params.gamma)
+    discounts = params.discounts
+    # the memo answers most steps; `query_packed` evaluates only a miss
+    memo = membership._memo
     query = membership.query_packed
     estimates = []
     for gen in gens:
@@ -182,7 +194,10 @@ def _rollouts_sequential(start, membership, params, gens) -> list[float]:
             code = start
             t = 0
             while True:
-                if not query(code):
+                inside = memo.get(code)
+                if inside is None:
+                    inside = query(code)
+                if not inside:
                     break
                 if t == L:
                     break
@@ -192,7 +207,7 @@ def _rollouts_sequential(start, membership, params, gens) -> list[float]:
                 code ^= 1 << buf[pos]
                 pos += 1
                 t += 1
-            total += gamma_pow[t]
+            total += discounts[t]
         estimates.append(total / U)
     return estimates
 

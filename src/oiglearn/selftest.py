@@ -414,6 +414,52 @@ def _check_erm_reduction(gen) -> bool:
     return True
 
 
+def _check_stream_generators(gen) -> bool:
+    """Stream generators against numpy's SeedSequence path
+    (`brute.reference_generator`) on 520 random streams built by `child`.
+    Seeds are 0, below 2^32, within 2^16 of 2^64, and past 2^128, with more
+    words than SeedSequence's pool.  Labels are 0, 2^32-1, 2^32, 2^64-1,
+    negative ones (masked to 64 bits) and random ones of one and two words,
+    at depths 0 to 8.  The keys, the whole states, the first 300 draws of
+    `integers` and one `random()` must agree, and the stream rebuilt from
+    (seed, path) must stand where numpy's does."""
+    edges = (0, 2**32 - 1, 2**32, 2**64 - 1)
+    for k in range(520):
+        seed = (
+            0,
+            int(gen.integers(0, 2**32)),
+            2**64 + int(gen.integers(-(2**16), 2**16)),
+            (int(gen.integers(1, 2**40)) << 128) + int(gen.integers(0, 2**63)),
+        )[k % 4]
+        stream = RandomStream(seed)
+        for _ in range(int(gen.integers(0, 9))):
+            pick = int(gen.integers(0, 7))
+            if pick < 4:
+                label = edges[pick]
+            elif pick == 4:
+                label = -int(gen.integers(1, 2**63))
+            elif pick == 5:
+                label = int(gen.integers(0, 2**32))
+            else:
+                label = int(gen.integers(0, 2**64, dtype=np.uint64))
+            stream = stream.child(label)
+        mine, reference = stream.generator(), brute.reference_generator(stream)
+        key = mine.bit_generator.state["state"]["key"]
+        if not np.array_equal(key, reference.bit_generator.state["state"]["key"]):
+            return False
+        if not brute.same_generator_state(mine, reference):
+            return False
+        rebuilt = RandomStream(seed, stream.path).generator()
+        if not brute.same_generator_state(rebuilt, reference):
+            return False
+        draws = mine.integers(0, 2**64, size=300, dtype=np.uint64)
+        if not np.array_equal(draws, reference.integers(0, 2**64, size=300, dtype=np.uint64)):
+            return False
+        if mine.random() != reference.random():
+            return False
+    return True
+
+
 CHECKS = (
     ("finite-table oracles vs enumeration", _check_finite_oracles),
     ("margin-threshold oracles vs materialized table", _check_margin_threshold),
@@ -429,6 +475,7 @@ CHECKS = (
     ("repeated-point membership vs raw oracle", _check_repeated_points),
     ("consistency answers vs reordered queries; shared leave-one-out answers vs fresh memos",
      _check_order_free_answers),
+    ("stream generators vs numpy SeedSequence", _check_stream_generators),
 )
 
 

@@ -1,8 +1,10 @@
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oiglearn.brute import reference_generator, same_generator_state
 from oiglearn.core import (
     STAR,
     ContractViolation,
@@ -157,6 +159,47 @@ def test_stream_determinism_and_independence():
     sib1 = RandomStream(123).child(0).generator().random(100)
     sib2 = RandomStream(123).child(1).generator().random(100)
     assert not np.array_equal(sib1, sib2)
+
+
+def _same_as_numpy(stream):
+    mine, reference = stream.generator(), reference_generator(stream)
+    assert same_generator_state(mine, reference), stream
+    assert np.array_equal(mine.integers(0, 2**64, size=50, dtype=np.uint64),
+                          reference.integers(0, 2**64, size=50, dtype=np.uint64))
+    assert mine.random() == reference.random()
+
+
+def test_stream_generators_match_numpy_seed_sequence_at_the_edges():
+    # the empty path; seed 0; a seed with more words than the pool; depth 10
+    deep = RandomStream(2**130 + 5)
+    for label in (0, 2**32 - 1, 2**32, 2**64 - 1, -1, 7, 2**40 + 3, 0, 1, 2**63):
+        deep = deep.child(label)
+    for stream in (RandomStream(5), RandomStream(0), RandomStream(0).child(0),
+                   RandomStream(2**130 + 5), RandomStream(2**130 + 5).child(9), deep):
+        _same_as_numpy(stream)
+        # the same stream built directly, with no parent to start from
+        _same_as_numpy(RandomStream(stream.seed, stream.path))
+    assert deep.path[4] == 2**64 - 1 and len(deep.path) == 10
+
+
+def test_stream_cache_leaves_identity_alone():
+    chained = RandomStream(2**130 + 5).child(3).child(2**40)
+    chained.generator()
+    direct = RandomStream(2**130 + 5, (3, 2**40))
+    assert chained == direct and hash(chained) == hash(direct)
+    assert repr(chained) == repr(direct) == f"RandomStream(seed={2**130 + 5}, path=(3, {2**40}))"
+    assert pickle.dumps(chained) == pickle.dumps(direct)
+    copy = pickle.loads(pickle.dumps(chained))
+    assert copy == chained
+    _same_as_numpy(copy.child(11))
+
+
+def test_negative_seed_raises_as_numpy_does():
+    for stream in (RandomStream(-1), RandomStream(-1).child(4)):
+        with pytest.raises(ValueError):
+            reference_generator(stream)
+        with pytest.raises(ValueError):
+            stream.generator()
 
 
 def test_stream_child_for_is_stable():
