@@ -13,6 +13,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, lcm
 from operator import sub
 from typing import Any, Callable, Iterable, Sequence
@@ -229,6 +230,18 @@ class MarginThresholdClass(ConceptClass):
     For each grid value t, h_t maps x to 1 when x >= t + margin, to 0 when
     x <= t - margin, and is undefined in between.  Thresholds live on a finite
     grid so that consistency and ERM values stay exactly computable.
+
+    Every oracle reads one integer kernel.  With D the lcm of the margin's and
+    the grid's denominators, the grid is held as the sorted ints G = [t*D] and
+    the margin as M = margin*D.  A point x = p/q has two cuts, found with
+    integer `//` and `bisect` only:
+    - lo(x) = bisect_left(G, ceil((p*D + M*q) / q)): h_t at grid index k
+      labels x 0 exactly for k >= lo(x);
+    - hi(x) = bisect_right(G, floor((p*D - M*q) / q)): it labels x 1 exactly
+      for k < hi(x).
+    Since margin > 0, hi(x) <= lo(x), and x is STAR for hi(x) <= k < lo(x).
+    `label_of` keeps the `Fraction` definition, so the references built on it
+    in `brute` stay independent of the kernel.
     """
 
     capabilities = frozenset({CONSISTENCY, ERM_VALUE, PROJECTION})
@@ -240,6 +253,10 @@ class MarginThresholdClass(ConceptClass):
         self.margin = as_fraction(margin)
         if not (0 < self.margin < 1):
             raise ContractViolation("margin must lie in (0,1)")
+        scale = lcm(self.margin.denominator, *(t.denominator for t in self.grid))
+        self._scale = scale
+        self._grid_ints = [t.numerator * (scale // t.denominator) for t in self.grid]
+        self._margin_int = self.margin.numerator * (scale // self.margin.denominator)
 
     @classmethod
     def regular(cls, start, step, count, margin) -> "MarginThresholdClass":
@@ -258,50 +275,74 @@ class MarginThresholdClass(ConceptClass):
             return 0
         return STAR
 
+    def _cuts(self, x) -> tuple[int, int]:
+        """(lo(x), hi(x)): the thresholds from grid index lo(x) on label x 0,
+        and those below index hi(x) label it 1."""
+        x = as_fraction(x)
+        p, q = x.numerator * self._scale, x.denominator
+        return (bisect_left(self._grid_ints, -(-p // q) + self._margin_int),
+                bisect_right(self._grid_ints, p // q - self._margin_int))
+
     def _consistent(self, xs, ys) -> bool:
-        lo, hi = None, None
+        lo, hi = 0, len(self._grid_ints)
         for x, y in zip(xs, ys):
-            x = as_fraction(x)
             if y == 1:
-                cap = x - self.margin
-                hi = cap if hi is None or cap < hi else hi
+                hi = min(hi, self._cuts(x)[1])
             elif y == 0:
-                cap = x + self.margin
-                lo = cap if lo is None or cap > lo else lo
+                lo = max(lo, self._cuts(x)[0])
             else:
                 return False  # no threshold gives any label but 0 or 1
-        idx = 0 if lo is None else bisect_left(self.grid, lo)
-        if idx >= len(self.grid):
-            return False
-        return hi is None or self.grid[idx] <= hi
+        return lo < hi
+
+    def bind_consistency(self, xs) -> Callable[[int], bool]:
+        """The consistency kernel on label codes: each point's cuts are found
+        once, which also checks the points, and an answer folds the code's
+        bits over them."""
+        cuts = [self._cuts(x) for x in xs]
+        count = len(self._grid_ints)
+
+        def answer(code: int) -> bool:
+            lo, hi = 0, count
+            for point_lo, point_hi in cuts:
+                if code & 1:
+                    if point_hi < hi:
+                        hi = point_hi
+                elif point_lo > lo:
+                    lo = point_lo
+                code >>= 1
+            return lo < hi
+
+        return answer
 
     def _erm_value(self, xs, ys) -> Fraction:
-        """Least mean 0/1 loss over the grid, in one sorted sweep: h_t errs
-        on (x, 1) iff t > x - margin, on (x, 0) iff t < x + margin, and on
-        every other label (STAR included) whatever t is."""
-        above, below, always = [], [], 0
+        """Least mean 0/1 loss over the grid.  At grid index k, h_t errs on
+        #{(x, 1): hi(x) <= k} + #{(x, 0): lo(x) > k} points, and on every
+        point with another label (STAR included) whatever k is.  steps[j]
+        adds 1 per 1-point with hi(x) = j and takes 1 per 0-point with
+        lo(x) = j, so the errors at index k are the 0-points, the other
+        labels and steps[0] + ... + steps[k]."""
+        count = len(self._grid_ints)
+        steps = [0] * (count + 1)
+        zeros = always = 0
         for x, y in zip(xs, ys):
             if y == 1:
-                above.append(as_fraction(x) - self.margin)
+                steps[self._cuts(x)[1]] += 1
             elif y == 0:
-                below.append(as_fraction(x) + self.margin)
+                zeros += 1
+                steps[self._cuts(x)[0]] -= 1
             else:
                 always += 1
-        above.sort()
-        below.sort()
-        best = min(
-            bisect_left(above, t) + len(below) - bisect_right(below, t) for t in self.grid
-        )
-        return Fraction(best + always, len(xs))
+        return Fraction(min(accumulate(steps[:count])) + zeros + always, len(xs))
 
     def project_onto(self, xs) -> frozenset:
-        xs = [as_fraction(x) for x in xs]
-        out = set()
-        for t in self.grid:
-            pattern = tuple(self.label_of(t, x) for x in xs)
-            if STAR not in pattern:
-                out.add(pattern)
-        return frozenset(out)
+        """The star-free patterns: at grid index k a point is 1 below its hi
+        cut, 0 from its lo cut, and STAR in between."""
+        cuts = [self._cuts(x) for x in xs]
+        return frozenset(
+            tuple(1 if k < hi else 0 for _, hi in cuts)
+            for k in range(len(self._grid_ints))
+            if all(k < hi or k >= lo for lo, hi in cuts)
+        )
 
 
 # deterministic Miller-Rabin witnesses covering all n < 3.3 * 10^24

@@ -103,16 +103,33 @@ def _check_table_kernel(gen) -> bool:
 
 
 def _check_margin_threshold(gen) -> bool:
-    cls = MarginThresholdClass.regular(0, Fraction(1, 20), 21, Fraction(1, 10))
-    table = brute.materialize_thresholds(cls, [Fraction(k, 16) for k in range(17)])
-    for _ in range(200):
-        n = int(gen.integers(1, 6))
-        xs = tuple(Fraction(int(v), 16) for v in gen.integers(0, 17, size=n))
-        ys = tuple(int(v) for v in gen.integers(0, 2, size=n))
-        if cls.consistent_on(xs, ys) != table.consistent_on(xs, ys):
-            return False
-        if cls.erm_value_on(xs, ys) != table.erm_value_on(xs, ys):
-            return False
+    """consistent_on, the bound kernel, erm_value_on and project_onto against
+    a table materialized from label_of, on a regular and an irregular grid.
+    The points lie exactly at t +- margin and on the grid, below the first
+    threshold and above the last, below 0, over a denominator coprime to the
+    grid's, and are given as int, string and float."""
+    regular = MarginThresholdClass.regular(0, Fraction(1, 20), 21, Fraction(1, 10))
+    irregular = MarginThresholdClass(["-1/4", 0, "2/9", "1/2", "5/7", 1], "1/12")
+    for cls in (regular, irregular):
+        first, last = cls.grid[0], cls.grid[-1]
+        points = tuple(dict.fromkeys([
+            -1, 0, 1, 3, "2/7", "-3/8", 0.35, -0.15,
+            first - cls.margin - 1, last + cls.margin + 1,
+            *(t + d for t in cls.grid for d in (-cls.margin, 0, cls.margin)),
+            *(Fraction(k, 13) for k in range(-3, 17)),
+        ]))
+        table = brute.materialize_thresholds(cls, points)
+        for _ in range(200):
+            n = int(gen.integers(1, 6))
+            xs = tuple(points[int(i)] for i in gen.integers(0, len(points), size=n))
+            ys = tuple(int(v) for v in gen.integers(0, 2, size=n))
+            expected = table.consistent_on(xs, ys)
+            if cls.consistent_on(xs, ys) != expected or cls.bind_consistency(xs)(pack(ys)) != expected:
+                return False
+            if cls.erm_value_on(xs, ys) != table.erm_value_on(xs, ys):
+                return False
+            if cls.project_onto(xs) != brute.table_patterns(table, xs):
+                return False
     return True
 
 

@@ -139,13 +139,21 @@ def test_adaboost_predict_replays_deterministically():
     assert first == replayed == again
 
 
+def test_adaboost_keeps_every_planned_round_on_the_threshold_setup():
+    # pinned on its own: other draws (another stream derivation, say) may
+    # stop boosting early, and that is not a replay fault
+    _, sample, oracle = _threshold_setup()
+    learner = make_weak_learner(paper_default_params(2), oracle)
+    model = adaboost_train(sample, learner, 2, 15, RandomStream(4))
+    assert len(model.rounds) == 15
+
+
 def test_adaboost_replay_gives_the_training_answers():
     # a round's hypothesis is replayed, not stored: on its own sample and
     # stream it must give every training point the bit it gave in training
     _, sample, oracle = _threshold_setup()
     learner = make_weak_learner(paper_default_params(2), oracle)
     model = adaboost_train(sample, learner, 2, 15, RandomStream(4))
-    assert len(model.rounds) == 15
     for r in model.rounds:
         assert set(r.answers) == set(sample.xs)
         fresh = BoostedModel(model.sample, model.weak, (replace(r, answers={}),))

@@ -268,16 +268,33 @@ def test_margin_threshold_examples():
 
 
 def test_margin_threshold_vs_materialized_enumeration():
-    cls = MarginThresholdClass.regular(0, Fraction(1, 12), 13, Fraction(1, 8))
-    points = tuple(Fraction(k, 10) for k in range(11))
-    table = materialize_thresholds(cls, points)
+    # the integer cuts against the Fraction labels of label_of, on a regular
+    # and an irregular grid, with points exactly at t +- margin and on the
+    # grid, below the first threshold and above the last, negative, over a
+    # denominator coprime to the grid's, and given as int, string and float
+    regular = MarginThresholdClass.regular(0, Fraction(1, 12), 13, Fraction(1, 8))
+    irregular = MarginThresholdClass(["-1/3", 0, "1/7", "2/5", "9/10", 2], "1/6")
     gen = np.random.default_rng(5)
-    for _ in range(1000):
-        n = int(gen.integers(1, 6))
-        xs = tuple(points[int(i)] for i in gen.integers(0, len(points), size=n))
-        ys = tuple(int(v) for v in gen.integers(0, 2, size=n))
-        assert cls.consistent_on(xs, ys) == table.consistent_on(xs, ys)
-        assert cls.erm_value_on(xs, ys) == table.erm_value_on(xs, ys)
+    for cls in (regular, irregular):
+        first, last = cls.grid[0], cls.grid[-1]
+        # dict.fromkeys drops a point equal to an earlier one (the int 0 and
+        # Fraction(0), say): a table's domain points must be distinct
+        points = tuple(dict.fromkeys([
+            -2, 0, 1, 2, "1/3", "-5/9", 0.3, -0.45,
+            first - cls.margin - 1, last + cls.margin + 1,
+            *(t + d for t in cls.grid for d in (-cls.margin, 0, cls.margin)),
+            *(Fraction(k, 11) for k in range(-4, 16)),
+        ]))
+        table = materialize_thresholds(cls, points)
+        for _ in range(600):
+            n = int(gen.integers(1, 7))
+            xs = tuple(points[int(i)] for i in gen.integers(0, len(points), size=n))
+            ys = tuple(int(v) for v in gen.integers(0, 2, size=n))
+            expected = table.consistent_on(xs, ys)
+            assert cls.consistent_on(xs, ys) == expected, (xs, ys)
+            assert cls.bind_consistency(xs)(pack(ys)) == expected, (xs, ys)
+            assert cls.erm_value_on(xs, ys) == table.erm_value_on(xs, ys), (xs, ys)
+            assert cls.project_onto(xs) == table_patterns(table, xs), xs
 
 
 def test_margin_threshold_erm_sweep_matches_scan():
