@@ -15,7 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
-from operator import sub
 from typing import Any, Callable, Iterable, Sequence
 
 _PRIME_CACHE_SIZE = 1 << 16
@@ -40,10 +39,11 @@ class FiniteTableClass(ConceptClass):
     projection work on one bitset of rows per (column, label), so they cost
     one AND or split per query point.  The bitsets of a column hold one bit
     per row for each distinct label in it.  ERM on a real
-    table sums integer absolute distances: the entries are held as integers
-    over their common denominator, and each query's labels are scaled once to
-    a denominator both divide.  ERM on a binary or multiclass table and the
-    range oracle scan the rows in fractions.
+    table sums integer absolute distances column by column: the entries are
+    held per column as integers over their common denominator, and each
+    query's labels are scaled once to a denominator both divide.  ERM on a
+    binary or multiclass table and the range oracle scan the rows in
+    fractions.
     """
 
     capabilities = frozenset({CONSISTENCY, ERM_VALUE, PROJECTION})
@@ -80,7 +80,7 @@ class FiniteTableClass(ConceptClass):
             raise ContractViolation("domain points must be distinct")
         self._all_rows = (1 << len(rows)) - 1
         self._label_rows: list[dict | None] = [None] * len(self.domain)
-        self._scaled_rows: tuple[int, tuple] | None = None
+        self._scaled_columns: tuple[int, tuple] | None = None
 
     def value_at(self, row: int, x):
         return self.table[row][self._column(x)]
@@ -145,43 +145,37 @@ class FiniteTableClass(ConceptClass):
 
         return answer
 
-    def _integer_rows(self) -> tuple[int, tuple]:
-        """(D, rows): D is the lcm of the entries' denominators and each row
-        holds its entries times D, as ints.  Built on the first absolute-loss
-        ERM query."""
-        if self._scaled_rows is None:
+    def _integer_columns(self) -> tuple[int, tuple]:
+        """(D, columns): D is the lcm of the entries' denominators and
+        columns[c] holds column c's entries times D, as ints, one per row in
+        row order.  Built on the first absolute-loss ERM query."""
+        if self._scaled_columns is None:
             denominator = lcm(*(v.denominator for row in self.table for v in row))
-            rows = tuple(
-                tuple(v.numerator * (denominator // v.denominator) for v in row)
-                for row in self.table
+            columns = tuple(
+                tuple(v.numerator * (denominator // v.denominator) for v in column)
+                for column in zip(*self.table)
             )
-            self._scaled_rows = (denominator, rows)
-        return self._scaled_rows
+            self._scaled_columns = (denominator, columns)
+        return self._scaled_columns
 
     def _abs_erm_value(self, xs, ys) -> Fraction:
         """The least absolute-loss sum over the rows, as a mean, in integers
-        over L = lcm(D, label denominators): sum |y*L - (L/D)*(v*D)| per row,
-        stopping at the first zero."""
+        over L = lcm(D, label denominators): per query point one list of
+        |y*L - (L/D)*(v*D)| over the rows of its column, then each row's sum
+        of those, then the least sum."""
         cols = [self._column(x) for x in xs]
         ratios = [y.as_integer_ratio() for y in ys]
         for (num, den), y in zip(ratios, ys):
             if not 0 <= num <= den:
                 raise ContractViolation(f"absolute-loss labels must lie in [0,1], got {y}")
-        denominator, rows = self._integer_rows()
+        denominator, columns = self._integer_columns()
         scale = lcm(denominator, *(den for _, den in ratios))
-        targets = [num * (scale // den) for num, den in ratios]
         up = scale // denominator
-        best = None
-        for row in rows:
-            values = map(row.__getitem__, cols)
-            if up != 1:
-                values = map(up.__mul__, values)
-            total = sum(map(abs, map(sub, targets, values)))
-            if best is None or total < best:
-                best = total
-                if best == 0:
-                    break
-        return Fraction(best, scale * len(xs))
+        distances = [
+            [abs(target - up * v) for v in columns[col]]
+            for col, target in zip(cols, (num * (scale // den) for num, den in ratios))
+        ]
+        return Fraction(min(map(sum, zip(*distances))), scale * len(xs))
 
     def _erm_value(self, xs, ys) -> Fraction:
         """The least loss sum over the rows under the kind's loss, as a mean.

@@ -11,6 +11,7 @@ the rational oracle answers.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .core import ContractViolation, Sample, as_fraction
 from .oracle import ErmValueOracle
@@ -66,40 +67,40 @@ def sample_erm_real(sample: Sample, gamma, erm_oracle: ErmValueOracle) -> tuple[
     gamma = as_fraction(gamma)
     if gamma <= 0 or gamma.numerator != 1:
         raise ContractViolation("grid width must be 1/G for an integer G")
-    steps = gamma.denominator
+    cells = [(gamma * level, gamma * (level + 1)) for level in range(gamma.denominator)]
     base = list(sample.pairs)
     pinned: list = []
     out: list[Fraction] = []
     for x, _ in sample.pairs:
-        best_level, best_value = None, None
-        for level in range(steps):
-            probe = Sample(
-                pinned + base + [(x, gamma * level), (x, gamma * (level + 1))]
-            )
-            value = erm_oracle(probe)
+        best_cell, best_value = None, None
+        for lo, hi in cells:
+            value = erm_oracle(pinned + base + [(x, lo), (x, hi)])
             if best_value is None or value < best_value:
-                best_level, best_value = level, value
-        pinned_value = gamma * best_level
-        out.append(pinned_value)
-        pinned.append((x, pinned_value))
-        pinned.append((x, pinned_value + gamma))
+                best_cell, best_value = (lo, hi), value
+        lo, hi = best_cell
+        out.append(lo)
+        pinned += ((x, lo), (x, hi))
     return tuple(out)
 
 
 def sample_con_real(triples, erm_oracle: ErmValueOracle) -> bool:
     """Range consistency from one ERM-value call: feasibility of all the bands
     [lower_i, upper_i] holds iff the minimum loss sum on the doubled sample
-    {(x_i, lower_i), (x_i, upper_i)} equals the total slack sum(upper-lower)."""
-    triples = tuple(triples)
-    if not triples:
+    {(x_i, lower_i), (x_i, upper_i)} equals the total slack sum(upper-lower).
+    The slack is summed in integers over L, the lcm of the endpoints'
+    denominators, so with the oracle's mean p/q on the 2k points the test is
+    p * 2k * L == slack * q."""
+    bands = [(x, as_fraction(lo), as_fraction(hi)) for x, lo, hi in triples]
+    if not bands:
         return True
-    pairs = []
+    scale = lcm(*(end.denominator for _, lo, hi in bands for end in (lo, hi)))
     slack = 0
-    for x, lo, hi in triples:
-        lo, hi = as_fraction(lo), as_fraction(hi)
-        if lo > hi:
+    pairs = []
+    for x, lo, hi in bands:
+        width = hi.numerator * (scale // hi.denominator) - lo.numerator * (scale // lo.denominator)
+        if width < 0:
             raise ContractViolation(f"empty range [{lo}, {hi}]")
-        pairs.append((x, lo))
-        pairs.append((x, hi))
-        slack += hi - lo
-    return _loss_sum(erm_oracle, Sample(pairs)) == slack
+        slack += width
+        pairs += ((x, lo), (x, hi))
+    value = erm_oracle(pairs)
+    return value.numerator * len(pairs) * scale == slack * value.denominator

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .core import STAR, ContractViolation, Sample, unpack
+from .core import STAR, ContractViolation, Sample, as_fraction, unpack
 
 # capability tags a concept class may advertise
 CONSISTENCY = "consistency"
@@ -167,8 +167,8 @@ class RangeConsistencyOracle:
     def __call__(self, triples) -> bool:
         triples = tuple(triples)
         xs = tuple(t[0] for t in triples)
-        lower = tuple(Fraction(t[1]) for t in triples)
-        upper = tuple(Fraction(t[2]) for t in triples)
+        lower = tuple(as_fraction(t[1]) for t in triples)
+        upper = tuple(as_fraction(t[2]) for t in triples)
         for lo, hi in zip(lower, upper):
             if lo > hi:
                 raise ContractViolation(f"empty range [{lo}, {hi}] in range query")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 from .boost import BoostedModel, adaboost_predict, adaboost_train
@@ -170,6 +170,7 @@ def fit_multiclass_agnostic(
 # regression via thresholds
 
 
+@lru_cache(maxsize=64)
 def threshold_grid(gamma) -> tuple[Fraction, ...]:
     gamma = as_fraction(gamma)
     if not (0 < gamma < 1):
@@ -182,26 +183,27 @@ def threshold_consistency_oracle(range_query, gamma):
     """The bind function of consistency for threshold examples via one
     range query: bit 1 at (x, tau) demands h(x) in [tau+gamma, 1], bit 0
     demands [0, tau-gamma].
-    Bands outside [0,1] are unsatisfiable outright.  The thresholds tau are
-    the grid's `Fraction`s, so the bands are built without parsing; each
-    answer builds its own, and binding does no arithmetic."""
+    Binding builds each point's two triples once, (x, 0, tau-gamma) for bit 0
+    and (x, tau+gamma, 1) for bit 1, with None for a band outside [0,1],
+    which is unsatisfiable outright.  An answer picks one triple per bit and
+    is False at the first None, without a query."""
     gamma = as_fraction(gamma)
     zero, one = Fraction(0), Fraction(1)
 
     def bind(points):
+        bands = []
+        for x, tau in points:
+            hi, lo = tau - gamma, tau + gamma
+            bands.append(((x, zero, hi) if hi >= 0 else None,
+                          (x, lo, one) if lo <= 1 else None))
+
         def answer(code: int) -> bool:
             triples = []
-            for x, tau in points:
-                if code & 1:
-                    lo = tau + gamma
-                    if lo > 1:
-                        return False
-                    triples.append((x, lo, one))
-                else:
-                    hi = tau - gamma
-                    if hi < 0:
-                        return False
-                    triples.append((x, zero, hi))
+            for band in bands:
+                triple = band[code & 1]
+                if triple is None:
+                    return False
+                triples.append(triple)
                 code >>= 1
             return range_query(triples)
 

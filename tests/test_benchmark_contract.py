@@ -7,7 +7,8 @@ interval_loo is the one workload whose check reads `train_err` as the
 Monte-Carlo leave-one-out error and `test_err` as the exact one, and
 recomputes the exact error from the drawn samples with the benchmark's own
 reference.  This runs its first trials the way the benchmark's worker does.
-On regression_agnostic every ERM answer is checked against the row scan.
+On regression_agnostic every ERM answer and every range answer is checked
+against the table's row scan.
 """
 
 import io
@@ -17,6 +18,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from oiglearn import pipelines
 from oiglearn.brute import table_erm_scan
 from oiglearn.classes import FiniteTableClass, class_from_config
 from oiglearn.core import FiniteDistribution, loss_abs
@@ -93,13 +95,16 @@ def test_interval_loo_passes_the_benchmark_check(monkeypatch):
     assert proc.stdout.strip() == _report_line(reports[0])
 
 
-def test_regression_agnostic_erm_answers_match_the_row_scan(monkeypatch):
+def _regression_agnostic(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     from workloads import build_regression_agnostic
 
     config = ExperimentConfig.from_dict(build_regression_agnostic(SEED))
-    concept_class = class_from_config(config.class_spec)
-    distribution = build_distribution(config)
+    return config, class_from_config(config.class_spec), build_distribution(config)
+
+
+def test_regression_agnostic_erm_answers_match_the_row_scan(monkeypatch):
+    config, concept_class, distribution = _regression_agnostic(monkeypatch)
     erm_value_on = FiniteTableClass.erm_value_on
     answered = []
 
@@ -113,3 +118,26 @@ def test_regression_agnostic_erm_answers_match_the_row_scan(monkeypatch):
     for trial in range(3):
         run_trial(config, concept_class, distribution, trial, measure_wall=False)
     assert len(answered) > 500
+
+
+def test_regression_agnostic_range_answers_match_the_row_scan(monkeypatch):
+    """Every range answer of the encoded weak learner equals the table's
+    Fraction row scan and costs one ERM call on the doubled sample."""
+    config, concept_class, distribution = _regression_agnostic(monkeypatch)
+    sample_con_real = pipelines.sample_con_real
+    answered = []
+
+    def checked(triples, erm_oracle):
+        cost, calls = erm_oracle.ledger.snapshot()
+        got = sample_con_real(triples, erm_oracle)
+        assert erm_oracle.ledger.snapshot() == (cost + 2 * len(triples), calls + 1)
+        xs, lower, upper = zip(*triples)
+        assert got == concept_class.range_consistent_on(xs, lower, upper), triples
+        answered.append(got)
+        return got
+
+    monkeypatch.setattr(pipelines, "sample_con_real", checked)
+    for trial in range(3):
+        run_trial(config, concept_class, distribution, trial, measure_wall=False)
+    assert len(answered) > 300
+    assert set(answered) == {True, False}

@@ -198,22 +198,62 @@ def test_sample_con_real_examples():
         sample_con_real([("x", Fraction(1, 2), Fraction(1, 4))], _erm(point3))
 
 
+# endpoints in thirds and fifths as well as eighths: the first two do not
+# divide the eighths of the tables below, so the slack's common denominator
+# is not the table's
+ENDPOINTS = sorted({Fraction(k, d) for d in (3, 5, 8) for k in range(d + 1)})
+
+
+def _written(value: Fraction, style: int):
+    """value as an int, a 'p/q' string, a float or a Fraction, each form
+    used only where it writes the value exactly (a float only for a finite
+    decimal, which `as_fraction` reads back exactly)."""
+    if style == 0 and value.denominator == 1:
+        return int(value)
+    if style == 1:
+        return f"{value.numerator}/{value.denominator}"
+    if style == 2 and 1000 % value.denominator == 0:
+        return float(value)
+    return value
+
+
 def test_sample_con_real_matches_brute_random():
+    """sample_con_real against the table's own Fraction row scan
+    (`range_consistent_on`), with one call of size 2k per nonempty query:
+    empty queries, point bands lo == hi, bands at exactly 0 and 1, and
+    endpoints written as ints, strings, floats and Fractions."""
     gen = np.random.default_rng(79)
-    for _ in range(100):
+    answers = set()
+    for _ in range(300):
         cls = _random_real_class(gen)
-        n = int(gen.integers(1, 5))
-        triples = []
-        for _ in range(n):
-            a, b = sorted(int(v) for v in gen.integers(0, 9, size=2))
-            triples.append((int(gen.integers(0, 3)), Fraction(a, 8), Fraction(b, 8)))
-        got = sample_con_real(triples, _erm(cls))
+        bands = []
+        for _ in range(int(gen.integers(0, 5))):
+            lo, hi = sorted(ENDPOINTS[int(i)] for i in gen.integers(0, len(ENDPOINTS), size=2))
+            shape = int(gen.integers(0, 5))
+            if shape == 0:
+                hi = lo
+            elif shape == 1:
+                lo = Fraction(0)
+            elif shape == 2:
+                hi = Fraction(1)
+            bands.append((int(gen.integers(0, 3)), lo, hi))
+        triples = [(x, _written(lo, int(gen.integers(0, 4))), _written(hi, int(gen.integers(0, 4))))
+                   for x, lo, hi in bands]
+        ledger = QueryCostLedger()
+        got = sample_con_real(triples, ErmValueOracle(cls, ledger))
         want = cls.range_consistent_on(
-            tuple(t[0] for t in triples),
-            tuple(t[1] for t in triples),
-            tuple(t[2] for t in triples),
+            tuple(x for x, _, _ in bands),
+            tuple(lo for _, lo, _ in bands),
+            tuple(hi for _, _, hi in bands),
         )
-        assert got == want
+        assert got == want, (triples, cls.table)
+        assert ledger.snapshot() == ((2 * len(bands), 1) if bands else (0, 0))
+        answers.add(got)
+    assert answers == {True, False}
+    ledger = QueryCostLedger()
+    with pytest.raises(ContractViolation):
+        sample_con_real([(0, Fraction(1, 3), Fraction(1, 5))], ErmValueOracle(cls, ledger))
+    assert ledger.snapshot() == (0, 0)
 
 
 def test_sample_con_real_single_call():

@@ -12,6 +12,7 @@ from oiglearn.classes import (
     class_from_config,
 )
 from oiglearn.core import LABEL_KINDS, STAR, ContractViolation, Sample
+from oiglearn.ermred import sample_con_real
 from oiglearn.oracle import (
     ERM_VALUE,
     ConsistencyOracle,
@@ -100,6 +101,12 @@ def test_range_consistency_examples():
     assert query([("x", Fraction(1, 2), Fraction(1, 2))]) is True
     with pytest.raises(ContractViolation):
         query([("x", Fraction(2, 3), Fraction(1, 3))])
+    with pytest.raises(ContractViolation):
+        query([("x", False, 1)])  # a boolean is not a rational
+    # a float endpoint is read through its decimal, as sample_con_real reads it
+    point3 = FiniteTableClass(("x",), [(Fraction(3, 10),)], "real")
+    assert RangeConsistencyOracle(point3, QueryCostLedger())([("x", 0.3, 0.3)]) is True
+    assert sample_con_real([("x", 0.3, 0.3)], ErmValueOracle(point3, QueryCostLedger()))
 
 
 def test_capability_errors():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oiglearn import pipelines
-from oiglearn.brute import menu_project, threshold_project
+from oiglearn.brute import menu_project, threshold_project, threshold_query
 from oiglearn.classes import FiniteTableClass
 from oiglearn.core import STAR, ContractViolation, RandomStream, Sample, pack
 from oiglearn.oracle import (
@@ -28,6 +28,7 @@ from oiglearn.pipelines import (
     fit_reg_agnostic,
     fit_reg_realizable,
     menu_consistency_oracle,
+    threshold_consistency_oracle,
     threshold_grid,
 )
 
@@ -104,6 +105,28 @@ def test_threshold_grid_shape():
     taus = threshold_grid(Fraction(1, 4))
     assert taus == (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1)
     assert len(threshold_grid(Fraction(2, 5))) == 3  # 0, 2/5, 4/5
+
+
+def test_threshold_consistency_matches_the_band_reference():
+    # entries at 0 and 1 meet the bands [0, 0] at tau = gamma and [1, 1] at
+    # tau = 1 - gamma, the bands that touch the ends of [0, 1]
+    gamma = Fraction(1, 4)
+    cls = FiniteTableClass((0, 1, 2), [(0, Fraction(1, 2), 1), (Fraction(1, 4), 0, Fraction(3, 4)),
+                                       (1, 1, 0)], "real")
+    grid_points = [(x, tau) for x in range(3) for tau in threshold_grid(gamma)]
+    ledgers = QueryCostLedger(), QueryCostLedger()
+    bind = threshold_consistency_oracle(RangeConsistencyOracle(cls, ledgers[0]), gamma)
+    reference = threshold_query(RangeConsistencyOracle(cls, ledgers[1]), gamma)
+    answers = set()
+    for first in grid_points:
+        for second in grid_points:
+            answer = bind((first, second))
+            for code in range(4):
+                got = answer(code)
+                assert got == reference((first, second), (code & 1, code >> 1)), (first, second, code)
+                assert ledgers[0].snapshot() == ledgers[1].snapshot()
+                answers.add(got)
+    assert answers == {True, False}
 
 
 def test_build_threshold_sample_bounds():
