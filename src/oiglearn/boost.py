@@ -6,9 +6,12 @@ rule.  The trained model keeps its weak learner and stores no hypothesis: each
 round holds its resampled sample, its vote weight alpha, the weak learner's
 stream and the answers its hypothesis has given.  A point the round has not
 answered is replayed on demand from the same sample and stream, so prediction
-is a fixed function of the model and the query point.  The training error is
-that same vote at the training points, read from the rounds' answers without a
-weak-learner call.
+is a fixed function of the model and the query point.  The vote at a point
+counts the rounds that have answered it, then asks the unanswered rounds
+heaviest |alpha| first, and stops once the rounds not yet counted cannot flip
+the sign; each round replays from its own stream, so a round left unasked
+changes no other round's answer.  The training error is that same vote at the
+training points, read from the rounds' answers without a weak-learner call.
 """
 
 from __future__ import annotations
@@ -59,7 +62,8 @@ class BoostRound:
     sample: Sample  # the round's resample of the training sample
     alpha: float
     stream: RandomStream  # the weak learner's stream
-    # x -> the bit the round's hypothesis gave at x; filled as points are replayed
+    # x -> the bit the round's hypothesis gave at x; filled as points are
+    # replayed, so a round the vote at x did not need to ask has no entry for x
     answers: dict = field(compare=False, repr=False)
 
 
@@ -67,7 +71,10 @@ class BoostRound:
 class BoostedModel:
     """The training sample, the weak learner that replays every round, and the
     kept rounds, with the exact training error and the product of the round
-    normalizers."""
+    normalizers.  The vote's plan is built once from the rounds: the rounds by
+    decreasing |alpha| (ties in round order), the sum of |alpha| and the float
+    margin of the vote's exit.  It is None for fewer than two rounds or an
+    infinite alpha, which vote in round order."""
 
     sample: Sample
     weak: WeakLearner
@@ -75,6 +82,16 @@ class BoostedModel:
     early_stop: bool = False
     train_error: Fraction | None = None
     z_product: float | None = None
+    vote_plan: tuple | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        alphas = [r.alpha for r in self.rounds]
+        if len(alphas) < 2 or not all(map(math.isfinite, alphas)):
+            self.vote_plan = None
+            return
+        total = sum(map(abs, alphas))
+        heaviest_first = tuple(sorted(self.rounds, key=lambda r: -abs(r.alpha)))
+        self.vote_plan = (heaviest_first, total, 1e-9 * (1 + total))
 
 
 def adaboost_train(
@@ -136,8 +153,41 @@ def adaboost_train(
 
 
 def adaboost_predict(model: BoostedModel, x) -> int:
-    """Weighted-majority vote at x, replaying each round's hypothesis with the
-    model's weak learner on the round's sample and stream; sign(0) votes 1."""
+    """Weighted-majority vote at x; sign(0) votes 1.  A round that has not
+    answered x replays its hypothesis with the model's weak learner on the
+    round's sample and stream.
+
+    The rounds that have answered x are counted first; the others are asked
+    heaviest |alpha| first (ties in round order), and the vote returns as soon
+    as |score| exceeds the |alpha| not yet counted by the plan's margin
+    1e-9 * (1 + sum |alpha|), which covers the rounding of every float sum
+    here, so the bit is the sign of the in-order sum.  If no round is left to
+    count and the score is still within the margin, the vote is that of the
+    in-order sum.
+    """
+    plan = model.vote_plan
+    if plan is None:
+        return _vote_in_round_order(model, x)
+    heaviest_first, left, margin = plan
+    score = 0.0
+    for round_ in model.rounds:
+        b = round_.answers.get(x)
+        if b is not None:
+            score += round_.alpha * (2 * b - 1)
+            left -= abs(round_.alpha)
+    for round_ in heaviest_first:
+        if abs(score) > left + margin:
+            return 1 if score > 0 else 0
+        if x not in round_.answers:
+            b = round_.answers[x] = model.weak(round_.sample, x, round_.stream)
+            score += round_.alpha * (2 * b - 1)
+            left -= abs(round_.alpha)
+    return _vote_in_round_order(model, x)
+
+
+def _vote_in_round_order(model: BoostedModel, x) -> int:
+    """The vote with every round asked in round order; an infinite alpha
+    decides it alone."""
     if not model.rounds:
         return 1
     score = 0.0

@@ -10,10 +10,10 @@ encodings, as explicit tables, and the threshold encoding as a query on
 labels; membership over an explicit vertex set; the exact solve in fractions
 and its recursion residual; the one-generator vectorized rollouts, which the
 lockstep engine must match draw for draw; numpy's own derivation of a
-stream's generator; the truncated flip-walk expectation by dynamic
-programming; the restarting removal scan of minimizer extraction; and the
-leave-one-out error on fresh draws, and on a sample with a fresh memo per
-prediction.
+stream's generator; the boosted vote of every round in round order; the
+truncated flip-walk expectation by dynamic programming; the restarting
+removal scan of minimizer extraction; and the leave-one-out error on fresh
+draws, and on a sample with a fresh memo per prediction.
 
 Vertices here are 0/1 pattern tuples, flipped by `flip` and `neighbors`,
 except where a reference stands beside a walk engine: `vectorized_rollouts`
@@ -501,6 +501,15 @@ def same_generator_state(a: np.random.Generator, b: np.random.Generator) -> bool
         return np.array_equal(x, y)
 
     return same(a.bit_generator.state, b.bit_generator.state)
+
+
+def full_vote(alphas, bits) -> int:
+    """Reference for `boost.adaboost_predict`: the weighted-majority vote of
+    every round, summed in round order as floats; sign(0) votes 1."""
+    score = 0.0
+    for alpha, b in zip(alphas, bits, strict=True):
+        score += alpha * (2 * b - 1)
+    return 1 if score >= 0 else 0
 
 
 def exact_truncated_flip_expectation(

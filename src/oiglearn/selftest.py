@@ -6,6 +6,7 @@ enumeration on small random instances and prints one pass/fail line.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import partial
 from itertools import permutations
@@ -13,6 +14,7 @@ from itertools import permutations
 import numpy as np
 
 from . import brute
+from .boost import BoostedModel, BoostRound, adaboost_predict
 from .classes import FiniteTableClass, HPrimeClass, MarginThresholdClass
 from .core import STAR, RandomStream, Sample, loss_abs, loss_bin, pack, unpack
 from .ermred import sample_erm_binary
@@ -477,6 +479,77 @@ def _check_stream_generators(gen) -> bool:
     return True
 
 
+def early_vote_asks(alphas, bits, answered=()) -> tuple[int, ...] | None:
+    """The rounds `adaboost_predict` asks, in order, at a point where round t
+    answers bits[t] and the rounds in `answered` have answered already; None
+    if a check fails.  The vote must be `brute.full_vote`'s, and a second vote
+    at the point must ask nothing.  The asked rounds must be the unanswered
+    ones heaviest |alpha| first, ties in round order (in round order for one
+    round or an infinite alpha), cut off only where the exact sum of the
+    rounds counted exceeds the |alpha| of the rounds left."""
+    asked = []
+
+    def weak(round_sample, x, stream):
+        asked.append(round_sample.xs[0])
+        return round_sample.ys[0]
+
+    stream = RandomStream(0)
+    rounds = tuple(
+        BoostRound(Sample([(t, b)]), alpha, stream.child(t), {"x": b} if t in answered else {})
+        for t, (alpha, b) in enumerate(zip(alphas, bits, strict=True))
+    )
+    model = BoostedModel(Sample([]), weak, rounds)
+    vote = adaboost_predict(model, "x")
+    first = tuple(asked)
+    if (vote != brute.full_vote(alphas, bits) or adaboost_predict(model, "x") != vote
+            or len(asked) != len(first)):
+        return None
+    order = range(len(alphas))
+    if len(alphas) > 1 and all(map(math.isfinite, alphas)):
+        order = sorted(order, key=lambda t: -abs(alphas[t]))
+        counted = set(answered) | set(first)
+        if len(counted) < len(alphas):
+            score = sum(Fraction(alphas[t]) * (2 * bits[t] - 1) for t in counted)
+            left = sum(abs(Fraction(alphas[t])) for t in order if t not in counted)
+            if abs(score) <= left:
+                return None
+    unanswered = [t for t in order if t not in answered]
+    return first if list(first) == unanswered[: len(first)] else None
+
+
+def _check_early_vote(gen) -> bool:
+    """early_vote_asks on 4,000 random votes of 1 to 12 rounds.  In half the
+    votes every alpha is a multiple of 0.1 in [-1, 1], so exact ties are
+    common and their float sums fall just off them, in a sign that depends on
+    the order of the sum.  The other half mix normal draws, AdaBoost weights of
+    random errors (negative above 1/2), zeros and multiples of 0.1.  A single
+    round is sometimes +-inf.  Each round has answered already with
+    probability 0.3."""
+    for _ in range(4000):
+        n = int(gen.integers(1, 13))
+        if n == 1 and gen.random() < 0.3:
+            alphas = [math.inf if gen.random() < 0.5 else -math.inf]
+        elif gen.random() < 0.5:
+            alphas = [k / 10 for k in gen.integers(-10, 11, size=n).tolist()]
+        else:
+            alphas = []
+            for kind in gen.integers(0, 4, size=n).tolist():
+                if kind == 0:
+                    alphas.append(float(gen.normal()))
+                elif kind == 1:
+                    eps = float(gen.uniform(0.05, 0.95))
+                    alphas.append(0.5 * math.log((1 - eps) / eps))
+                elif kind == 2:
+                    alphas.append(0.0)
+                else:
+                    alphas.append(int(gen.integers(-10, 11)) / 10)
+        bits = gen.integers(0, 2, size=n).tolist()
+        answered = [t for t in range(n) if gen.random() < 0.3]
+        if early_vote_asks(alphas, bits, answered) is None:
+            return False
+    return True
+
+
 CHECKS = (
     ("finite-table oracles vs enumeration", _check_finite_oracles),
     ("margin-threshold oracles vs materialized table", _check_margin_threshold),
@@ -493,6 +566,7 @@ CHECKS = (
     ("consistency answers vs reordered queries; shared leave-one-out answers vs fresh memos",
      _check_order_free_answers),
     ("stream generators vs numpy SeedSequence", _check_stream_generators),
+    ("early-exit boosted vote vs in-order float vote", _check_early_vote),
 )
 
 

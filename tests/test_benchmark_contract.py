@@ -19,9 +19,9 @@ import sys
 from pathlib import Path
 
 from oiglearn import pipelines
-from oiglearn.brute import table_erm_scan
+from oiglearn.brute import exact_transductive_audit, table_erm_scan
 from oiglearn.classes import FiniteTableClass, class_from_config
-from oiglearn.core import FiniteDistribution, loss_abs
+from oiglearn.core import FiniteDistribution, Sample, loss_abs
 from oiglearn.harness import (
     ExperimentConfig,
     build_distribution,
@@ -29,6 +29,7 @@ from oiglearn.harness import (
     run_trial,
     validate_capabilities,
 )
+from oiglearn.weak import paper_default_params
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 201
@@ -93,6 +94,26 @@ def test_interval_loo_passes_the_benchmark_check(monkeypatch):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == _report_line(reports[0])
+
+
+def test_interval_loo_all_zero_samples_sit_just_below_one_half(monkeypatch):
+    """On 8 distinct points labeled 0 the exact flip-walk leave-one-out error
+    is 0.47294, so the check that each trial's measured error, a count out of
+    160 draws, lies below 1/2 can fail on correct code.  The intervals project
+    onto any 8 distinct points alike, so every such sample has this error."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import build_interval_loo
+
+    config = ExperimentConfig.from_dict(build_interval_loo(SEED))
+    concept_class = class_from_config(config.class_spec)
+    params = paper_default_params(8)
+    errors = set()
+    for xs in ((0, 3, 7, 10, 20, 110, 115, 127), tuple(range(104, 112))):
+        audit = exact_transductive_audit(concept_class, Sample((x, 0) for x in xs),
+                                         params.gamma, params.lam, walk="flip")
+        errors.add(audit.loo_error)
+    assert len(errors) == 1
+    assert 0.47 < errors.pop() < 0.5
 
 
 def _regression_agnostic(monkeypatch):

@@ -17,6 +17,7 @@ from oiglearn.classes import MarginThresholdClass
 from oiglearn.core import RandomStream, Sample, empirical_error, loss_bin
 from oiglearn.oracle import ConsistencyOracle, QueryCostLedger
 from oiglearn.pipelines import make_weak_learner
+from oiglearn.selftest import early_vote_asks
 from oiglearn.weak import paper_default_params
 
 
@@ -189,6 +190,60 @@ def test_adaboost_predict_tie_votes_one():
               BoostRound(sample.subset((1,)), 0.7, stream.child(1), {}))
     model = BoostedModel(sample, fixed, rounds)
     assert adaboost_predict(model, 0) == 1
+
+
+def _counting_model(alphas, bits):
+    # round t's sample holds the one point t, labeled with the bit it answers
+    asked = []
+
+    def counting(round_sample, x, stream):
+        asked.append(round_sample.xs[0])
+        return round_sample.ys[0]
+
+    stream = RandomStream(5)
+    rounds = tuple(BoostRound(Sample([(t, b)]), a, stream.child(t), {})
+                   for t, (a, b) in enumerate(zip(alphas, bits)))
+    return BoostedModel(Sample([(0, 0), (1, 1)]), counting, rounds), asked
+
+
+def test_adaboost_predict_asks_heaviest_rounds_first():
+    # round 0's 3.0 outweighs the 1.5 left, so one ask settles the vote
+    model, asked = _counting_model((3.0, 1.0, 0.5), (1, 0, 0))
+    assert adaboost_predict(model, Fraction(1, 3)) == 1
+    assert asked == [0]
+    assert adaboost_predict(model, Fraction(1, 3)) == 1
+    assert asked == [0]
+    assert [r.answers for r in model.rounds] == [{Fraction(1, 3): 1}, {}, {}]
+    model, asked = _counting_model((0.5, 1.0, 3.0), (0, 0, 1))
+    assert adaboost_predict(model, Fraction(1, 3)) == 1
+    assert asked == [2]
+
+
+def test_early_vote_matches_full_vote_on_hand_picked_rounds():
+    # (alphas, bits, rounds answered beforehand) -> the rounds the vote asks
+    cases = {
+        ((0.7, 0.7), (0, 1), ()): (0, 1),  # an exact tie votes 1
+        # 0.1 + 0.2 - 0.3 is 5.6e-17 in floats and 0 exactly: no prefix settles it
+        ((0.1, 0.2, 0.3), (1, 1, 0), ()): (2, 1, 0),
+        ((0.3, 0.2, 0.1), (0, 1, 1), ()): (0, 1, 2),
+        ((0.0, 0.0), (0, 0), ()): (0, 1),
+        ((0.5, 0.0, 0.0), (0, 1, 1), ()): (0,),
+        ((0.0, -0.4, 0.0, 0.2), (1, 1, 0, 1), ()): (1,),
+        ((0.0, 0.4, 0.0, -0.4), (1, 1, 0, 1), ()): (1, 3, 0, 2),
+        # the sum of the counted rounds, 0.8, meets the 0.8 left exactly, though
+        # it reads larger in floats
+        ((-0.7, 0.2, 0.1, 0.6), (0, 1, 1, 0), (2,)): (0, 3, 1),
+        # 0 in round order, -2.8e-17 in the order asked
+        ((-0.9, -0.1, -0.8), (0, 1, 1), (2,)): (0, 1),
+        ((3.0, 1.0, 0.5), (1, 0, 0), (0,)): (),
+        ((1.0, 1.0, 3.0), (1, 1, 0), (0, 1)): (2,),
+        ((1.0, 1.0, 0.5, 0.25), (1, 0, 1, 1), (1,)): (0, 2),
+        ((math.inf,), (0,), ()): (0,),
+        ((-math.inf,), (0,), ()): (0,),
+        ((-math.inf,), (1,), (0,)): (),
+    }
+    for (alphas, bits, answered), asks in cases.items():
+        assert early_vote_asks(alphas, bits, answered) == asks, (alphas, bits, answered)
 
 
 def test_adaboost_tolerates_worse_than_half_rounds():
